@@ -9,9 +9,10 @@ Run from the repository root:
 The last line of stdout is the result object
 {"correct", "attempted", "failed", "metrics"}; with --trace 0 its metrics
 are the end_to_end metrics of BENCHMARK.json, with --trace 1 the per_layer
-ones (a layer the workload never calls reads 0). The line before it
-carries provenance: host, build, git sha, source digest and seed. The exit
-code is nonzero when the build fails or a correctness check fails.
+ones (a layer the workload never calls reads 0). Before it come a
+provenance line (host, build, git sha, source digest, seed) and a line with
+every metric the program measured, listed in BENCHMARK.json or not. The
+exit code is nonzero when the build fails or a correctness check fails.
 """
 import argparse
 import hashlib
@@ -128,6 +129,7 @@ def run_once(args):
         return code or 1
     provenance.update(git_sha=git_sha(), src_sha256=source_digest())
     print(json.dumps({"provenance": provenance}))
+    print(json.dumps({"measured": result["metrics"]}))
     shaped, missing = shape(result, args.trace)
     if missing:
         log("perfbench: metrics missing from the result:", ", ".join(missing))
