@@ -27,7 +27,7 @@ ROOT = BENCH.parent
 BUILD = ROOT / ".bench_build" / "perfbench"
 BINARY = BUILD / "perfbench"
 SPANS = BUILD / "spans"
-WORKLOADS = ["static-optimal", "online-seqscan", "sharded-drift", "open-loop-zipf"]
+WORKLOADS = ["static-optimal", "online-seqscan", "sharded-drift"]
 RUN_TIMEOUT_S = 175
 
 

@@ -1,4 +1,4 @@
-// Shared plumbing of the benchmark: clocks, medians and exact quantiles,
+// Shared plumbing of the benchmark: clocks, medians, set-up repetition,
 // the result report (metrics + correctness checks), in-memory spans, and
 // the per-request layer accumulators the traced runs fill.
 //
@@ -28,8 +28,6 @@ inline std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
 }
 
 double median(std::vector<double> v);
-/// Exact nearest-rank quantile of raw samples (q in [0, 1]); 0 when empty.
-double quantile(std::vector<std::uint64_t>& samples, double q);
 double peak_rss_mb();
 
 /// Parsed command line of one benchmark run.
@@ -68,6 +66,28 @@ class Report {
   std::uint64_t attempted_ = 0;
   std::uint64_t failed_ = 0;
 };
+
+/// One timed rep of a closed-loop workload: its throughput and the
+/// latencies it recorded.
+struct Rep {
+  double rps = 0;
+  san::LatencyHistogram lat;
+};
+
+/// serve_rps, p50_us and p99_us of the fastest quarter of `reps` (at least
+/// three): the median throughput of those reps and the quantiles of their
+/// merged latencies. A recorded latency divided by `ns_per_request_us` is
+/// us per request. Why the fastest: see fastest_quarter in harness.cpp.
+void report_fastest_reps(Report& report, const std::vector<Rep>& reps,
+                         double ns_per_request_us);
+
+/// Runs `set_up` `reps` times; each call reports the seconds its timed
+/// part took. Returns the median of the fastest quarter of those (at least
+/// three). Every call must build the same inputs; the last call's are the
+/// ones used. The count is fixed, not a time budget, so that the heap the
+/// set-ups leave behind, and with it peak_rss_mb, does not depend on how
+/// many fit.
+double time_setup(int reps, const std::function<double()>& set_up);
 
 /// Runs `rep` until `budget_s` seconds have passed and at least
 /// `min_reps` reps ran (never more than `max_reps`). Returns the count.
@@ -139,39 +159,6 @@ class Sampler {
   std::uint64_t left_ = 1;
 };
 
-/// Uniform random sample of at most `capacity` values (reservoir
-/// sampling, fixed generator): latency samples take the same memory
-/// however many reps a run fits, so a faster program does not show up as
-/// a larger peak_rss_mb.
-class Reservoir {
- public:
-  explicit Reservoir(std::size_t capacity) : capacity_(capacity) {
-    samples_.reserve(capacity);
-  }
-  void add(std::uint64_t v) {
-    ++seen_;
-    if (samples_.size() < capacity_) {
-      samples_.push_back(v);
-      return;
-    }
-    x_ ^= x_ << 13;
-    x_ ^= x_ >> 7;
-    x_ ^= x_ << 17;
-    const std::uint64_t slot = x_ % seen_;
-    if (slot < capacity_) samples_[slot] = v;
-  }
-  std::vector<std::uint64_t>& samples() { return samples_; }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t x_ = 0x2545F4914F6CDD1DULL;
-  std::vector<std::uint64_t> samples_;
-};
-
-/// Latency samples kept per run.
-inline constexpr std::size_t kLatencySamples = 1 << 16;
-
 /// One request in 8 is a path_info sample; the others time serve alone.
 /// Timing both on one request would let path_info's depth-memo repair
 /// make the following serve look cheap.
@@ -181,9 +168,9 @@ inline constexpr std::uint64_t kPathSampleEvery = 8;
 void report_core_layers(Report& report, const LayerAcc& acc);
 
 /// Reports the trace overhead: the traced loop's throughput against the
-/// untraced one on the same inputs.
-void report_trace_overhead(Report& report, double untraced_rps,
-                           double traced_rps);
+/// untraced one on the same inputs, each over its fastest quarter.
+void report_trace_overhead(Report& report, const std::vector<Rep>& untraced,
+                           const std::vector<double>& traced_rps);
 
 /// Provenance line printed before the result: host, build, seed, threads.
 std::string provenance_json(const RunArgs& args, const std::string& threads);

@@ -26,7 +26,6 @@ constexpr Workload kWorkloads[] = {
     {"static-optimal", run_static_optimal, static_optimal_threads},
     {"online-seqscan", run_online_seqscan, online_seqscan_threads},
     {"sharded-drift", run_sharded_drift, sharded_drift_threads},
-    {"open-loop-zipf", run_open_loop_zipf, open_loop_zipf_threads},
 };
 
 [[noreturn]] void usage(const std::string& why) {

@@ -1,6 +1,6 @@
 // online-seqscan: one closed-loop caller serving a sequential scan on a
 // binary (k = 2) KArySplayNet over 10^5 nodes. The splay tree degrades
-// into deep paths while the paper's cost per request stays near 3.4, so
+// into deep paths while the paper's cost per request stays near 4.2, so
 // wall time here is the O(depth) path_info walk against an O(distance)
 // cost model, on a working set larger than L2.
 #include <optional>
@@ -36,8 +36,7 @@ struct Counters {
 /// One closed-loop pass on a fresh copy of the initial network, timed per
 /// window of kLatencyWindow consecutive requests into `lat`.
 double serve_pass(const KArySplayNet& initial, const Trace& trace,
-                  Counters& c, Reservoir& lat,
-                  KArySplayNet& out) {
+                  Counters& c, LatencyHistogram& lat, KArySplayNet& out) {
   KArySplayNet net = initial;
   const std::size_t m = trace.size();
   const auto t0 = Clock::now();
@@ -50,7 +49,7 @@ double serve_pass(const KArySplayNet& initial, const Trace& trace,
     c.edge_changes += s.edge_changes;
     if ((i + 1) % kLatencyWindow == 0) {
       const auto w1 = Clock::now();
-      lat.add(ns_between(w0, w1));
+      lat.record(ns_between(w0, w1));
       w0 = w1;
     }
   }
@@ -102,27 +101,29 @@ std::string online_seqscan_threads() { return "serve=1"; }
 
 void run_online_seqscan(const RunArgs& args, Report& report) {
   const Sizes z = sizes(args);
-  std::vector<double> setup_s;
   Trace trace;
   double generate_s = 0;
   std::optional<KArySplayNet> initial;
-  for (int i = 0; i < kSetupReps; ++i) {
+  // Set-ups of ~20 ms: about one second of them.
+  const double setup_s = time_setup(50, [&] {
+    // Free the previous inputs first, so that repeating set-up reuses
+    // their memory instead of growing the heap.
     initial.reset();
+    trace = Trace{};
     const auto t0 = Clock::now();
     trace = gen_sequential_scan(z.n, z.m, args.seed);
     const auto t1 = Clock::now();
     initial.emplace(KArySplayNet::balanced(kArity, z.n));
     const auto t2 = Clock::now();
     generate_s = seconds_between(t0, t1);
-    setup_s.push_back(seconds_between(t0, t2));
-  }
+    return seconds_between(t0, t2);
+  });
 
   // Reps must agree on every deterministic counter; the self-test's
   // negative case corrupts the reference.
   std::optional<Counters> first;
   bool deterministic = true;
-  std::vector<double> rps;
-  Reservoir lat(kLatencySamples);
+  std::vector<Rep> reps;
   KArySplayNet last = *initial;
   const auto agree = [&](const Counters& c) {
     if (!first) first = c;
@@ -134,7 +135,8 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
   repeat_for(budget, 3, 100000, [&] {
     Counters c;
-    rps.push_back(serve_pass(*initial, trace, c, lat, last));
+    Rep& rep = reps.emplace_back();
+    rep.rps = serve_pass(*initial, trace, c, rep.lat, last);
     agree(c);
   });
   report.check(!last.tree().validate().has_value(),
@@ -143,15 +145,13 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
   if (!args.trace) {
     report.check(deterministic,
                  "online-seqscan: counters identical across reps of one seed");
-    report.metric("serve_rps", median(rps), "req/s");
+    report_fastest_reps(report, reps, kLatencyWindow * 1000.0);
     report.metric("cost_per_req",
                   static_cast<double>(first->routing + first->rotations) /
                       static_cast<double>(z.m),
                   "cost/req");
-    report.metric("setup_s", median(setup_s), "s");
+    report.metric("setup_s", setup_s, "s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("p50_us", window_quantile_us(lat, 0.50), "us");
-    report.metric("p99_us", window_quantile_us(lat, 0.99), "us");
     return;
   }
 
@@ -168,7 +168,7 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
   report.metric("workload.generate.ns_per_req",
                 generate_s * 1e9 / static_cast<double>(z.m), "ns");
   report.metric("shed_frac", 0.0, "fraction");
-  report_trace_overhead(report, median(rps), median(traced_rps));
+  report_trace_overhead(report, reps, traced_rps);
 }
 
 }  // namespace perfbench

@@ -9,7 +9,9 @@
 // the same pipeline through the public entry points (partition_trace,
 // per-shard serve/access on the Executor, top_distance combine,
 // RebalanceState, apply_migrations, split/merge, snapshot/restore) and must
-// reproduce the untraced run's SimResult counters bit for bit.
+// reproduce the untraced run's SimResult counters bit for bit. The traced
+// run also serves the head of the trace open-loop through ServeFrontend on
+// the same fleet shape, so the per-request threaded path is measured too.
 #include <array>
 #include <optional>
 #include <string>
@@ -18,7 +20,9 @@
 #include "core/executor.hpp"
 #include "core/parallel.hpp"
 #include "sim/fault.hpp"
+#include "sim/serve_frontend.hpp"
 #include "sim/simulator.hpp"
+#include "workload/arrival.hpp"
 #include "workload/generators.hpp"
 #include "workloads.hpp"
 
@@ -34,11 +38,13 @@ struct Sizes {
   std::size_t m;
   std::size_t epoch;
   int phases;
+  double frontend_rate;    ///< open-loop pass: offered requests/s
+  std::size_t frontend_m;  ///< open-loop pass: requests from the head
 };
 
 Sizes sizes(const RunArgs& a) {
-  return a.tiny ? Sizes{2000, 3, 4, 40000, 2000, 4}
-                : Sizes{100000, 3, 8, 2000000, 16384, 16};
+  return a.tiny ? Sizes{2000, 3, 4, 40000, 2000, 4, 50000, 5000}
+                : Sizes{100000, 3, 8, 2000000, 16384, 16, 100000, 200000};
 }
 
 RebalanceConfig rebalance_config(const Sizes& z) {
@@ -101,10 +107,10 @@ class PullClock final : public RequestStream {
     return got;
   }
   /// Per-chunk cycle times in ns, the last one closed at `end`.
-  void cycles(Clock::time_point end, Reservoir& out) const {
+  void cycles(Clock::time_point end, LatencyHistogram& out) const {
     for (std::size_t i = 0; i < pulls_.size(); ++i)
-      out.add(ns_between(pulls_[i],
-                         i + 1 < pulls_.size() ? pulls_[i + 1] : end));
+      out.record(ns_between(pulls_[i],
+                            i + 1 < pulls_.size() ? pulls_[i + 1] : end));
   }
 
  private:
@@ -172,7 +178,7 @@ struct ChunkSplit {
 struct Tally {
   SpanLog spans;
   LayerAcc acc;
-  std::vector<std::uint64_t> plan_ns;
+  LatencyHistogram plan_ns;
   double busy_s = 0, busy_max_sum_s = 0, busy_mean_sum_s = 0;
   std::size_t drains = 0, migrate_batches = 0, snapshot_bytes = 0;
 };
@@ -221,7 +227,7 @@ class TracedPipeline {
       sp = spans_.open("barrier.plan", chunk_span);
       const auto p0 = Clock::now();
       RebalancePlan plan = state.epoch(net_.map(), hints);
-      t_.plan_ns.push_back(ns_between(p0, Clock::now()));
+      t_.plan_ns.record(ns_between(p0, Clock::now()));
       spans_.close(sp);
       if (plan.triggered) {
         ++res_.rebalance_epochs;
@@ -388,10 +394,75 @@ void check_fleet(const ShardedNetwork& net, int n, Report& report) {
   report.check(nodes == n, "sharded-drift: shard sizes sum to n");
 }
 
+/// The open-loop serving path over a fresh fleet of the same shape: Poisson
+/// arrivals at a fixed absolute rate below saturation drive ServeFrontend
+/// (one worker per shard plus the dispatcher, kShed) over the head of the
+/// trace. Latency is sojourn from each request's intended arrival. The
+/// frontend's internals are not visible from outside, so its per-layer
+/// numbers are the FrontendResult histograms and counters themselves, and
+/// the dispatcher's lateness shows only as drain_tail_ms.
+void frontend_pass(const Sizes& z, const Trace& trace, std::uint64_t seed,
+                   Report& report) {
+  Trace head;
+  head.n = trace.n;
+  head.requests.assign(trace.requests.begin(),
+                       trace.requests.begin() +
+                           static_cast<std::ptrdiff_t>(z.frontend_m));
+  const std::vector<std::uint64_t> arrivals =
+      gen_arrival_times(ArrivalKind::kPoisson, z.frontend_rate, z.frontend_m,
+                        seed ^ 0x9E3779B97F4A7C15ULL);
+  FrontendOptions opt;
+  opt.queue_policy = QueuePolicy::kShed;
+  // Deep enough that only a worker stall of ~80 ms sheds at this rate:
+  // below saturation no request should be refused, yet a stall is still
+  // charged to latency from the intended arrival.
+  opt.queue_capacity = 8192;
+  ShardedNetwork net = fresh_network(z);
+  const FrontendResult r = ServeFrontend(net, opt).run(head, arrivals);
+
+  const std::uint64_t served = r.sojourn.count();
+  const auto shed = static_cast<std::uint64_t>(r.sim.shed_requests);
+  report.check(r.sim.requests == z.frontend_m && served + shed == z.frontend_m,
+               "sharded-drift: frontend served + shed == offered");
+  check_fleet(net, z.n, report);
+  report.attempt(r.sim.requests, shed);
+
+  const auto us = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e3; };
+  const double m = static_cast<double>(z.frontend_m);
+  report.metric("sim.frontend.sojourn_p50_us", us(r.sojourn.p50()), "us");
+  report.metric("sim.frontend.sojourn_p99_us", us(r.sojourn.p99()), "us");
+  report.metric("sim.frontend.queue_wait_p50_us", us(r.queue_wait.p50()), "us");
+  report.metric("sim.frontend.queue_wait_p99_us", us(r.queue_wait.p99()), "us");
+  report.metric("sim.frontend.drain_tail_ms",
+                (r.elapsed_seconds - static_cast<double>(arrivals.back()) / 1e9) *
+                    1e3,
+                "ms");
+  report.metric("sim.frontend.handovers_per_req",
+                served ? static_cast<double>(r.handovers) /
+                             static_cast<double>(served)
+                       : 0.0,
+                "count");
+  report.metric("sim.frontend.forwards", static_cast<double>(r.forwards),
+                "count");
+  report.metric("sim.frontend.shed_queue_full",
+                static_cast<double>(r.sim.shed_queue_full), "count");
+  report.metric("sim.frontend.shed_cross", static_cast<double>(r.sim.cross_shed),
+                "count");
+  report.metric("sim.frontend.queue_full_blocks",
+                static_cast<double>(r.sim.queue_full_blocks), "count");
+  report.metric("sim.frontend.breaker_trips",
+                static_cast<double>(r.sim.breaker_trips), "count");
+  report.metric("sim.frontend.shed_age_p99_us", us(r.shed.p99()), "us");
+  report.metric("sim.frontend.shed_frac", static_cast<double>(shed) / m,
+                "fraction");
+}
+
 }  // namespace
 
 std::string sharded_drift_threads() {
-  return "caller=1 executor=" + std::to_string(drain_threads());
+  return "caller=1 executor=" + std::to_string(drain_threads()) +
+         " open_loop_pass=dispatcher+" +
+         std::to_string(sizes(RunArgs{}).shards) + "_workers";
 }
 
 void run_sharded_drift(const RunArgs& args, Report& report) {
@@ -400,23 +471,22 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
   const FaultPlan faults = fault_plan(z);
   const int threads = drain_threads();
 
-  std::vector<double> setup_s;
   Trace trace;
   double generate_s = 0;
-  for (int i = 0; i < kSetupReps; ++i) {
+  // Set-ups of ~0.15 s: about two seconds of them.
+  const double setup_s = time_setup(12, [&] {
     const auto t0 = Clock::now();
     trace = gen_phase_elephants(z.n, z.m, z.phases, args.seed);
     const auto t1 = Clock::now();
     const ShardedNetwork net = fresh_network(z);
     const auto t2 = Clock::now();
     generate_s = seconds_between(t0, t1);
-    setup_s.push_back(seconds_between(t0, t2));
-  }
+    return seconds_between(t0, t2);
+  });
 
   std::optional<SimResult> first;
   bool deterministic = true;
-  std::vector<double> rps;
-  Reservoir cycles(kLatencySamples);
+  std::vector<Rep> reps;
   std::optional<ShardedNetwork> last;
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
   repeat_for(budget, 3, 100000, [&] {
@@ -430,8 +500,9 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
     const auto t0 = Clock::now();
     const SimResult r = run_trace_sharded_stream(*last, stream, opt);
     const auto t1 = Clock::now();
-    stream.cycles(t1, cycles);
-    rps.push_back(static_cast<double>(r.requests) / seconds_between(t0, t1));
+    Rep& rep = reps.emplace_back();
+    stream.cycles(t1, rep.lat);
+    rep.rps = static_cast<double>(r.requests) / seconds_between(t0, t1);
     if (!first) first = r;
     deterministic = deterministic && counters(r) == counters(*first);
     report.attempt(r.requests, static_cast<std::uint64_t>(r.shed_requests));
@@ -445,15 +516,13 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
                "sharded-drift: the scripted kill fired");
 
   if (!args.trace) {
-    report.metric("serve_rps", median(rps), "req/s");
+    report_fastest_reps(report, reps, 1000.0);
     report.metric("cost_per_req",
                   static_cast<double>(first->grand_total_cost()) /
                       static_cast<double>(z.m),
                   "cost/req");
-    report.metric("setup_s", median(setup_s), "s");
+    report.metric("setup_s", setup_s, "s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("p50_us", quantile(cycles.samples(), 0.50) / 1000.0, "us");
-    report.metric("p99_us", quantile(cycles.samples(), 0.99) / 1000.0, "us");
     return;
   }
 
@@ -465,7 +534,7 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
   std::size_t rounds = 0;
   SimResult tr;
   bool bit_match = true;
-  const int reps = repeat_for(args.seconds / 2, 1, 100000, [&] {
+  const int traced_reps = repeat_for(args.seconds / 2, 1, 100000, [&] {
     ShardedNetwork net = fresh_network(z);
     TracedPipeline pipe(net, cfg, faults, threads, t);
     const std::size_t r0 = Executor::instance().rounds_dispatched();
@@ -485,7 +554,7 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
                "sharded-drift: traced pipeline bit-matches the SimResult "
                "counters of run_trace_sharded_stream");
 
-  const double per = 1.0 / reps;
+  const double per = 1.0 / traced_reps;
   const double m = static_cast<double>(z.m);
   const auto safe = [](double a, double b) { return b > 0 ? a / b : 0.0; };
   const auto span_ms = [&](const char* name) {
@@ -504,9 +573,9 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
   report.metric("workload.rebalance.observe.ns_per_req",
                 span_ms("barrier.observe") * 1e6 / m, "ns");
   report.metric("workload.rebalance.plan_ms_p50",
-                quantile(t.plan_ns, 0.5) / 1e6, "ms");
+                static_cast<double>(t.plan_ns.p50()) / 1e6, "ms");
   report.metric("workload.rebalance.plan_ms_max",
-                quantile(t.plan_ns, 1.0) / 1e6, "ms");
+                static_cast<double>(t.plan_ns.max()) / 1e6, "ms");
   report.metric("sim.drain.wall_ms", wall_ms, "ms");
   report.metric("sim.drain.busy_ms", busy_ms, "ms");
   report.metric("sim.drain.imbalance",
@@ -537,8 +606,8 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
                 static_cast<double>(t.snapshot_bytes) * per, "bytes");
   report.metric("trace.spans", static_cast<double>(t.spans.size()) * per,
                 "count");
-  report.metric("shed_frac", 0.0, "fraction");
-  report_trace_overhead(report, median(rps), median(traced_rps));
+  report_trace_overhead(report, reps, traced_rps);
+  frontend_pass(z, trace, args.seed, report);
 }
 
 }  // namespace perfbench

@@ -88,14 +88,14 @@ double replay(const Setup& s, Report& report, SimResult& sum) {
 
 /// Request latency per window of kLatencyWindow requests, through the
 /// same per-request routing run_trace_static performs.
-void time_windows(const Setup& s, Reservoir& lat) {
+void time_windows(const Setup& s, LatencyHistogram& lat) {
   for (const Design& d : s.designs)
     for (std::size_t i = 0; i + kLatencyWindow <= d.trace.size();
          i += kLatencyWindow) {
       const auto a = Clock::now();
       for (std::size_t j = i; j < i + kLatencyWindow; ++j)
         (void)serve_on_static_tree(d.opt.tree, d.trace[j].src, d.trace[j].dst);
-      lat.add(ns_between(a, Clock::now()));
+      lat.record(ns_between(a, Clock::now()));
     }
 }
 
@@ -144,13 +144,13 @@ std::string static_optimal_threads() {
 
 void run_static_optimal(const RunArgs& args, Report& report) {
   const Sizes z = sizes(args);
-  std::vector<double> setup_s;
   Setup s;
-  for (int i = 0; i < kSetupReps; ++i) {
+  // Three set-ups of ~1.7 s, eight DPs each.
+  const double setup_s = time_setup(3, [&] {
     s = Setup{};  // free the previous setup before building the next
     s = set_up(z, args.seed);
-    setup_s.push_back(s.total_s);
-  }
+    return s.total_s;
+  });
   bool valid = true;
   for (const Design& d : s.designs)
     valid = valid && !d.opt.tree.validate().has_value();
@@ -158,32 +158,30 @@ void run_static_optimal(const RunArgs& args, Report& report) {
 
   // The self-test's negative case corrupts the expected total.
   const Cost expected = s.total_distance + (args.tamper ? 1 : 0);
-  std::vector<double> rps;
+  std::vector<Rep> reps;
   bool routing_ok = true;
   bool shed_free = true;
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
-  Reservoir lat(kLatencySamples);
   repeat_for(budget, 3, 100000, [&] {
     SimResult r;
-    rps.push_back(replay(s, report, r));
+    Rep& rep = reps.emplace_back();
+    rep.rps = replay(s, report, r);
     routing_ok = routing_ok && r.routing_cost == expected;
     shed_free = shed_free && r.shed_requests == 0;
-    if (!args.trace) time_windows(s, lat);
+    if (!args.trace) time_windows(s, rep.lat);
   });
   report.check(routing_ok,
                "static-optimal: replay routing equals the DP total_distance");
   report.check(shed_free, "static-optimal: shed_frac == 0 (closed loop)");
 
   if (!args.trace) {
-    report.metric("serve_rps", median(rps), "req/s");
+    report_fastest_reps(report, reps, kLatencyWindow * 1000.0);
     report.metric("cost_per_req",
                   static_cast<double>(s.total_distance) /
                       static_cast<double>(s.requests),
                   "cost/req");
-    report.metric("setup_s", median(setup_s), "s");
+    report.metric("setup_s", setup_s, "s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("p50_us", window_quantile_us(lat, 0.50), "us");
-    report.metric("p99_us", window_quantile_us(lat, 0.99), "us");
     return;
   }
 
@@ -204,7 +202,7 @@ void run_static_optimal(const RunArgs& args, Report& report) {
   report.metric("workload.generate.ns_per_req",
                 s.generate_s * 1e9 / static_cast<double>(s.requests), "ns");
   report.metric("shed_frac", 0.0, "fraction");
-  report_trace_overhead(report, median(rps), median(traced_rps));
+  report_trace_overhead(report, reps, traced_rps);
 }
 
 }  // namespace perfbench

@@ -1,5 +1,5 @@
-// The four benchmark workloads. Each one generates its inputs from the
-// seed, sets up (several times; setup_s is the median), measures for the
+// The three benchmark workloads. Each one generates its inputs from the
+// seed, sets up (repeatedly; setup_s is the median), measures for the
 // run's seconds, checks its outputs, and fills the report: end-to-end
 // metrics in a plain run, per-layer metrics in a traced run.
 #pragma once
@@ -14,12 +14,10 @@ namespace perfbench {
 std::string static_optimal_threads();
 std::string online_seqscan_threads();
 std::string sharded_drift_threads();
-std::string open_loop_zipf_threads();
 
 void run_static_optimal(const RunArgs& args, Report& report);
 void run_online_seqscan(const RunArgs& args, Report& report);
 void run_sharded_drift(const RunArgs& args, Report& report);
-void run_open_loop_zipf(const RunArgs& args, Report& report);
 
 /// Closed-loop request latency is timed per window of this many
 /// consecutive requests, as the window's mean per request: two clock reads
@@ -28,13 +26,5 @@ void run_open_loop_zipf(const RunArgs& args, Report& report);
 /// window keeps the median off the knife edge between the cheap and the
 /// expensive requests of a splay scan.
 inline constexpr std::size_t kLatencyWindow = 64;
-
-/// Quantile of per-window times (ns per whole window) as us per request.
-inline double window_quantile_us(Reservoir& window_ns, double q) {
-  return quantile(window_ns.samples(), q) / kLatencyWindow / 1000.0;
-}
-
-/// Setups per run; setup_s reports their median.
-inline constexpr int kSetupReps = 3;
 
 }  // namespace perfbench
