@@ -1,9 +1,12 @@
 #include "harness.hpp"
 
+#include <dirent.h>
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -33,56 +36,20 @@ std::string number(double v) {
 
 }  // namespace
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t h = v.size() / 2;
-  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+void BestTimes::record(std::size_t chunk, double seconds) {
+  if (chunk >= best_.size()) best_.resize(chunk + 1, seconds);
+  best_[chunk] = std::min(best_[chunk], seconds);
 }
 
-namespace {
-
-/// Indices of the quarter of `speed` with the highest values, but at least
-/// three (all, when there are fewer). A run reports on its fastest reps:
-/// on a shared host the core's speed switches for seconds at a time
-/// between levels about 30% apart, and the share of a run spent at each
-/// level changes from run to run. The fastest reps are the ones the host
-/// left alone, so their figures repeat across runs where a median over all
-/// reps does not.
-std::vector<std::size_t> fastest_quarter(const std::vector<double>& speed) {
-  std::vector<std::size_t> idx(speed.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a, std::size_t b) { return speed[a] > speed[b]; });
-  idx.resize(std::min(idx.size(), std::max<std::size_t>(3, idx.size() / 4)));
-  return idx;
+double BestTimes::total_s() const {
+  double s = 0.0;
+  for (double b : best_) s += b;
+  return s;
 }
 
-/// Median of the highest quarter of `rps`.
-double fast_rps(const std::vector<double>& rps) {
-  std::vector<double> fast;
-  for (std::size_t i : fastest_quarter(rps)) fast.push_back(rps[i]);
-  return median(fast);
-}
-
-std::vector<double> rps_of(const std::vector<Rep>& reps) {
-  std::vector<double> rps;
-  for (const Rep& r : reps) rps.push_back(r.rps);
-  return rps;
-}
-
-}  // namespace
-
-void report_fastest_reps(Report& report, const std::vector<Rep>& reps,
-                         double ns_per_request_us) {
-  const std::vector<double> rps = rps_of(reps);
-  san::LatencyHistogram lat;
-  for (std::size_t i : fastest_quarter(rps)) lat.merge(reps[i].lat);
-  report.metric("serve_rps", fast_rps(rps), "req/s");
-  report.metric("p50_us", static_cast<double>(lat.p50()) / ns_per_request_us,
-                "us");
-  report.metric("p99_us", static_cast<double>(lat.p99()) / ns_per_request_us,
-                "us");
+double BestTimes::rps(std::uint64_t requests) const {
+  const double s = total_s();
+  return s > 0.0 ? static_cast<double>(requests) / s : 0.0;
 }
 
 double peak_rss_mb() {
@@ -116,25 +83,81 @@ std::string Report::json() const {
   return js.str();
 }
 
-int repeat_for(double budget_s, int min_reps, int max_reps,
-               const std::function<void()>& rep) {
+CpuRotation::CpuRotation(int width) : width_(width) {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &mask)) cpus_.push_back(c);
+  width_ = std::clamp(width, 1, std::max<int>(1, static_cast<int>(cpus_.size())));
+}
+
+namespace {
+
+/// Best effort: a host that refuses affinity changes runs unmoved.
+void pin_all_threads(const cpu_set_t& mask) {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return;
+  while (const dirent* e = readdir(dir)) {
+    const int tid = std::atoi(e->d_name);
+    if (tid > 0) sched_setaffinity(tid, sizeof mask, &mask);
+  }
+  closedir(dir);
+}
+
+}  // namespace
+
+void CpuRotation::next() {
+  if (static_cast<int>(cpus_.size()) <= width_) return;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (int i = 0; i < width_; ++i)
+    CPU_SET(cpus_[(at_ + static_cast<std::size_t>(i)) % cpus_.size()], &mask);
+  at_ = (at_ + 1) % cpus_.size();
+  pin_all_threads(mask);
+}
+
+CpuRotation::~CpuRotation() {
+  if (static_cast<int>(cpus_.size()) <= width_) return;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (int c : cpus_) CPU_SET(c, &mask);
+  pin_all_threads(mask);
+}
+
+int repeat_for(double budget_s, int width, const std::function<void()>& rep) {
+  CpuRotation cpus(width);
   const auto t0 = Clock::now();
   int reps = 0;
-  while (reps < max_reps &&
-         (reps < min_reps || seconds_between(t0, Clock::now()) < budget_s)) {
+  while (reps < 1 || seconds_between(t0, Clock::now()) < budget_s) {
+    cpus.next();
     rep();
     ++reps;
   }
   return reps;
 }
 
-double time_setup(int reps, const std::function<double()>& set_up) {
-  std::vector<double> setup_s;
-  for (int i = 0; i < reps; ++i) setup_s.push_back(set_up());
-  std::vector<double> speed, fast;
-  for (double s : setup_s) speed.push_back(-s);
-  for (std::size_t i : fastest_quarter(speed)) fast.push_back(setup_s[i]);
-  return median(fast);
+double set_up_and_repeat(double budget_s, int width, int setups,
+                         const std::function<double()>& set_up,
+                         const std::function<void()>& rep) {
+  CpuRotation cpus(width);
+  const auto t0 = Clock::now();
+  cpus.next();
+  double best = set_up();
+  int done = 1, reps = 0;
+  while (true) {
+    const double elapsed = seconds_between(t0, Clock::now());
+    cpus.next();
+    if (done < setups && elapsed >= budget_s * done / setups) {
+      best = std::min(best, set_up());
+      ++done;
+    } else if (reps < 3 || elapsed < budget_s) {
+      rep();
+      ++reps;
+    } else {
+      break;
+    }
+  }
+  return best;
 }
 
 double SpanLog::now_us() const {
@@ -218,10 +241,10 @@ void report_core_layers(Report& report, const LayerAcc& acc) {
                 ratio(static_cast<double>(acc.edge_changes), reqs), "count");
 }
 
-void report_trace_overhead(Report& report, const std::vector<Rep>& untraced,
-                           const std::vector<double>& traced_rps_all) {
-  const double untraced_rps = fast_rps(rps_of(untraced));
-  const double traced_rps = fast_rps(traced_rps_all);
+void report_trace_overhead(Report& report, std::uint64_t requests,
+                           const BestTimes& untraced, const BestTimes& traced) {
+  const double untraced_rps = untraced.rps(requests);
+  const double traced_rps = traced.rps(requests);
   report.metric("trace.untraced_rps", untraced_rps, "req/s");
   report.metric("trace.traced_rps", traced_rps, "req/s");
   report.metric("trace.overhead_frac",

@@ -1,4 +1,4 @@
-// Shared plumbing of the benchmark: clocks, medians, set-up repetition,
+// Shared plumbing of the benchmark: clocks, best times, set-up repetition,
 // the result report (metrics + correctness checks), in-memory spans, and
 // the per-request layer accumulators the traced runs fill.
 //
@@ -27,7 +27,6 @@ inline std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-double median(std::vector<double> v);
 double peak_rss_mb();
 
 /// Parsed command line of one benchmark run.
@@ -67,32 +66,69 @@ class Report {
   std::uint64_t failed_ = 0;
 };
 
-/// One timed rep of a closed-loop workload: its throughput and the
-/// latencies it recorded.
-struct Rep {
-  double rps = 0;
-  san::LatencyHistogram lat;
+/// The best time of each chunk of a timed section over all its reps.
+///
+/// Every rep of a closed-loop section does the same work chunk by chunk
+/// (same inputs, same deterministic counters), so chunk i of one rep and
+/// chunk i of the next are the same requests. On a shared host other
+/// tenants slow the core for seconds at a time (see README.md, "Why best
+/// times"); the fastest run of each chunk is the one they left alone, and
+/// the sum of those is the section's time without them. A chunk is short
+/// (milliseconds), so a run needs only brief quiet moments to see each
+/// chunk at its best.
+class BestTimes {
+ public:
+  void record(std::size_t chunk, double seconds);
+  /// Sum of the chunks' best times: one rep of the section, seconds.
+  double total_s() const;
+  /// `requests` per rep over total_s().
+  double rps(std::uint64_t requests) const;
+
+ private:
+  std::vector<double> best_;
 };
 
-/// serve_rps, p50_us and p99_us of the fastest quarter of `reps` (at least
-/// three): the median throughput of those reps and the quantiles of their
-/// merged latencies. A recorded latency divided by `ns_per_request_us` is
-/// us per request. Why the fastest: see fastest_quarter in harness.cpp.
-void report_fastest_reps(Report& report, const std::vector<Rep>& reps,
-                         double ns_per_request_us);
+/// Moves every thread of the process to a window of `width` of the CPUs the
+/// process started on, the window moving on by one CPU at each next(); the
+/// destructor gives every thread all of those CPUs back.
+///
+/// On a shared host another tenant slows one core at a time, for seconds
+/// to minutes (see README.md, "Why best times"), and the kernel keeps a
+/// busy thread on its core. Moving the threads between reps lets every
+/// chunk of BestTimes run on every core, so a slow core cannot hold a
+/// whole run down.
+class CpuRotation {
+ public:
+  explicit CpuRotation(int width);
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+  void next();
 
-/// Runs `set_up` `reps` times; each call reports the seconds its timed
-/// part took. Returns the median of the fastest quarter of those (at least
-/// three). Every call must build the same inputs; the last call's are the
-/// ones used. The count is fixed, not a time budget, so that the heap the
-/// set-ups leave behind, and with it peak_rss_mb, does not depend on how
-/// many fit.
-double time_setup(int reps, const std::function<double()>& set_up);
+ private:
+  std::vector<int> cpus_;
+  int width_;
+  std::size_t at_ = 0;
+};
 
-/// Runs `rep` until `budget_s` seconds have passed and at least
-/// `min_reps` reps ran (never more than `max_reps`). Returns the count.
-int repeat_for(double budget_s, int min_reps, int max_reps,
-               const std::function<void()>& rep);
+/// Runs the measured part of a workload for `budget_s` seconds: `set_up`
+/// `setups` times, spread evenly over that time with the first before any
+/// rep, and `rep` in between, at least three times, each on the next
+/// window of a CpuRotation of `width` CPUs. `set_up` reports the seconds
+/// its timed part took and must build the same inputs on every call, so
+/// each rep does the same work whichever set-up it follows. Returns the
+/// fastest set-up, for the reason BestTimes gives: spread over the run,
+/// the set-ups get the same chance at a quiet moment as the reps. The
+/// count is fixed, not a time budget, so that the heap the set-ups leave
+/// behind, and with it peak_rss_mb, does not depend on how many fit.
+double set_up_and_repeat(double budget_s, int width, int setups,
+                         const std::function<double()>& set_up,
+                         const std::function<void()>& rep);
+
+/// Runs `rep` until `budget_s` seconds have passed and at least one rep
+/// ran, each rep on the next window of a CpuRotation of `width` CPUs.
+/// Returns the count.
+int repeat_for(double budget_s, int width, const std::function<void()>& rep);
 
 /// Coarse spans (chunk, barrier, recovery) kept in memory and written as
 /// one JSON file when the run ends. Per-request timings never become
@@ -168,9 +204,10 @@ inline constexpr std::uint64_t kPathSampleEvery = 8;
 void report_core_layers(Report& report, const LayerAcc& acc);
 
 /// Reports the trace overhead: the traced loop's throughput against the
-/// untraced one on the same inputs, each over its fastest quarter.
-void report_trace_overhead(Report& report, const std::vector<Rep>& untraced,
-                           const std::vector<double>& traced_rps);
+/// untraced one on the same inputs, `requests` per rep, from the best
+/// times of each.
+void report_trace_overhead(Report& report, std::uint64_t requests,
+                           const BestTimes& untraced, const BestTimes& traced);
 
 /// Provenance line printed before the result: host, build, seed, threads.
 std::string provenance_json(const RunArgs& args, const std::string& threads);

@@ -1,5 +1,6 @@
-// online-seqscan: one closed-loop caller serving a sequential scan on a
-// binary (k = 2) KArySplayNet over 10^5 nodes. The splay tree degrades
+// online-seqscan: one closed-loop caller serving the first quarter of a
+// sequential scan lap on a binary (k = 2) KArySplayNet over 10^5 nodes,
+// short enough for a run to repeat it many times. The splay tree degrades
 // into deep paths while the paper's cost per request stays near 4.2, so
 // wall time here is the O(depth) path_info walk against an O(distance)
 // cost model, on a working set larger than L2.
@@ -21,7 +22,7 @@ struct Sizes {
 };
 
 Sizes sizes(const RunArgs& a) {
-  return a.tiny ? Sizes{512, 4000} : Sizes{100000, 100000};
+  return a.tiny ? Sizes{512, 4000} : Sizes{100000, 25000};
 }
 
 constexpr int kArity = 2;
@@ -33,38 +34,40 @@ struct Counters {
   friend bool operator==(const Counters&, const Counters&) = default;
 };
 
-/// One closed-loop pass on a fresh copy of the initial network, timed per
-/// window of kLatencyWindow consecutive requests into `lat`.
-double serve_pass(const KArySplayNet& initial, const Trace& trace,
-                  Counters& c, LatencyHistogram& lat, KArySplayNet& out) {
+/// Requests per chunk of BestTimes: a lap is a hundred chunks of a few ms.
+constexpr std::size_t kChunk = 1000;
+
+/// One closed-loop pass on a fresh copy of the initial network, each
+/// kChunk consecutive requests a chunk of `best`; returns the final network.
+KArySplayNet serve_pass(const KArySplayNet& initial, const Trace& trace,
+                        Counters& c, BestTimes& best) {
   KArySplayNet net = initial;
   const std::size_t m = trace.size();
-  const auto t0 = Clock::now();
-  auto w0 = t0;
+  auto t0 = Clock::now();
   for (std::size_t i = 0; i < m; ++i) {
     const Request& r = trace.requests[i];
     const ServeResult s = net.serve(r.src, r.dst);
     c.routing += s.routing_cost;
     c.rotations += s.rotations;
     c.edge_changes += s.edge_changes;
-    if ((i + 1) % kLatencyWindow == 0) {
-      const auto w1 = Clock::now();
-      lat.record(ns_between(w0, w1));
-      w0 = w1;
+    if ((i + 1) % kChunk == 0 || i + 1 == m) {
+      const auto t1 = Clock::now();
+      best.record(i / kChunk, seconds_between(t0, t1));
+      t0 = t1;
     }
   }
-  const double secs = seconds_between(t0, Clock::now());
-  out = std::move(net);
-  return static_cast<double>(m) / secs;
+  return net;
 }
 
 /// The same loop with the core layers timed per request.
-double traced_pass(const KArySplayNet& initial, const Trace& trace,
-                   Counters& c, LayerAcc& acc) {
+void traced_pass(const KArySplayNet& initial, const Trace& trace, Counters& c,
+                 LayerAcc& acc, BestTimes& best) {
   KArySplayNet net = initial;
   Sampler path_sample(kPathSampleEvery);
-  const auto t0 = Clock::now();
-  for (const Request& r : trace.requests) {
+  const std::size_t m = trace.size();
+  auto t0 = Clock::now();
+  for (std::size_t i = 0; i < m; ++i) {
+    const Request& r = trace.requests[i];
     ServeResult s;
     if (path_sample() && r.src != r.dst) {
       const auto a = Clock::now();
@@ -86,13 +89,16 @@ double traced_pass(const KArySplayNet& initial, const Trace& trace,
     c.routing += s.routing_cost;
     c.rotations += s.rotations;
     c.edge_changes += s.edge_changes;
+    if ((i + 1) % kChunk == 0 || i + 1 == m) {
+      const auto t1 = Clock::now();
+      best.record(i / kChunk, seconds_between(t0, t1));
+      t0 = t1;
+    }
   }
-  const double secs = seconds_between(t0, Clock::now());
-  acc.requests += trace.size();
+  acc.requests += m;
   acc.hops += static_cast<std::uint64_t>(c.routing);
   acc.rotations += static_cast<std::uint64_t>(c.rotations);
   acc.edge_changes += static_cast<std::uint64_t>(c.edge_changes);
-  return static_cast<double>(trace.size()) / secs;
 }
 
 }  // namespace
@@ -104,27 +110,13 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
   Trace trace;
   double generate_s = 0;
   std::optional<KArySplayNet> initial;
-  // Set-ups of ~20 ms: about one second of them.
-  const double setup_s = time_setup(50, [&] {
-    // Free the previous inputs first, so that repeating set-up reuses
-    // their memory instead of growing the heap.
-    initial.reset();
-    trace = Trace{};
-    const auto t0 = Clock::now();
-    trace = gen_sequential_scan(z.n, z.m, args.seed);
-    const auto t1 = Clock::now();
-    initial.emplace(KArySplayNet::balanced(kArity, z.n));
-    const auto t2 = Clock::now();
-    generate_s = seconds_between(t0, t1);
-    return seconds_between(t0, t2);
-  });
+  std::optional<KArySplayNet> last;
 
   // Reps must agree on every deterministic counter; the self-test's
   // negative case corrupts the reference.
   std::optional<Counters> first;
   bool deterministic = true;
-  std::vector<Rep> reps;
-  KArySplayNet last = *initial;
+  BestTimes best;
   const auto agree = [&](const Counters& c) {
     if (!first) first = c;
     Counters want = *first;
@@ -133,19 +125,35 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
     report.attempt(z.m);
   };
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
-  repeat_for(budget, 3, 100000, [&] {
-    Counters c;
-    Rep& rep = reps.emplace_back();
-    rep.rps = serve_pass(*initial, trace, c, rep.lat, last);
-    agree(c);
-  });
-  report.check(!last.tree().validate().has_value(),
+  // Set-ups of ~20 ms.
+  const double setup_s = set_up_and_repeat(
+      budget, 1, 50,
+      [&] {
+        // Free the previous inputs first, so that repeating set-up reuses
+        // their memory instead of growing the heap.
+        initial.reset();
+        trace = Trace{};
+        const auto t0 = Clock::now();
+        trace = gen_sequential_scan(z.n, z.m, args.seed);
+        const auto t1 = Clock::now();
+        initial.emplace(KArySplayNet::balanced(kArity, z.n));
+        const auto t2 = Clock::now();
+        generate_s = seconds_between(t0, t1);
+        return seconds_between(t0, t2);
+      },
+      [&] {
+        Counters c;
+        last.reset();
+        last.emplace(serve_pass(*initial, trace, c, best));
+        agree(c);
+      });
+  report.check(!last->tree().validate().has_value(),
                "online-seqscan: final tree passes validate()");
 
   if (!args.trace) {
     report.check(deterministic,
                  "online-seqscan: counters identical across reps of one seed");
-    report_fastest_reps(report, reps, kLatencyWindow * 1000.0);
+    report.metric("serve_rps", best.rps(z.m), "req/s");
     report.metric("cost_per_req",
                   static_cast<double>(first->routing + first->rotations) /
                       static_cast<double>(z.m),
@@ -155,11 +163,11 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
     return;
   }
 
-  std::vector<double> traced_rps;
+  BestTimes traced;
   LayerAcc acc;
-  repeat_for(args.seconds / 2, 1, 100000, [&] {
+  repeat_for(args.seconds / 2, 1, [&] {
     Counters c;
-    traced_rps.push_back(traced_pass(*initial, trace, c, acc));
+    traced_pass(*initial, trace, c, acc, traced);
     agree(c);
   });
   report.check(deterministic,
@@ -168,7 +176,7 @@ void run_online_seqscan(const RunArgs& args, Report& report) {
   report.metric("workload.generate.ns_per_req",
                 generate_s * 1e9 / static_cast<double>(z.m), "ns");
   report.metric("shed_frac", 0.0, "fraction");
-  report_trace_overhead(report, reps, traced_rps);
+  report_trace_overhead(report, z.m, best, traced);
 }
 
 }  // namespace perfbench

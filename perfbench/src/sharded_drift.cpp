@@ -74,7 +74,7 @@ FaultPlan fault_plan(const Sizes& z) {
   return p;
 }
 
-int drain_threads() { return resolve_threads(0); }
+int drain_threads() { return std::min(2, resolve_threads(0)); }
 
 using Counters = std::array<Cost, 17>;
 
@@ -92,7 +92,7 @@ Counters counters(const SimResult& r) {
 
 /// Replays a trace and timestamps every pull: the pipeline pulls its next
 /// chunk only after the previous one drained and its barrier finished, so
-/// pull-to-pull is the time each request of a chunk spends in the engine.
+/// pull-to-pull is the time of one chunk with its barrier and recovery.
 class PullClock final : public RequestStream {
  public:
   explicit PullClock(const Trace& trace) : trace_(trace) {}
@@ -106,11 +106,16 @@ class PullClock final : public RequestStream {
     next_ += got;
     return got;
   }
-  /// Per-chunk cycle times in ns, the last one closed at `end`.
-  void cycles(Clock::time_point end, LatencyHistogram& out) const {
-    for (std::size_t i = 0; i < pulls_.size(); ++i)
-      out.record(ns_between(pulls_[i],
-                            i + 1 < pulls_.size() ? pulls_[i + 1] : end));
+  /// Records the run from `start` to `end` as chunks of `best`, cut at
+  /// every pull.
+  void cycles(Clock::time_point start, Clock::time_point end,
+              BestTimes& best) const {
+    Clock::time_point from = start;
+    for (std::size_t i = 0; i <= pulls_.size(); ++i) {
+      const Clock::time_point to = i < pulls_.size() ? pulls_[i] : end;
+      best.record(i, seconds_between(from, to));
+      from = to;
+    }
   }
 
  private:
@@ -177,6 +182,7 @@ struct ChunkSplit {
 /// What the traced reps measured, summed over all of them.
 struct Tally {
   SpanLog spans;
+  BestTimes chunks;  ///< each chunk with its barrier
   LayerAcc acc;
   LatencyHistogram plan_ns;
   double busy_s = 0, busy_max_sum_s = 0, busy_mean_sum_s = 0;
@@ -200,15 +206,17 @@ class TracedPipeline {
     const double decay = cfg_.window_decay;
     double cross_cost = 0, intra_cost = 0, cross_reqs = 0, intra_reqs = 0;
     const int run_span = spans_.open("run");
-    for (std::size_t at = 0; at < total; at += cfg_.epoch_requests) {
+    for (std::size_t at = 0, i = 0; at < total; at += cfg_.epoch_requests, ++i) {
       const std::size_t got = std::min(cfg_.epoch_requests, total - at);
       const std::span<const Request> chunk(trace.requests.data() + at, got);
+      const auto c0 = Clock::now();
       const int chunk_span = spans_.open("chunk", run_span);
       snapshot_all(chunk_span);
       const ChunkSplit split = drain_with_faults(chunk, res_.requests, chunk_span);
       res_.requests += got;
       if (res_.requests >= total || got < cfg_.epoch_requests) {
         spans_.close(chunk_span);
+        t_.chunks.record(i, seconds_between(c0, Clock::now()));
         break;
       }
       cross_cost = cross_cost * decay + static_cast<double>(split.cross_cost);
@@ -257,6 +265,7 @@ class TracedPipeline {
         res_.lifecycle_cost += lr.total_cost();
       }
       spans_.close(chunk_span);
+      t_.chunks.record(i, seconds_between(c0, Clock::now()));
     }
     spans_.close(run_span);
     res_.final_shards = net_.num_shards();
@@ -473,40 +482,39 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
 
   Trace trace;
   double generate_s = 0;
-  // Set-ups of ~0.15 s: about two seconds of them.
-  const double setup_s = time_setup(12, [&] {
-    const auto t0 = Clock::now();
-    trace = gen_phase_elephants(z.n, z.m, z.phases, args.seed);
-    const auto t1 = Clock::now();
-    const ShardedNetwork net = fresh_network(z);
-    const auto t2 = Clock::now();
-    generate_s = seconds_between(t0, t1);
-    return seconds_between(t0, t2);
-  });
-
   std::optional<SimResult> first;
   bool deterministic = true;
-  std::vector<Rep> reps;
+  BestTimes best;
   std::optional<ShardedNetwork> last;
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
-  repeat_for(budget, 3, 100000, [&] {
-    last.reset();
-    last.emplace(fresh_network(z));
-    ShardedRunOptions opt;
-    opt.threads = threads;
-    opt.rebalance = &cfg;
-    opt.faults = &faults;
-    PullClock stream(trace);
-    const auto t0 = Clock::now();
-    const SimResult r = run_trace_sharded_stream(*last, stream, opt);
-    const auto t1 = Clock::now();
-    Rep& rep = reps.emplace_back();
-    stream.cycles(t1, rep.lat);
-    rep.rps = static_cast<double>(r.requests) / seconds_between(t0, t1);
-    if (!first) first = r;
-    deterministic = deterministic && counters(r) == counters(*first);
-    report.attempt(r.requests, static_cast<std::uint64_t>(r.shed_requests));
-  });
+  // Set-ups of ~0.15 s.
+  const double setup_s = set_up_and_repeat(
+      budget, threads, 12,
+      [&] {
+        trace = Trace{};  // free the previous trace before building the next
+        const auto t0 = Clock::now();
+        trace = gen_phase_elephants(z.n, z.m, z.phases, args.seed);
+        const auto t1 = Clock::now();
+        const ShardedNetwork net = fresh_network(z);
+        const auto t2 = Clock::now();
+        generate_s = seconds_between(t0, t1);
+        return seconds_between(t0, t2);
+      },
+      [&] {
+        last.reset();
+        last.emplace(fresh_network(z));
+        ShardedRunOptions opt;
+        opt.threads = threads;
+        opt.rebalance = &cfg;
+        opt.faults = &faults;
+        PullClock stream(trace);
+        const auto t0 = Clock::now();
+        const SimResult r = run_trace_sharded_stream(*last, stream, opt);
+        stream.cycles(t0, Clock::now(), best);
+        if (!first) first = r;
+        deterministic = deterministic && counters(r) == counters(*first);
+        report.attempt(r.requests, static_cast<std::uint64_t>(r.shed_requests));
+      });
   check_fleet(*last, z.n, report);
   report.check(deterministic,
                "sharded-drift: counters identical across reps of one seed");
@@ -516,7 +524,7 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
                "sharded-drift: the scripted kill fired");
 
   if (!args.trace) {
-    report_fastest_reps(report, reps, 1000.0);
+    report.metric("serve_rps", best.rps(z.m), "req/s");
     report.metric("cost_per_req",
                   static_cast<double>(first->grand_total_cost()) /
                       static_cast<double>(z.m),
@@ -529,19 +537,15 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
   // Traced reps; the self-test's negative case corrupts the reference.
   Counters want = counters(*first);
   if (args.tamper) ++want[0];
-  std::vector<double> traced_rps;
   Tally t;
   std::size_t rounds = 0;
   SimResult tr;
   bool bit_match = true;
-  const int traced_reps = repeat_for(args.seconds / 2, 1, 100000, [&] {
+  const int traced_reps = repeat_for(args.seconds / 2, threads, [&] {
     ShardedNetwork net = fresh_network(z);
     TracedPipeline pipe(net, cfg, faults, threads, t);
     const std::size_t r0 = Executor::instance().rounds_dispatched();
-    const auto t0 = Clock::now();
     tr = pipe.run(trace);
-    traced_rps.push_back(static_cast<double>(tr.requests) /
-                         seconds_between(t0, Clock::now()));
     rounds += Executor::instance().rounds_dispatched() - r0;
     bit_match = bit_match && counters(tr) == want;
     check_fleet(net, z.n, report);
@@ -606,7 +610,7 @@ void run_sharded_drift(const RunArgs& args, Report& report) {
                 static_cast<double>(t.snapshot_bytes) * per, "bytes");
   report.metric("trace.spans", static_cast<double>(t.spans.size()) * per,
                 "count");
-  report_trace_overhead(report, reps, traced_rps);
+  report_trace_overhead(report, z.m, best, t.chunks);
   frontend_pass(z, trace, args.seed, report);
 }
 

@@ -1,6 +1,6 @@
 // static-optimal: the offline user. Projector-like elephant demand is
 // aggregated into a DemandMatrix, the Theorem 2 DP designs the optimal
-// static tree (on the Executor, all cores), and the timed section replays
+// static tree (on the Executor, two threads), and the timed section replays
 // the trace over that fixed tree with run_trace_static on one caller:
 // read-only KAryTree queries, zero rotations.
 #include <vector>
@@ -31,8 +31,15 @@ Sizes sizes(const RunArgs& a) {
 /// Independent demand draws per run. One projector draw's optimal cost
 /// depends on where its few heaviest pairs land, so a single draw per
 /// seed spreads cost_per_req by ~12% across seeds; the mean of eight
-/// spreads by a third of that.
+/// spreads by a third of that. Replay speed differs between draws too
+/// (two seeds of four draws each replayed 10% apart on every run), and
+/// eight draws narrow that the same way.
 constexpr int kDraws = 8;
+
+/// DP threads. The DP runs as ~1000 barrier-separated rounds, so with a
+/// thread on every vCPU of a shared host each round waits for whichever
+/// vCPU another tenant took; two threads leave the scheduler room.
+int dp_threads() { return std::min(2, resolve_threads(0)); }
 
 /// One designed network: a trace and the optimal tree for its demand.
 struct Design {
@@ -58,7 +65,8 @@ Setup set_up(const Sizes& z, std::uint64_t seed) {
     demand.prewarm();
     const auto t2 = Clock::now();
     const std::size_t rounds0 = Executor::instance().rounds_dispatched();
-    OptimalTreeResult opt = optimal_routing_based_tree(z.k, demand, 0);
+    OptimalTreeResult opt =
+        optimal_routing_based_tree(z.k, demand, dp_threads());
     const auto t3 = Clock::now();
     s.dp_rounds += Executor::instance().rounds_dispatched() - rounds0;
     s.generate_s += seconds_between(t0, t1);
@@ -72,41 +80,34 @@ Setup set_up(const Sizes& z, std::uint64_t seed) {
   return s;
 }
 
-/// One untraced replay of every draw; returns req/s and the summed result.
-double replay(const Setup& s, Report& report, SimResult& sum) {
-  const auto t0 = Clock::now();
-  for (const Design& d : s.designs) {
+/// One untraced replay of every draw, each draw a chunk of `best`; returns
+/// the summed result.
+SimResult replay(const Setup& s, Report& report, BestTimes& best) {
+  SimResult sum;
+  for (std::size_t i = 0; i < s.designs.size(); ++i) {
+    const Design& d = s.designs[i];
+    const auto t0 = Clock::now();
     const SimResult r = run_trace_static(d.opt.tree, d.trace);
+    best.record(i, seconds_between(t0, Clock::now()));
     sum.routing_cost += r.routing_cost;
     sum.requests += r.requests;
     sum.shed_requests += r.shed_requests;
   }
-  const double secs = seconds_between(t0, Clock::now());
   report.attempt(sum.requests, static_cast<std::uint64_t>(sum.shed_requests));
-  return static_cast<double>(sum.requests) / secs;
-}
-
-/// Request latency per window of kLatencyWindow requests, through the
-/// same per-request routing run_trace_static performs.
-void time_windows(const Setup& s, LatencyHistogram& lat) {
-  for (const Design& d : s.designs)
-    for (std::size_t i = 0; i + kLatencyWindow <= d.trace.size();
-         i += kLatencyWindow) {
-      const auto a = Clock::now();
-      for (std::size_t j = i; j < i + kLatencyWindow; ++j)
-        (void)serve_on_static_tree(d.opt.tree, d.trace[j].src, d.trace[j].dst);
-      lat.record(ns_between(a, Clock::now()));
-    }
+  return sum;
 }
 
 /// Traced replay: the same per-request static routing run_trace_static
-/// does, timed per request into the core-layer accumulators.
-double traced_replay(const Setup& s, Report& report, LayerAcc& acc) {
+/// does, timed per request into the core-layer accumulators, each draw a
+/// chunk of `best`.
+void traced_replay(const Setup& s, Report& report, LayerAcc& acc,
+                   BestTimes& best) {
   Cost routing = 0;
   Sampler path_sample(kPathSampleEvery);
-  const auto t0 = Clock::now();
-  for (const Design& d : s.designs) {
+  for (std::size_t i = 0; i < s.designs.size(); ++i) {
+    const Design& d = s.designs[i];
     const KAryTree& tree = d.opt.tree;
+    const auto t0 = Clock::now();
     for (const Request& r : d.trace.requests) {
       if (path_sample() && r.src != r.dst) {
         const auto a = Clock::now();
@@ -126,56 +127,53 @@ double traced_replay(const Setup& s, Report& report, LayerAcc& acc) {
         routing += sr.routing_cost;
       }
     }
+    best.record(i, seconds_between(t0, Clock::now()));
   }
-  const double secs = seconds_between(t0, Clock::now());
   acc.requests += s.requests;
   acc.hops += static_cast<std::uint64_t>(routing);
   report.attempt(s.requests);
   report.check(routing == s.total_distance,
                "static-optimal: traced replay routing equals the DP total");
-  return static_cast<double>(s.requests) / secs;
 }
 
 }  // namespace
 
 std::string static_optimal_threads() {
-  return "dp=" + std::to_string(resolve_threads(0)) + " replay=1";
+  return "dp=" + std::to_string(dp_threads()) + " replay=1";
 }
 
 void run_static_optimal(const RunArgs& args, Report& report) {
   const Sizes z = sizes(args);
   Setup s;
-  // Three set-ups of ~1.7 s, eight DPs each.
-  const double setup_s = time_setup(3, [&] {
-    s = Setup{};  // free the previous setup before building the next
-    s = set_up(z, args.seed);
-    return s.total_s;
-  });
+  BestTimes best;
+  bool routing_ok = true;
+  bool shed_free = true;
+  const double budget = args.trace ? args.seconds / 2 : args.seconds;
+  // Four set-ups of ~2.4 s, eight DPs each.
+  const double setup_s = set_up_and_repeat(
+      budget, dp_threads(), 4,
+      [&] {
+        s = Setup{};  // free the previous setup before building the next
+        s = set_up(z, args.seed);
+        return s.total_s;
+      },
+      [&] {
+        const SimResult r = replay(s, report, best);
+        // The self-test's negative case corrupts the expected total.
+        routing_ok = routing_ok && r.routing_cost ==
+                                       s.total_distance + (args.tamper ? 1 : 0);
+        shed_free = shed_free && r.shed_requests == 0;
+      });
   bool valid = true;
   for (const Design& d : s.designs)
     valid = valid && !d.opt.tree.validate().has_value();
   report.check(valid, "static-optimal: every optimal tree passes validate()");
-
-  // The self-test's negative case corrupts the expected total.
-  const Cost expected = s.total_distance + (args.tamper ? 1 : 0);
-  std::vector<Rep> reps;
-  bool routing_ok = true;
-  bool shed_free = true;
-  const double budget = args.trace ? args.seconds / 2 : args.seconds;
-  repeat_for(budget, 3, 100000, [&] {
-    SimResult r;
-    Rep& rep = reps.emplace_back();
-    rep.rps = replay(s, report, r);
-    routing_ok = routing_ok && r.routing_cost == expected;
-    shed_free = shed_free && r.shed_requests == 0;
-    if (!args.trace) time_windows(s, rep.lat);
-  });
   report.check(routing_ok,
                "static-optimal: replay routing equals the DP total_distance");
   report.check(shed_free, "static-optimal: shed_frac == 0 (closed loop)");
 
   if (!args.trace) {
-    report_fastest_reps(report, reps, kLatencyWindow * 1000.0);
+    report.metric("serve_rps", best.rps(s.requests), "req/s");
     report.metric("cost_per_req",
                   static_cast<double>(s.total_distance) /
                       static_cast<double>(s.requests),
@@ -185,11 +183,10 @@ void run_static_optimal(const RunArgs& args, Report& report) {
     return;
   }
 
-  std::vector<double> traced_rps;
+  BestTimes traced;
   LayerAcc acc;
-  repeat_for(args.seconds / 2, 1, 100000, [&] {
-    traced_rps.push_back(traced_replay(s, report, acc));
-  });
+  repeat_for(args.seconds / 2, 1,
+             [&] { traced_replay(s, report, acc, traced); });
   report_core_layers(report, acc);
   report.metric("core.executor.rounds", static_cast<double>(s.dp_rounds),
                 "count");
@@ -202,7 +199,7 @@ void run_static_optimal(const RunArgs& args, Report& report) {
   report.metric("workload.generate.ns_per_req",
                 s.generate_s * 1e9 / static_cast<double>(s.requests), "ns");
   report.metric("shed_frac", 0.0, "fraction");
-  report_trace_overhead(report, reps, traced_rps);
+  report_trace_overhead(report, s.requests, best, traced);
 }
 
 }  // namespace perfbench

@@ -1,5 +1,5 @@
 // The three benchmark workloads. Each one generates its inputs from the
-// seed, sets up (repeatedly; setup_s is the median), measures for the
+// seed, sets up (repeatedly; setup_s is the fastest), measures for the
 // run's seconds, checks its outputs, and fills the report: end-to-end
 // metrics in a plain run, per-layer metrics in a traced run.
 #pragma once
@@ -18,13 +18,5 @@ std::string sharded_drift_threads();
 void run_static_optimal(const RunArgs& args, Report& report);
 void run_online_seqscan(const RunArgs& args, Report& report);
 void run_sharded_drift(const RunArgs& args, Report& report);
-
-/// Closed-loop request latency is timed per window of this many
-/// consecutive requests, as the window's mean per request: two clock reads
-/// per window keep the timer out of the result, where timing one request
-/// of tens of ns would mostly measure the clock, and averaging inside a
-/// window keeps the median off the knife edge between the cheap and the
-/// expensive requests of a splay scan.
-inline constexpr std::size_t kLatencyWindow = 64;
 
 }  // namespace perfbench
