@@ -169,11 +169,11 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "  than --deadline-ms at admission and dequeue); --admit-rate R\n"
          "  arms a token-bucket admission throttle (open-loop only)\n"
          "--schedule locality reorders requests within --sched-window slots\n"
-         "  by LCA cluster and serves --sched-group descents behind an\n"
-         "  interleaved prefetch warm-up (per shard / admission batch);\n"
-         "  costs are the honest costs of the permuted order — totals only,\n"
-         "  no per-request percentiles. fifo (default) is bit-identical to\n"
-         "  previous releases\n"
+         "  by LCA cluster and serves --sched-group descents behind a\n"
+         "  prefetch warm-up of their access paths (per shard / admission\n"
+         "  batch); costs are the honest costs of the permuted order —\n"
+         "  totals only, no per-request percentiles. fifo (default) is\n"
+         "  bit-identical to previous releases\n"
          "--open-loop serves through the live frontend at --rate req/s for\n"
          "  --duration seconds (ksplay/semisplay; composes with --shards\n"
          "  and --rebalance; reports sojourn p50/p99/p999 in us)\n"

@@ -4,6 +4,19 @@
 #include <sstream>
 
 namespace san {
+namespace {
+
+/// Read prefetch hint with low expected temporal locality. No-op where
+/// __builtin_prefetch is unavailable.
+void prefetch_read(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
+#else
+  (void)p;
+#endif
+}
+
+}  // namespace
 
 KAryTree::KAryTree(int k, int n) : k_(k), n_(n) {
   if (k < 2) throw TreeError("arity must be >= 2");
@@ -16,219 +29,85 @@ KAryTree::KAryTree(int k, int n) : k_(k), n_(n) {
   nkeys_.assign(slots, 0);  // zero keys -> one (empty) interval
   keys_.assign(static_cast<size_t>(n) * static_cast<size_t>(k - 1), 0);
   children_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), kNoNode);
-  depth_.assign(slots, 0);
-  depth_epoch_.assign(slots, 0);  // epoch_ starts at 1: everything stale
-  depth_scratch_.reserve(slots);
-  route_scratch_.reserve(slots);
+  stamp_.assign(slots, 0);
 }
 
 int KAryTree::depth(NodeId id) const {
-  check(id);
-  sync_epoch();
-  if (depth_epoch_[static_cast<size_t>(id)] == epoch_)
-    return depth_[static_cast<size_t>(id)];
-  // Walk up to the nearest fresh ancestor (or the root), then stamp true
-  // depths down the walked path so the next read is O(1).
-  std::vector<NodeId>& path = depth_scratch_;
-  path.clear();
-  NodeId cur = id;
-  int base = -1;  // depth of the node above path.back(); -1 = none (root)
-  while (true) {
-    if (depth_epoch_[static_cast<size_t>(cur)] == epoch_) {
-      base = depth_[static_cast<size_t>(cur)];
-      break;
-    }
-    path.push_back(cur);
-    if (static_cast<int>(path.size()) > n_)
-      throw TreeError("parent cycle detected in depth()");
-    const NodeId up = parent_[static_cast<size_t>(cur)];
-    if (up == kNoNode) break;  // cur is a root: gets depth 0 below
-    cur = up;
-  }
-  int d = base;  // path.back() gets d+1 (base == -1 makes a root 0)
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    ++d;
-    depth_[static_cast<size_t>(*it)] = d;
-    depth_epoch_[static_cast<size_t>(*it)] = epoch_;
-  }
-  return depth_[static_cast<size_t>(id)];
+  int d = 0;
+  for (NodeId cur = parent_[static_cast<size_t>(check(id))]; cur != kNoNode;
+       cur = parent_[static_cast<size_t>(cur)])
+    if (++d > n_) throw TreeError("parent cycle detected in depth()");
+  return d;
 }
 
-NodeId KAryTree::lca(NodeId u, NodeId v) const {
-  int du = depth(u);
-  int dv = depth(v);
-  NodeId a = u;
-  NodeId b = v;
-  while (du > dv) {
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-  }
-  while (dv > du) {
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-  }
-  while (a != b) {
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    if (a == kNoNode || b == kNoNode)
-      throw TreeError("nodes are in disconnected components");
-  }
-  return a;
-}
+NodeId KAryTree::lca(NodeId u, NodeId v) const { return path_info(u, v).lca; }
 
 int KAryTree::distance(NodeId u, NodeId v) const {
   return path_info(u, v).distance;
 }
 
 PathInfo KAryTree::path_info(NodeId u, NodeId v) const {
-  int du = depth(u);
-  int dv = depth(v);
+  check(u);
+  check(v);
+  if (u == v) return PathInfo{u, 0};
+  if (++tag_ == 0) {  // wrapped: clear every stamp so none aliases a new tag
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    tag_ = 1;
+  }
+  const std::uint64_t tag = std::uint64_t{tag_} << 32;
+  std::uint64_t* const stamp = stamp_.data();
+  stamp[static_cast<size_t>(u)] = tag;
+  stamp[static_cast<size_t>(v)] = tag | 1;
+  PathInfo met;
+  // One hop of one side; true once it steps onto the other side's stamp.
+  const auto climb = [&](NodeId& x, std::uint64_t& hops, std::uint64_t side) {
+    x = parent_[static_cast<size_t>(x)];
+    if (x == kNoNode) return false;
+    ++hops;
+    std::uint64_t& word = stamp[static_cast<size_t>(x)];
+    if (((word ^ tag) >> 32) == 0) {  // stamped earlier in this query
+      if ((word & 1) == side)
+        throw TreeError("parent cycle detected in path_info()");
+      met = PathInfo{x, static_cast<int>(hops + ((word & 0xffffffffu) >> 1))};
+      return true;
+    }
+    word = tag | (hops << 1) | side;
+    return false;
+  };
   NodeId a = u;
   NodeId b = v;
-  int d = 0;
-  while (du > dv) {
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-    ++d;
+  std::uint64_t ha = 0;
+  std::uint64_t hb = 0;
+  while (a != kNoNode || b != kNoNode) {
+    if (a != kNoNode && climb(a, ha, 0)) return met;
+    if (b != kNoNode && climb(b, hb, 1)) return met;
   }
-  while (dv > du) {
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-    ++d;
-  }
-  while (a != b) {
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    d += 2;
-    if (a == kNoNode || b == kNoNode)
-      throw TreeError("nodes are in disconnected components");
-  }
-  return PathInfo{a, d};
+  throw TreeError("nodes are in disconnected components");
 }
 
-void KAryTree::path_info_batch(std::span<const NodeId> us,
-                               std::span<const NodeId> vs,
-                               std::span<PathInfo> out, int group) const {
-  if (us.size() != vs.size() || us.size() != out.size())
-    throw TreeError("path_info_batch: span sizes must match");
-  if (group < 1) throw TreeError("path_info_batch: group must be >= 1");
-  // One in-flight walk: the exact state machine of scalar path_info(),
-  // advanced one hop per round.
-  struct Walk {
-    NodeId a, b;
-    int da, db, d;
-    size_t slot;  // index into out
-  };
-  constexpr size_t kMaxGroup = 64;
-  Walk walks[kMaxGroup];
-  const size_t g = std::min<size_t>(static_cast<size_t>(group), kMaxGroup);
-  for (size_t base = 0; base < us.size(); base += g) {
-    const size_t lanes = std::min(g, us.size() - base);
-    // Depth reads first (memo repair may walk and stamp paths); prefetch
-    // each lane's endpoints ahead of its depth() call.
-    for (size_t i = 0; i < lanes; ++i) {
-      prefetch_read(&parent_[static_cast<size_t>(check(us[base + i]))]);
-      prefetch_read(&parent_[static_cast<size_t>(check(vs[base + i]))]);
-    }
-    size_t live = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      Walk w{us[base + i], vs[base + i], depth(us[base + i]),
-             depth(vs[base + i]), 0, base + i};
-      walks[live++] = w;
-    }
-    while (live > 0) {
-      size_t keep = 0;
-      for (size_t i = 0; i < live; ++i) {
-        Walk w = walks[i];
-        if (w.da > w.db) {
-          w.a = parent_[static_cast<size_t>(w.a)];
-          --w.da;
-          ++w.d;
-        } else if (w.db > w.da) {
-          w.b = parent_[static_cast<size_t>(w.b)];
-          --w.db;
-          ++w.d;
-        } else if (w.a != w.b) {
-          w.a = parent_[static_cast<size_t>(w.a)];
-          w.b = parent_[static_cast<size_t>(w.b)];
-          w.d += 2;
-          if (w.a == kNoNode || w.b == kNoNode)
-            throw TreeError("nodes are in disconnected components");
-        } else {
-          out[w.slot] = PathInfo{w.a, w.d};
-          continue;  // lane retired
-        }
-        prefetch_read(&parent_[static_cast<size_t>(w.a)]);
-        prefetch_read(&parent_[static_cast<size_t>(w.b)]);
-        walks[keep++] = w;
-      }
-      live = keep;
+int KAryTree::prefetch_route(NodeId u, NodeId v) const {
+  const PathInfo p = path_info(u, v);
+  for (NodeId x : {u, v}) {
+    for (;; x = parent_[static_cast<size_t>(x)]) {
+      prefetch_read(keys_.data() + key_base(x));
+      prefetch_read(children_.data() + child_base(x));
+      if (x == p.lca) break;
     }
   }
-}
-
-int KAryTree::warm_root_paths(std::span<const NodeId> ids) const {
-  constexpr size_t kMaxLanes = 64;
-  NodeId cur[kMaxLanes];
-  int hops = 0;
-  for (size_t base = 0; base < ids.size(); base += kMaxLanes) {
-    const size_t lanes = std::min(kMaxLanes, ids.size() - base);
-    size_t live = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      const NodeId id = check(ids[base + i]);
-      prefetch_read(&parent_[static_cast<size_t>(id)]);
-      prefetch_read(keys_.data() + key_base(id));
-      prefetch_read(children_.data() + child_base(id));
-      cur[live++] = id;
-    }
-    int rounds = 0;
-    while (live > 0) {
-      if (++rounds > n_) throw TreeError("parent cycle in warm_root_paths()");
-      size_t keep = 0;
-      for (size_t i = 0; i < live; ++i) {
-        const NodeId up = parent_[static_cast<size_t>(cur[i])];
-        if (up == kNoNode) continue;  // reached a root: lane retires
-        ++hops;
-        prefetch_read(&parent_[static_cast<size_t>(up)]);
-        prefetch_read(keys_.data() + key_base(up));
-        prefetch_read(children_.data() + child_base(up));
-        cur[keep++] = up;
-      }
-      live = keep;
-    }
-  }
-  return hops;
+  return p.distance;
 }
 
 int KAryTree::route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const {
-  int du = depth(u);
-  int dv = depth(v);
-  out.clear();
-  std::vector<NodeId>& down = route_scratch_;
-  down.clear();
-  NodeId a = u;
-  NodeId b = v;
-  while (du > dv) {
-    out.push_back(a);
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-  }
-  while (dv > du) {
-    down.push_back(b);
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-  }
-  while (a != b) {
-    out.push_back(a);
-    down.push_back(b);
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    if (a == kNoNode || b == kNoNode)
-      throw TreeError("nodes are in disconnected components");
-  }
-  out.push_back(a);  // the LCA
-  out.insert(out.end(), down.rbegin(), down.rend());
-  return static_cast<int>(out.size()) - 1;
+  const PathInfo p = path_info(u, v);
+  out.resize(static_cast<size_t>(p.distance) + 1);
+  size_t i = 0;
+  for (NodeId a = u; a != p.lca; a = parent_[static_cast<size_t>(a)])
+    out[i++] = a;
+  out[i] = p.lca;
+  size_t j = static_cast<size_t>(p.distance);
+  for (NodeId b = v; b != p.lca; b = parent_[static_cast<size_t>(b)])
+    out[j--] = b;
+  return p.distance;
 }
 
 std::vector<NodeId> KAryTree::route(NodeId u, NodeId v) const {
@@ -238,15 +117,7 @@ std::vector<NodeId> KAryTree::route(NodeId u, NodeId v) const {
 }
 
 bool KAryTree::is_ancestor(NodeId anc, NodeId id) const {
-  check(anc);
-  const int da = depth(anc);
-  int d = depth(id);
-  NodeId cur = id;
-  while (d > da) {
-    cur = parent_[static_cast<size_t>(cur)];
-    --d;
-  }
-  return cur == anc;
+  return path_info(anc, id).lca == anc;
 }
 
 int KAryTree::interval_of(NodeId id, RoutingKey key) const {
@@ -314,7 +185,6 @@ void KAryTree::set_root(NodeId id) {
   slot_in_parent_[static_cast<size_t>(id)] = -1;
   lo_[static_cast<size_t>(id)] = kKeyMin;
   hi_[static_cast<size_t>(id)] = kKeyMax;
-  dirty_ = true;
 }
 
 void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
@@ -337,7 +207,6 @@ void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
     parent_[static_cast<size_t>(c)] = id;
     slot_in_parent_[static_cast<size_t>(c)] = s;
   }
-  dirty_ = true;
 }
 
 void KAryTree::link(NodeId parent, int slot, NodeId child) {
@@ -352,7 +221,6 @@ void KAryTree::link(NodeId parent, int slot, NodeId child) {
   children_[child_base(parent) + static_cast<size_t>(slot)] = child;
   parent_[static_cast<size_t>(child)] = parent;
   slot_in_parent_[static_cast<size_t>(child)] = slot;
-  dirty_ = true;
 }
 
 std::optional<std::string> KAryTree::validate() const {
@@ -360,17 +228,15 @@ std::optional<std::string> KAryTree::validate() const {
   if (root_ == kNoNode) return "no root set";
   if (parent_[static_cast<size_t>(root_)] != kNoNode)
     return "root has a parent";
-  sync_epoch();  // pending mutations invalidate every depth memo below
 
-  // DFS with explicit [lo, hi) ranges and true depths; checks structure,
-  // search property, and the depth cache.
+  // DFS with explicit [lo, hi) ranges; checks structure and the search
+  // property.
   struct Frame {
     NodeId id;
     RoutingKey lo, hi;
-    int depth;
   };
   std::vector<bool> seen(static_cast<size_t>(n_) + 1, false);
-  std::vector<Frame> stack = {{root_, kKeyMin, kKeyMax, 0}};
+  std::vector<Frame> stack = {{root_, kKeyMin, kKeyMax}};
   int visited = 0;
   while (!stack.empty()) {
     Frame f = stack.back();
@@ -391,13 +257,6 @@ std::optional<std::string> KAryTree::validate() const {
     }
     if (nd.lo != f.lo || nd.hi != f.hi) {
       err << "node " << f.id << " has stale cached range";
-      return err.str();
-    }
-    if (depth_epoch_[static_cast<size_t>(f.id)] == epoch_ &&
-        depth_[static_cast<size_t>(f.id)] != f.depth) {
-      err << "node " << f.id << " has a stale depth memo ("
-          << depth_[static_cast<size_t>(f.id)] << ", true depth " << f.depth
-          << ")";
       return err.str();
     }
     if (static_cast<int>(nd.keys.size()) > k_ - 1) {
@@ -439,7 +298,7 @@ std::optional<std::string> KAryTree::validate() const {
       RoutingKey chi = (s == static_cast<int>(nd.keys.size()))
                            ? f.hi
                            : nd.keys[static_cast<size_t>(s)];
-      stack.push_back({c, clo, chi, f.depth + 1});
+      stack.push_back({c, clo, chi});
     }
   }
   if (visited != n_) {

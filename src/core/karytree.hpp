@@ -15,16 +15,16 @@
 // free of allocator traffic. `node(id)` returns a cheap view whose
 // `keys`/`children` are spans into the flat buffers.
 //
-// Depth cache: each node carries a memoized depth validated by an epoch
-// counter. Structural mutations set a dirty flag; the next depth-dependent
-// query bumps the epoch (invalidating every memo in O(1)) and reads repair
-// lazily by walking to the nearest fresh ancestor and stamping the walked
-// path. Within one mutation-free window — e.g. the lca + distance pair at
-// the start of serve(), or an entire static-tree replay — repeated depth
-// reads are O(1); a replay over a never-rotating tree converges to fully
-// memoized depths. Because the memo arrays are mutable, const queries are
-// NOT safe to call concurrently on the same tree (each sweep/DP worker owns
-// its own tree instance, see sim/sweep.hpp).
+// Pair queries (path_info, lca, distance, route_into, is_ancestor) climb
+// from both endpoints alternately and stamp every node they visit with a
+// per-query tag, the climbing side and its hop count — one 8-byte word per
+// node. The first node one side finds stamped by the other is the LCA, and
+// the distance is the sum of the two hop counts, so a query costs at most
+// 2 x distance hops however deep its endpoints sit. No per-node state
+// outlives a query, so rotations invalidate nothing. Because the stamp
+// array is mutable, const queries are NOT safe to call concurrently on the
+// same tree (each sweep/DP worker owns its own tree instance, see
+// sim/sweep.hpp).
 #pragma once
 
 #include <cstdint>
@@ -61,16 +61,6 @@ struct PathInfo {
   NodeId lca = kNoNode;
   int distance = 0;
 };
-
-/// Read prefetch hint with low expected temporal locality. No-op where
-/// __builtin_prefetch is unavailable.
-inline void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
 
 class KAryTree {
  public:
@@ -120,47 +110,31 @@ class KAryTree {
   }
 
   // --- topology queries -----------------------------------------------
-  /// Number of edges on the root path. O(1) when memoized (see depth cache
-  /// note above); otherwise walks to the nearest fresh ancestor and stamps
-  /// the path.
+  /// Number of edges on the root path: a plain O(depth) walk for
+  /// diagnostics and tests, never used by the pair queries. Throws
+  /// TreeError on a parent cycle.
   int depth(NodeId id) const;
-  /// True iff `id`'s depth memo is valid for the current topology (test /
-  /// diagnostics hook for the cache machinery).
-  bool depth_is_cached(NodeId id) const {
-    check(id);
-    return !dirty_ && depth_epoch_[static_cast<size_t>(id)] == epoch_;
-  }
-  /// Lowest common ancestor: equalizes depths, then walks up in lockstep.
-  /// O(distance) plus the cost of the two depth() reads.
+  /// Lowest common ancestor, from path_info().
   NodeId lca(NodeId u, NodeId v) const;
-  /// Tree distance in edges between two nodes; single depth-directed walk,
-  /// no lca() recomputation.
+  /// Tree distance in edges between two nodes, from path_info().
   int distance(NodeId u, NodeId v) const;
-  /// LCA and distance from one walk — what serve() needs per request.
+  /// LCA and distance from one stamped two-sided walk (see the class
+  /// comment) — what serve() needs per request. At most 2 x distance hops.
+  /// Throws TreeError when u and v lie in different components or a side
+  /// climbs into a parent cycle.
   PathInfo path_info(NodeId u, NodeId v) const;
-  /// Batch variant of path_info(): computes `out[i] = path_info(us[i],
-  /// vs[i])` with up to `group` walks advanced in lockstep, each round
-  /// prefetching the next parent hop of every live walk so the DRAM misses
-  /// of independent root paths overlap instead of serializing. Results are
-  /// bit-identical to the scalar calls (same arithmetic, same memo repair,
-  /// same error conditions). All three spans must have equal length.
-  void path_info_batch(std::span<const NodeId> us, std::span<const NodeId> vs,
-                       std::span<PathInfo> out, int group = 8) const;
-  /// Interleaved parent-chase from each id to the root that only issues
-  /// read prefetches on the parent / key / child cache lines a subsequent
-  /// splay over those nodes will touch. Deliberately memo-free: it never
-  /// reads or stamps the depth cache, so it is safe to call between
-  /// mutations without epoch churn. Returns the total number of hops walked
-  /// (the sum of the ids' depths). Node ids are permanent indexes into the
-  /// flat SoA buffers — nodes never move in memory — so the warmed lines
-  /// stay useful even as rotations rewire links underneath.
-  int warm_root_paths(std::span<const NodeId> ids) const;
+  /// Issues read prefetches on the key / child cache lines of every node on
+  /// the u->LCA<-v access path that a splay serving (u, v) rotates over,
+  /// and returns its distance. Topology-neutral (it reads the tree and
+  /// writes only query stamps): a warm-up for a batch about to be served.
+  int prefetch_route(NodeId u, NodeId v) const;
   /// Nodes of the unique u->v routing path, endpoints included.
   std::vector<NodeId> route(NodeId u, NodeId v) const;
   /// Buffer-reusing variant: replaces `out` with the path and returns its
   /// edge count. No allocation once `out`'s capacity covers the path.
   int route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const;
   /// True iff `anc` lies on the root path of `id` (anc == id counts).
+  /// O(distance) via path_info(), whose errors it shares.
   bool is_ancestor(NodeId anc, NodeId id) const;
 
   /// Descends from the root using the search property only; returns the
@@ -200,8 +174,7 @@ class KAryTree {
   void link(NodeId parent, int slot, NodeId child);
 
   // --- validation -------------------------------------------------------
-  /// Full structural + search-property audit, including the depth cache:
-  /// every node whose depth memo is stamped fresh must hold its true depth.
+  /// Full structural + search-property audit.
   /// Returns std::nullopt when the tree is a valid k-ary search tree
   /// network covering all n nodes, else a human-readable description of the
   /// first violation found.
@@ -211,6 +184,9 @@ class KAryTree {
   bool valid() const { return !validate().has_value(); }
 
  private:
+  /// Tests drive the query tag across its 32-bit wrap.
+  friend struct KAryTreeTestPeer;
+
   NodeId check(NodeId id) const {
     if (id < 1 || id > n_) throw TreeError("node id out of range");
     return id;
@@ -220,14 +196,6 @@ class KAryTree {
   }
   size_t child_base(NodeId id) const {
     return static_cast<size_t>(id - 1) * static_cast<size_t>(k_);
-  }
-  /// Folds any pending mutation into one O(1) epoch bump; called by every
-  /// depth-dependent read.
-  void sync_epoch() const {
-    if (dirty_) {
-      ++epoch_;
-      dirty_ = false;
-    }
   }
 
   int k_;
@@ -244,13 +212,11 @@ class KAryTree {
   std::vector<RoutingKey> keys_;    ///< n * (k-1) inline key slots
   std::vector<NodeId> children_;    ///< n * k inline child slots
 
-  // Depth memoization (see class comment). Mutable: filled by const reads.
-  mutable std::vector<std::int32_t> depth_;
-  mutable std::vector<std::uint64_t> depth_epoch_;
-  mutable std::uint64_t epoch_ = 1;
-  mutable bool dirty_ = false;
-  mutable std::vector<NodeId> depth_scratch_;  ///< repair-walk path buffer
-  mutable std::vector<NodeId> route_scratch_;  ///< route_into v-side buffer
+  // Pair-query stamps (see class comment). Mutable: written by const
+  // queries. Word = tag << 32 | hops << 1 | side (0 climbs from u, 1 from
+  // v); tag 0 is never issued, so a zeroed word is "unvisited".
+  mutable std::vector<std::uint64_t> stamp_;
+  mutable std::uint32_t tag_ = 0;  ///< tag of the latest query
 };
 
 }  // namespace san

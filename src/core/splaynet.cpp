@@ -45,8 +45,8 @@ ServeResult KArySplayNet::splay_until_parent(NodeId x, NodeId stop_parent) {
 ServeResult KArySplayNet::serve(NodeId u, NodeId v) {
   ServeResult res;
   if (u == v) return res;
-  // One depth-directed walk yields both the pre-adjustment routing cost and
-  // the LCA whose position u will take.
+  // One two-sided walk yields both the pre-adjustment routing cost and the
+  // LCA whose position u will take.
   const PathInfo path = tree_.path_info(u, v);
   res.routing_cost = path.distance;
 
@@ -68,7 +68,7 @@ ServeResult KArySplayNet::access(NodeId x) {
   // every k-splay lifts x exactly two levels and every k-semi-splay one,
   // so the levels climbed sum to the original depth. This keeps the
   // cross-shard ascent path (sharded_network.cpp) at one tree walk per
-  // access and skips stamping depth memos the rotations would invalidate.
+  // access: the splay's own climb.
   ServeResult res;
   while (true) {
     const NodeId p = tree_.parent(x);

@@ -5,8 +5,8 @@
 // windows* of a drain chunk by tree locality — the sort key is the LCA of the
 // request's access path, so requests touching the same subtree region are
 // served consecutively while their upper path is cache-hot — and serves each
-// window in small groups whose root paths are warmed by an interleaved
-// software-prefetch walk (KAryTree::warm_root_paths) before the serves run.
+// window in small groups whose u->LCA<-v access paths are warmed by software
+// prefetches (KAryTree::prefetch_route) before the serves run.
 //
 // Cost semantics: a locality-scheduled serve is an ordinary sequential serve
 // of the *permuted* sequence. The scheduler never interleaves mutations of
@@ -14,9 +14,8 @@
 // routing/rotation costs are exactly what FIFO would report for that
 // permutation — deterministic (stable sort over deterministic keys),
 // golden-lockable, and honestly different from FIFO's costs because splay
-// order matters. The scheduling pass itself is mutation-free, so the depth
-// memos it repairs stay valid for the whole window (the epoch never bumps
-// mid-pass), making the per-request path_info keying cheap.
+// order matters. Keying a request costs one lca() walk, O(distance) however
+// deep the tree (core/karytree.hpp), and never changes the topology.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "core/karytree.hpp"
 #include "core/types.hpp"
 
 namespace san {
@@ -44,7 +42,7 @@ struct ScheduleConfig {
   /// boundary), bounding how far any request can be deferred past its
   /// arrival position.
   int window = 1024;
-  /// In-flight walks per interleaved keying / prefetch warm-up group.
+  /// Requests per prefetch warm-up group.
   int group = 8;
 
   bool reorders() const { return policy == SchedulePolicy::kLocality; }
@@ -67,10 +65,9 @@ struct ScheduleEndpoints {
 
 /// Windowed locality scheduler, generic over the operation type (Request,
 /// ShardOp, frontend QueueItem) via a caller-supplied `resolve` mapping an
-/// op to ScheduleEndpoints, and over the tree type: trees exposing the
-/// KAryTree batch walks get interleaved keying and prefetch warm-up; any
-/// tree with `lca(u,v)`/`root()` (BinarySplayNet) falls back to scalar
-/// keying with no warm-up, keeping the reorder semantics identical.
+/// op to ScheduleEndpoints, and over the tree type: any tree with
+/// `lca(u,v)`/`root()` is keyed the same way; a KAryTree also gets the
+/// prefetch warm-up, a BinarySplayNet is served without one.
 class LocalityScheduler {
  public:
   explicit LocalityScheduler(const ScheduleConfig& cfg) : cfg_(cfg) {
@@ -114,37 +111,15 @@ class LocalityScheduler {
     const size_t m = ops.size();
     if (m < 2) return;
     keys_.assign(m, 0);
-    us_.clear();
-    vs_.clear();
-    slots_.clear();
     const NodeId root = tree.root();
     for (size_t i = 0; i < m; ++i) {
       const ScheduleEndpoints ep = resolve(ops[i]);
       if (ep.u == kNoNode) continue;  // foreign op: key 0, stable floor
-      us_.push_back(ep.u);
-      vs_.push_back(ep.v == kNoNode ? root : ep.v);
-      slots_.push_back(i);
-    }
-    lcas_.resize(us_.size());
-    if constexpr (requires {
-                    tree.path_info_batch(std::span<const NodeId>{},
-                                         std::span<const NodeId>{},
-                                         std::span<PathInfo>{}, 1);
-                  }) {
-      infos_.resize(us_.size());
-      tree.path_info_batch(us_, vs_, infos_, cfg_.group);
-      for (size_t j = 0; j < infos_.size(); ++j) lcas_[j] = infos_[j].lca;
-    } else {
-      for (size_t j = 0; j < us_.size(); ++j)
-        lcas_[j] = tree.lca(us_[j], vs_[j]);
-    }
-    for (size_t j = 0; j < slots_.size(); ++j) {
-      const std::uint64_t lo =
-          static_cast<std::uint32_t>(std::min(us_[j], vs_[j]));
-      keys_[slots_[j]] =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lcas_[j]))
-           << 32) |
-          lo;
+      const NodeId v = ep.v == kNoNode ? root : ep.v;
+      keys_[i] = (static_cast<std::uint64_t>(
+                      static_cast<std::uint32_t>(tree.lca(ep.u, v)))
+                  << 32) |
+                 static_cast<std::uint32_t>(std::min(ep.u, v));
     }
     order_.resize(m);
     std::iota(order_.begin(), order_.end(), size_t{0});
@@ -175,24 +150,19 @@ class LocalityScheduler {
  private:
   template <typename TreeT, typename Op, typename Resolve>
   void warm(const TreeT& tree, std::span<Op> ops, Resolve&& resolve) {
-    if constexpr (requires { tree.warm_root_paths(std::span<const NodeId>{}); }) {
-      warm_ids_.clear();
+    if constexpr (requires { tree.prefetch_route(NodeId{1}, NodeId{1}); }) {
+      const NodeId root = tree.root();
       for (Op& op : ops) {
         const ScheduleEndpoints ep = resolve(op);
         if (ep.u == kNoNode) continue;
-        warm_ids_.push_back(ep.u);
-        if (ep.v != kNoNode && ep.v != ep.u) warm_ids_.push_back(ep.v);
+        tree.prefetch_route(ep.u, ep.v == kNoNode ? root : ep.v);
       }
-      tree.warm_root_paths(warm_ids_);
     }
   }
 
   ScheduleConfig cfg_;
   Cost reordered_ = 0;
   std::vector<std::uint64_t> keys_;
-  std::vector<NodeId> us_, vs_, lcas_, warm_ids_;
-  std::vector<size_t> slots_;
-  std::vector<PathInfo> infos_;
   std::vector<size_t> order_;
 };
 

@@ -260,7 +260,7 @@ SimResult run_trace_stream(AnyNetwork& net, RequestStream& stream,
 /// Static-tree shortcut (used by benches to cost a fixed topology against
 /// a long trace). Locality scheduling is supported and provably
 /// cost-neutral here — a static tree never rotates, so total cost is
-/// order-invariant; the reorder + interleaved path_info_batch walk is a
+/// order-invariant; the reorder + prefetch warm-up is a
 /// pure throughput play.
 SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
                            const ScheduleConfig& sched = {});

@@ -70,16 +70,11 @@ Cost DemandMatrix::boundary(int i, int j) const {
 }
 
 Cost DemandMatrix::total_distance(const KAryTree& tree) const {
-  // Edge-potential formulation (Definition 14): for every edge, the
-  // potential is the demand crossing it; summing potentials equals summing
-  // d_T(u,v) * D[u,v]. Computed as one DFS accumulating, per node, the
-  // demand between its subtree and the rest.
-  //
-  // For a dense matrix the straightforward per-pair evaluation is O(n^2 *
-  // depth); the potential route needs subtree demand sums which are just as
-  // expensive without heavy machinery, so per-pair with an LCA cache per
-  // source row is used: O(n^2 * depth) worst case but with depth the
-  // typical ~log_k n this is fine for offline-scale n.
+  // Equals the edge-potential sum of Definition 14 (every edge weighted by
+  // the demand crossing it), but the subtree demand sums that route needs
+  // cost as much as the pairs themselves without heavy machinery. So each
+  // non-zero pair is priced with one distance() walk: O(distance) per pair,
+  // O(n^2 * depth) in the worst case, fine for offline-scale n.
   Cost total = 0;
   for (NodeId u = 1; u <= n_; ++u) {
     bool row_empty = true;

@@ -117,8 +117,8 @@ TEST(AllocFree, StaticReplayAndTopologyQueriesAreAllocationFree) {
   Trace trace;
   trace.n = 500;
   trace.requests = reqs;
-  // Warm-up fills the depth memo (and proves the first pass allocates
-  // nothing either — the repair walk uses tree-owned scratch).
+  // The first replay allocates nothing either: the pair walk writes only
+  // the tree-owned stamp array.
   const long before_cold = allocations();
   const SimResult cold = run_trace_static(tree, trace);
   EXPECT_EQ(allocations() - before_cold, 0) << "cold static replay allocated";

@@ -4,7 +4,7 @@
 // produce identical per-request ServeResults — routing cost, rotation
 // count, parent changes, and edge changes — over long randomized request
 // sequences, and identical tree evolution. Any divergence in the merge /
-// block-partition rotation engine, the depth-directed lca/distance, or the
+// block-partition rotation engine, the stamped lca/distance walk, or the
 // snapshot-diff accounting shows up here within a few requests.
 #include <gtest/gtest.h>
 

@@ -1,16 +1,19 @@
 // Property fuzz: randomized serve/access/rotation sequences interleaved
 // with full audits. Seeded and deterministic (tier1). Invariants beyond
 // validate()'s structural/search-property checks:
-//   * depth cache: depth() always equals an independent parent-chase
-//     recompute, reads stamp the memo, and validate() cross-checks every
-//     fresh memo against true BFS depths;
+//   * pair walk: path_info / lca / distance / route_into / is_ancestor
+//     agree with an independent parent-chain reference after every kind of
+//     rotation, and across a wrap of the per-query stamp tag;
 //   * lo/hi ranges: recomputed top-down from the keys alone, they must
 //     partition each node's range exactly as the cached lo/hi claim;
 //   * adjustment accounting: each rotation's edge_changes/parent_changes
 //     must match an independently diffed before/after parent snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/rotation.hpp"
@@ -18,23 +21,59 @@
 #include "core/splaynet.hpp"
 
 namespace san {
+
+// Friend of KAryTree (core/karytree.hpp): positions the per-query stamp tag
+// so a test can cross its 32-bit wrap without 2^32 queries.
+struct KAryTreeTestPeer {
+  static void set_tag(const KAryTree& t, std::uint32_t tag) { t.tag_ = tag; }
+};
+
 namespace {
 
-// Independent depth recompute: pure parent chasing, no cache involvement.
-int chase_depth(const KAryTree& t, NodeId id) {
-  int d = 0;
-  for (NodeId cur = id; t.parent(cur) != kNoNode; cur = t.parent(cur)) ++d;
-  return d;
+// Independent pair reference from parent() alone: the LCA is the first node
+// of v's parent chain that lies on u's chain.
+struct ReferencePair {
+  NodeId lca = kNoNode;
+  std::vector<NodeId> route;  ///< u -> v, endpoints included
+};
+
+ReferencePair reference_pair(const KAryTree& t, NodeId u, NodeId v) {
+  std::vector<NodeId> up;  // u's whole chain, u first
+  for (NodeId x = u; x != kNoNode; x = t.parent(x)) up.push_back(x);
+  std::vector<NodeId> down;  // v's chain below the LCA, v first
+  NodeId x = v;
+  auto at = std::find(up.begin(), up.end(), x);
+  while (at == up.end()) {
+    down.push_back(x);
+    x = t.parent(x);
+    at = std::find(up.begin(), up.end(), x);
+  }
+  up.erase(at + 1, up.end());
+  up.insert(up.end(), down.rbegin(), down.rend());
+  return {x, up};
 }
 
-void expect_depth_cache_consistent(const KAryTree& t) {
-  for (NodeId id = 1; id <= t.size(); ++id) {
-    ASSERT_EQ(t.depth(id), chase_depth(t, id)) << "node " << id;
-    ASSERT_TRUE(t.depth_is_cached(id)) << "read did not stamp node " << id;
+bool on_chain(const KAryTree& t, NodeId anc, NodeId id) {
+  for (NodeId x = id; x != kNoNode; x = t.parent(x))
+    if (x == anc) return true;
+  return false;
+}
+
+// Every pair query against the reference, in both argument orders.
+void expect_pair_matches_reference(const KAryTree& t, NodeId u, NodeId v,
+                                   std::vector<NodeId>& route) {
+  for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    const ReferencePair want = reference_pair(t, a, b);
+    const int dist = static_cast<int>(want.route.size()) - 1;
+    const PathInfo info = t.path_info(a, b);
+    ASSERT_EQ(info.lca, want.lca) << a << "->" << b;
+    ASSERT_EQ(info.distance, dist) << a << "->" << b;
+    ASSERT_EQ(t.lca(a, b), want.lca) << a << "->" << b;
+    ASSERT_EQ(t.distance(a, b), dist) << a << "->" << b;
+    ASSERT_EQ(t.route_into(a, b, route), dist) << a << "->" << b;
+    ASSERT_EQ(route, want.route) << a << "->" << b;
+    ASSERT_EQ(t.is_ancestor(a, b), on_chain(t, a, b)) << a << "->" << b;
   }
-  // With every memo now stamped, validate()'s depth audit covers all nodes.
-  const auto err = t.validate();
-  ASSERT_FALSE(err.has_value()) << *err;
 }
 
 // Recompute every node's [lo, hi) from the root down using only the keys,
@@ -112,7 +151,8 @@ TEST(FuzzInvariants, ServeAccessMixWithFullAudits) {
       else
         net.serve(u, v);
       if (i % 100 == 99) {
-        expect_depth_cache_consistent(net.tree());
+        const auto err = net.tree().validate();
+        ASSERT_FALSE(err.has_value()) << *err;
         expect_ranges_partition(net.tree());
       }
     }
@@ -155,40 +195,68 @@ TEST(FuzzInvariants, RotationAccountingMatchesIndependentEdgeDiff) {
   }
 }
 
-TEST(FuzzInvariants, DepthMemoSurvivesInterleavedReadsAndRotations) {
-  // Reads fill the memo; rotations invalidate it wholesale via the epoch.
-  // Interleave them in every order and verify depth() never returns a stale
-  // value (the exact failure mode an incremental-update bug would cause).
-  std::mt19937_64 rng(555);
-  KAryTree t = build_from_shape(4, make_random_shape(100, 4, rng));
-  std::uniform_int_distribution<NodeId> pick(1, 100);
-  for (int i = 0; i < 3000; ++i) {
-    const NodeId x = pick(rng);
-    switch (rng() % 3) {
-      case 0:
-        ASSERT_EQ(t.depth(x), chase_depth(t, x)) << "op " << i;
-        break;
-      case 1: {
-        if (t.parent(x) == kNoNode) break;
-        if (t.parent(t.parent(x)) != kNoNode)
+TEST(FuzzInvariants, PairWalkMatchesParentChainReference) {
+  // The stamped two-sided walk against the parent-chain reference while
+  // k_splay / k_semi_splay keep rewiring the tree. Besides random pairs,
+  // every round probes an ancestor/descendant pair, a root endpoint and
+  // u == v, each in both argument orders.
+  for (const auto& [k, n, seed] : {std::tuple{2, 90, 11u},
+                                   std::tuple{3, 120, 22u},
+                                   std::tuple{5, 150, 33u}}) {
+    std::mt19937_64 rng(seed);
+    KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
+    std::uniform_int_distribution<NodeId> pick(1, n);
+    std::vector<NodeId> route;
+    int splays = 0, semis = 0;
+    for (int i = 0; i < 600; ++i) {
+      const NodeId x = pick(rng);
+      const NodeId p = t.parent(x);
+      if (p != kNoNode) {
+        if (t.parent(p) != kNoNode && (rng() & 1)) {
           k_splay(t, x);
-        else
+          ++splays;
+        } else {
           k_semi_splay(t, x);
-        break;
+          ++semis;
+        }
       }
-      case 2: {
-        NodeId y = pick(rng);
-        const PathInfo info = t.path_info(x, y);
-        ASSERT_EQ(info.distance,
-                  chase_depth(t, x) + chase_depth(t, y) -
-                      2 * chase_depth(t, info.lca))
-            << "op " << i;
-        ASSERT_TRUE(t.is_ancestor(info.lca, x));
-        ASSERT_TRUE(t.is_ancestor(info.lca, y));
-        break;
-      }
+      NodeId anc = x;
+      for (int up = static_cast<int>(rng() % 6); up > 0; --up)
+        if (t.parent(anc) != kNoNode) anc = t.parent(anc);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_pair_matches_reference(t, x, pick(rng), route));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_pair_matches_reference(t, x, anc, route));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_pair_matches_reference(t, x, t.root(), route));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_pair_matches_reference(t, x, x, route));
     }
+    EXPECT_GT(splays, 100) << "k=" << k;
+    EXPECT_GT(semis, 100) << "k=" << k;
   }
+}
+
+TEST(FuzzInvariants, PairWalkSurvivesStampTagWrap) {
+  // One walk from the bottom of a vine to its root stamps every node under
+  // tag 1. The tag then jumps to its last value, so the next query wraps
+  // back to tag 1: any stamp the wrap failed to clear aliases that query.
+  const int n = 64;
+  KAryTree t = build_from_shape(2, make_path_shape(n));
+  NodeId bottom = t.root();
+  for (NodeId id = 1; id <= n; ++id)
+    if (t.depth(id) > t.depth(bottom)) bottom = id;
+  NodeId mid = bottom;
+  for (int i = 0; i < n / 2; ++i) mid = t.parent(mid);
+  t.path_info(bottom, t.root());
+  KAryTreeTestPeer::set_tag(t, 0xFFFFFFFFu);
+  std::vector<NodeId> route;
+  ASSERT_NO_FATAL_FAILURE(expect_pair_matches_reference(t, bottom, mid, route));
+  std::mt19937_64 rng(77);
+  std::uniform_int_distribution<NodeId> pick(1, n);
+  for (int i = 0; i < 200; ++i)
+    ASSERT_NO_FATAL_FAILURE(
+        expect_pair_matches_reference(t, pick(rng), pick(rng), route));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for the KAryTree container: construction, queries, validation.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/karytree.hpp"
 #include "core/shape.hpp"
 
@@ -122,6 +125,44 @@ TEST(KAryTree, UniformTotalDistanceMatchesPairwiseSum) {
   for (NodeId u = 1; u <= 10; ++u)
     for (NodeId v = u + 1; v <= 10; ++v) direct += t.distance(u, v);
   EXPECT_EQ(t.uniform_total_distance(), direct);
+}
+
+TEST(KAryTree, PairQueriesRejectDisconnectedComponents) {
+  // Two components under two roots: 1 <- 2 and 3 <- 4 (link() on nodes
+  // without keys, so each child hangs in slot 0).
+  KAryTree t(2, 4);
+  t.link(kNoNode, 0, 1);
+  t.link(1, 0, 2);
+  t.link(kNoNode, 0, 3);
+  t.link(3, 0, 4);
+  std::vector<NodeId> route;
+  for (const auto& [u, v] : {std::pair{2, 4}, std::pair{4, 2},
+                             std::pair{1, 3}, std::pair{2, 3}}) {
+    EXPECT_THROW(t.path_info(u, v), TreeError) << u << "," << v;
+    EXPECT_THROW(t.lca(u, v), TreeError) << u << "," << v;
+    EXPECT_THROW(t.distance(u, v), TreeError) << u << "," << v;
+    EXPECT_THROW(t.route_into(u, v, route), TreeError) << u << "," << v;
+  }
+  // Within one component the queries still answer.
+  EXPECT_EQ(t.path_info(2, 1).lca, 1);
+  EXPECT_EQ(t.distance(4, 3), 1);
+}
+
+TEST(KAryTree, ParentCycleThrowsInsteadOfHanging) {
+  // 1 -> 2 -> 3 -> 1 is a parent cycle; 4 is a separate root. A side that
+  // climbs into the cycle meets its own stamp and throws.
+  KAryTree t(2, 4);
+  t.link(1, 0, 2);
+  t.link(2, 0, 3);
+  t.link(3, 0, 1);
+  t.link(kNoNode, 0, 4);
+  std::vector<NodeId> route;
+  for (const auto& [u, v] : {std::pair{1, 4}, std::pair{4, 3}}) {
+    EXPECT_THROW(t.path_info(u, v), TreeError) << u << "," << v;
+    EXPECT_THROW(t.lca(u, v), TreeError) << u << "," << v;
+    EXPECT_THROW(t.route_into(u, v, route), TreeError) << u << "," << v;
+  }
+  EXPECT_THROW(t.depth(2), TreeError);
 }
 
 TEST(KAryTree, BrokenHandBuiltTreeIsInvalid) {

@@ -1,7 +1,7 @@
 // Locality-aware batch scheduling (sim/schedule.hpp) walls:
 //
-//   Schedule.*             config validation + the KAryTree batch-walk
-//                          primitives (path_info_batch / warm_root_paths)
+//   Schedule.*             config validation + the KAryTree access-path
+//                          warm-up (prefetch_route)
 //   ScheduleReorder.*      the windowed reorder pass: permutation sanity,
 //                          window bounding, reordered counters
 //   ScheduleDifferential.* semantic locks — FIFO stays bit-identical with
@@ -102,63 +102,26 @@ TEST(Schedule, PolicyNames) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kLocality), "locality");
 }
 
-// ------------------------------------------------- karytree batch walks
+// ------------------------------------------------- karytree warm-up
 
-TEST(Schedule, PathInfoBatchMatchesScalarOnMutatingTree) {
+TEST(Schedule, PrefetchRouteReturnsDistanceAndLeavesTopologyAlone) {
   KArySplayNet net = KArySplayNet::balanced(3, 200);
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<NodeId> node(1, 200);
-  std::vector<NodeId> us, vs;
-  for (int round = 0; round < 20; ++round) {
-    // Mutate, then compare a batch against per-pair scalar calls.
-    for (int i = 0; i < 10; ++i) {
-      NodeId a = node(rng), b = node(rng);
-      if (a != b) net.serve(a, b);
-    }
-    us.clear();
-    vs.clear();
-    for (int i = 0; i < 37; ++i) {  // deliberately not a multiple of group
-      us.push_back(node(rng));
-      vs.push_back(node(rng));
-    }
-    std::vector<PathInfo> batch(us.size());
-    net.tree().path_info_batch(us, vs, batch, /*group=*/8);
-    for (std::size_t i = 0; i < us.size(); ++i) {
-      const PathInfo want = net.tree().path_info(us[i], vs[i]);
-      EXPECT_EQ(batch[i].lca, want.lca) << i;
-      EXPECT_EQ(batch[i].distance, want.distance) << i;
-    }
+  for (int i = 0; i < 300; ++i) {
+    const NodeId a = node(rng), b = node(rng);
+    if (a != b) net.serve(a, b);
   }
-}
-
-TEST(Schedule, PathInfoBatchValidatesArguments) {
-  KArySplayNet net = KArySplayNet::balanced(2, 8);
-  std::vector<NodeId> us = {1, 2}, vs = {3};
-  std::vector<PathInfo> out(2);
-  EXPECT_THROW(net.tree().path_info_batch(us, vs, out), TreeError);
-  vs = {3, 4};
-  EXPECT_THROW(net.tree().path_info_batch(us, vs, out, 0), TreeError);
-  EXPECT_NO_THROW(net.tree().path_info_batch(us, vs, out, 1));
-}
-
-TEST(Schedule, WarmRootPathsCountsDepthsAndLeavesMemosAlone) {
-  KArySplayNet net = KArySplayNet::balanced(2, 63);
   const KAryTree& t = net.tree();
-  std::vector<NodeId> ids;
-  int want = 0;
-  for (NodeId id = 1; id <= 63; ++id) {
-    ids.push_back(id);
-    want += t.depth(id);
+  std::vector<NodeId> parents;
+  for (NodeId id = 1; id <= t.size(); ++id) parents.push_back(t.parent(id));
+  for (int i = 0; i < 500; ++i) {
+    const NodeId u = node(rng), v = node(rng);
+    EXPECT_EQ(t.prefetch_route(u, v), t.distance(u, v)) << u << "," << v;
   }
-  EXPECT_EQ(t.warm_root_paths(ids), want);
-  // The warm walk is memo-free: after a mutation it must not repair (and
-  // thus must not stamp) any depth memo.
-  net.serve(1, 63);
-  const NodeId probe = net.tree().root();
-  ASSERT_FALSE(net.tree().depth_is_cached(probe));
-  net.tree().warm_root_paths(ids);
-  EXPECT_FALSE(net.tree().depth_is_cached(probe));
-  EXPECT_FALSE(net.tree().validate().has_value());
+  for (NodeId id = 1; id <= t.size(); ++id)
+    EXPECT_EQ(t.parent(id), parents[static_cast<std::size_t>(id - 1)]) << id;
+  EXPECT_FALSE(t.validate().has_value());
 }
 
 // ------------------------------------------------------------- reorder
