@@ -11,11 +11,23 @@ int Shape::recompute_sizes() {
   return size;
 }
 
+namespace {
+
+// Id of the root of `shape` laid out over ids [first, first + size).
+NodeId root_id(const Shape& shape, NodeId first) {
+  for (int i = 0; i < shape.self_pos; ++i) first += shape.kids[i].size;
+  return first;
+}
+
+}  // namespace
+
 NodeId install_shape(KAryTree& tree, const Shape& shape, NodeId first,
                      RoutingKey lo, RoutingKey hi) {
   const int c = static_cast<int>(shape.kids.size());
   if (c > tree.arity())
     throw TreeError("shape node has more children than the arity allows");
+  if (shape.self_pos < 0 || shape.self_pos > c)
+    throw TreeError("shape self_pos out of range (see recompute_sizes)");
   const bool edge_self = shape.self_pos == 0 || shape.self_pos == c;
   // Every node keeps its own id key (see types.hpp); an interior self
   // position reuses it as the boundary between two children, an edge
@@ -23,76 +35,63 @@ NodeId install_shape(KAryTree& tree, const Shape& shape, NodeId first,
   if (c > 0 && edge_self && c + 1 > tree.arity())
     throw TreeError(
         "shape node with full fan-out must place its id between children");
+  // Synthetic separator pads fill the node up to exactly arity-1 keys
+  // (saturation invariant, see types.hpp).
+  const long pad_count =
+      tree.arity() - 1 - (c == 0 ? 1 : c - 1 + (edge_self ? 1 : 0));
+  if (pad_count >= kKeySpacing / 2 - 1)
+    throw TreeError("arity too large for the key spacing");
 
-  // Lay out identifiers: children before self_pos, then the node id, then
-  // the remaining children.
-  NodeId cursor = first;
-  std::vector<NodeId> kid_first(c);
-  NodeId my_id = kNoNode;
+  // Lay out identifiers left to right (children before self_pos, the node
+  // id, the remaining children) and emit the saturated routing array on
+  // the way: one interval per child, an empty interval adjacent to the id
+  // key when the id sits at the edge, and the pads right above the id key.
+  // Boundaries between two children are mid-gap separators, except at
+  // self_pos where the id key itself is the boundary. Pads take values
+  // id_key + 1, +2, ...: all below the next real boundary (>= id_key +
+  // kKeySpacing/2) and below any descendant id (>= id_key + kKeySpacing),
+  // so each pad splits off an empty interval. The node is installed (its
+  // arrays copied into the tree) before any child, so one thread-local
+  // staging pair serves the whole build: grown to the arity's high-water
+  // mark once, it leaves later builds allocation-free per node.
+  thread_local std::vector<RoutingKey> keys;
+  thread_local std::vector<NodeId> kids;
+  keys.clear();
+  kids.clear();
+  const NodeId my_id = root_id(shape, first);
+  NodeId cursor = first;  // first id of the next subtree in the layout
   for (int i = 0; i <= c; ++i) {
-    if (i == shape.self_pos) my_id = cursor++;
+    if (i == shape.self_pos) {
+      if (i == 0) kids.push_back(kNoNode);
+      keys.push_back(id_key(my_id));
+      for (long p = 1; p <= pad_count; ++p) {
+        kids.push_back(kNoNode);
+        keys.push_back(id_key(my_id) + p);
+      }
+      if (i == c) kids.push_back(kNoNode);
+      ++cursor;
+    } else if (i > 0 && i < c) {
+      keys.push_back(separator_before(cursor));
+    }
     if (i < c) {
-      kid_first[i] = cursor;
+      kids.push_back(root_id(shape.kids[i], cursor));
       cursor += shape.kids[i].size;
     }
   }
+  tree.install(my_id, keys, kids, lo, hi);
 
-  // Plan the saturated routing array: one interval per child, an empty
-  // interval adjacent to the id key when the id sits at the edge, and
-  // synthetic separator pads right above the id key until the node holds
-  // exactly arity-1 elements (saturation invariant, see types.hpp).
-  // Boundaries between two children are mid-gap separators, except at
-  // self_pos where the id key itself is the boundary.
-  std::vector<RoutingKey> keys;
-  std::vector<int> slot_kid;  // child index per interval, -1 = empty
-  if (c == 0) {
-    keys.push_back(id_key(my_id));
-    slot_kid.assign(2, -1);
-  } else {
-    if (shape.self_pos == 0) {
-      keys.push_back(id_key(my_id));
-      slot_kid.push_back(-1);
-    }
-    for (int i = 0; i < c; ++i) {
-      if (i > 0)
-        keys.push_back(shape.self_pos == i ? id_key(my_id)
-                                           : separator_before(kid_first[i]));
-      slot_kid.push_back(i);
-    }
-    if (shape.self_pos == c) {
-      keys.push_back(id_key(my_id));
-      slot_kid.push_back(-1);
-    }
+  // Recurse with each child's [lo, hi) bounds, read back from the keys
+  // just installed.
+  const std::span<const RoutingKey> bounds = tree.keys(my_id);
+  cursor = first;
+  for (int slot = 0, i = 0; i < c; ++slot) {
+    if (tree.child(my_id, slot) == kNoNode) continue;
+    if (i == shape.self_pos) ++cursor;
+    const Shape& kid = shape.kids[static_cast<size_t>(i++)];
+    install_shape(tree, kid, cursor, slot == 0 ? lo : bounds[slot - 1],
+                  slot == static_cast<int>(bounds.size()) ? hi : bounds[slot]);
+    cursor += kid.size;
   }
-
-  // Pads go immediately above the id key: values id_key + 1, +2, ... are
-  // all below the next real boundary (>= id_key + kKeySpacing/2) and below
-  // any descendant id (>= id_key + kKeySpacing), so each pad splits off an
-  // empty interval. Inserting descending values at a fixed position keeps
-  // the array sorted.
-  const int want = tree.arity() - 1;
-  const long pad_count = want - static_cast<long>(keys.size());
-  if (pad_count >= kKeySpacing / 2 - 1)
-    throw TreeError("arity too large for the key spacing");
-  const auto id_pos = static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), id_key(my_id)) -
-      keys.begin());
-  for (long p = pad_count; p >= 1; --p) {
-    keys.insert(keys.begin() + id_pos + 1, id_key(my_id) + p);
-    slot_kid.insert(slot_kid.begin() + id_pos + 1, -1);
-  }
-
-  // Recurse with each child's final [lo, hi) bounds.
-  std::vector<NodeId> children(slot_kid.size(), kNoNode);
-  for (size_t s = 0; s < slot_kid.size(); ++s) {
-    if (slot_kid[s] < 0) continue;
-    const RoutingKey clo = (s == 0) ? lo : keys[s - 1];
-    const RoutingKey chi = (s == keys.size()) ? hi : keys[s];
-    children[s] =
-        install_shape(tree, shape.kids[slot_kid[s]], kid_first[slot_kid[s]],
-                      clo, chi);
-  }
-  tree.install(my_id, std::move(keys), std::move(children), lo, hi);
   return my_id;
 }
 
@@ -107,6 +106,7 @@ Shape make_complete_shape(int n, int k) {
   Shape s;
   s.size = n;
   if (n <= 1) return s;
+  s.kids.reserve(static_cast<size_t>(std::min(k, n - 1)));
   // Capacity of a full k-ary subtree of height h is (k^{h+1}-1)/(k-1).
   // Find the height of this tree and hand out last-level slots left-first.
   std::int64_t full_below = 1;  // capacity of a full child subtree

@@ -37,6 +37,8 @@ KAryTree build_from_shape(int k, const Shape& shape);
 /// Installs `shape` as the subtree covering ids [first, first+shape.size)
 /// into an existing tree; returns the subtree root id. `lo`/`hi` is the
 /// routing range recorded on the subtree root (callers link it afterwards).
+/// Allocates nothing per node: each node is staged in thread-local scratch
+/// that grows once per arity. Throws TreeError on a malformed shape.
 NodeId install_shape(KAryTree& tree, const Shape& shape, NodeId first,
                      RoutingKey lo, RoutingKey hi);
 

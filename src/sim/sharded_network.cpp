@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <sstream>
 #include <string_view>
 
@@ -98,18 +97,42 @@ std::string ShardedNetwork::name() const {
          "-ary SplayNet";
 }
 
-void ShardedNetwork::append_edges(int shard,
-                                  std::vector<std::uint64_t>& out) const {
-  // Parent links of one shard in *global*-id terms: the encoding survives
-  // the local-id recompaction a migration causes, so the pre/post edge
-  // diff below charges exactly the links the batch rewired.
-  const KAryTree& t = shards_[static_cast<std::size_t>(shard)].tree();
-  for (NodeId local = 1; local <= t.size(); ++local) {
-    const NodeId p = t.parent(local);
-    if (p == kNoNode) continue;
-    out.push_back(pack_node_pair(map_.global_of(shard, local),
-                                 map_.global_of(shard, p)));
+std::vector<NodeId> ShardedNetwork::global_parents(
+    const std::vector<int>& shards) const {
+  // Global ids survive the local-id recompaction a rebuild causes, so
+  // relink_edges() can match these links against the rebuilt ones.
+  std::vector<NodeId> parent(static_cast<std::size_t>(map_.n()) + 1, kNoNode);
+  for (int s : shards) {
+    const KAryTree& t = shards_[static_cast<std::size_t>(s)].tree();
+    for (NodeId local = 1; local <= t.size(); ++local)
+      if (const NodeId p = t.parent(local); p != kNoNode)
+        parent[static_cast<std::size_t>(map_.global_of(s, local))] =
+            map_.global_of(s, p);
   }
+  return parent;
+}
+
+Cost ShardedNetwork::relink_edges(const std::vector<NodeId>& before,
+                                  const std::vector<int>& shards) const {
+  // |before| + |after| - 2|both| over unordered links: a rebuilt link g->h
+  // is shared when it existed before either way round.
+  Cost links = static_cast<Cost>(
+      std::count_if(before.begin(), before.end(),
+                    [](NodeId p) { return p != kNoNode; }));
+  for (int s : shards) {
+    const KAryTree& t = shards_[static_cast<std::size_t>(s)].tree();
+    for (NodeId local = 1; local <= t.size(); ++local) {
+      const NodeId p = t.parent(local);
+      if (p == kNoNode) continue;
+      const NodeId g = map_.global_of(s, local);
+      const NodeId h = map_.global_of(s, p);
+      links += before[static_cast<std::size_t>(g)] == h ||
+                       before[static_cast<std::size_t>(h)] == g
+                   ? -1
+                   : 1;
+    }
+  }
+  return links;
 }
 
 MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
@@ -151,11 +174,14 @@ MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
                         std::to_string(s));
   }
 
-  std::vector<bool> affected(static_cast<std::size_t>(map_.shards()), false);
+  std::vector<int> affected;
   for (const Migration& m : batch) {
-    affected[static_cast<std::size_t>(map_.shard_of(m.node))] = true;
-    affected[static_cast<std::size_t>(m.to_shard)] = true;
+    affected.push_back(map_.shard_of(m.node));
+    affected.push_back(m.to_shard);
   }
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
 
   // Phase 1 — extraction: splay every migrating node to its source shard's
   // root under the *old* map (successive extractions from one shard act on
@@ -166,33 +192,20 @@ MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
     res.extraction_routing += up.routing_cost;
     res.extraction_rotations += up.rotations;
   }
-
-  std::vector<std::uint64_t> before, after;
-  for (int s = 0; s < map_.shards(); ++s)
-    if (affected[static_cast<std::size_t>(s)]) append_edges(s, before);
+  const std::vector<NodeId> before = global_parents(affected);
 
   // Phase 2 — remap and rebuild the affected shards balanced over their
   // compacted local id spaces. Replicas of affected shards are refreshed
   // to the rebuilt primary so the lockstep invariant survives migrations.
   for (const Migration& m : batch) map_.migrate(m.node, m.to_shard);
-  for (int s = 0; s < map_.shards(); ++s)
-    if (affected[static_cast<std::size_t>(s)]) {
-      shards_[static_cast<std::size_t>(s)] =
-          KArySplayNet::balanced(k_, map_.shard_size(s), policy_, mode_);
-      if (replicas_[static_cast<std::size_t>(s)])
-        *replicas_[static_cast<std::size_t>(s)] =
-            shards_[static_cast<std::size_t>(s)];
-    }
-
-  for (int s = 0; s < map_.shards(); ++s)
-    if (affected[static_cast<std::size_t>(s)]) append_edges(s, after);
-
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  for (int s : affected) {
+    shards_[static_cast<std::size_t>(s)] =
+        KArySplayNet::balanced(k_, map_.shard_size(s), policy_, mode_);
+    if (replicas_[static_cast<std::size_t>(s)])
+      *replicas_[static_cast<std::size_t>(s)] =
+          shards_[static_cast<std::size_t>(s)];
+  }
+  res.relink_edges = relink_edges(before, affected);
   res.migrated = static_cast<int>(batch.size());
   return res;
 }
@@ -213,9 +226,7 @@ LifecycleResult ShardedNetwork::split_shard(int s) {
   const int s_old = map_.shards();
   res.top_edges = top_edge_count(s_old);
 
-  std::vector<std::uint64_t> before, after;
-  append_edges(s, before);
-
+  const std::vector<NodeId> before = global_parents({s});
   const int fresh = map_.split(s);
   shards_.push_back(
       KArySplayNet::balanced(k_, map_.shard_size(fresh), policy_, mode_));
@@ -228,14 +239,7 @@ LifecycleResult ShardedNetwork::split_shard(int s) {
   rebuild_top();
   res.top_edges += top_edge_count(map_.shards());
 
-  append_edges(s, after);
-  append_edges(fresh, after);
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  res.relink_edges = relink_edges(before, {s, fresh});
   res.shard = fresh;
   return res;
 }
@@ -247,10 +251,7 @@ LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
   LifecycleResult res;
   res.top_edges = top_edge_count(map_.shards());
 
-  std::vector<std::uint64_t> before, after;
-  append_edges(into, before);
-  append_edges(from, before);
-
+  const std::vector<NodeId> before = global_parents({into, from});
   replicas_[static_cast<std::size_t>(into)].reset();
   replicas_[static_cast<std::size_t>(from)].reset();
   replicas_.erase(replicas_.begin() + from);
@@ -261,13 +262,7 @@ LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
   rebuild_top();
   res.top_edges += top_edge_count(map_.shards());
 
-  append_edges(at, after);
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  res.relink_edges = relink_edges(before, {at});
   res.shard = at;
   return res;
 }

@@ -190,7 +190,14 @@ class ShardedNetwork {
   void promote_replica(int s);
 
  private:
-  void append_edges(int shard, std::vector<std::uint64_t>& out) const;
+  /// Parent links of `shards` in global ids, indexed by global node id
+  /// (kNoNode for shard roots and for nodes of other shards).
+  std::vector<NodeId> global_parents(const std::vector<int>& shards) const;
+  /// Section 2 link pricing of a rebuild: the edge symmetric difference
+  /// between `before` (global_parents() taken before the rebuild) and the
+  /// links of the rebuilt `shards`, which must own the same nodes.
+  Cost relink_edges(const std::vector<NodeId>& before,
+                    const std::vector<int>& shards) const;
   void rebuild_top();
   void check_shard(int s, const char* what) const;
 

@@ -31,9 +31,8 @@
 namespace san {
 
 /// Collision-free 64-bit key of an *unordered* node pair (ids are 31-bit
-/// positive): min id in the high word, max in the low. Shared by the
-/// rebalance window histogram and the migration edge-diff accounting so
-/// the encoding cannot drift between them.
+/// positive): min id in the high word, max in the low. Keys the rebalance
+/// window's pair histogram.
 inline std::uint64_t pack_node_pair(NodeId a, NodeId b) {
   if (a > b) {
     const NodeId t = a;

@@ -2,9 +2,11 @@
 // global allocation functions with counting wrappers; after a short warm-up
 // (first rotations size the thread-local rotation scratch to its per-arity
 // high-water mark), a serve/replay loop must perform ZERO heap allocations:
-// KAryTree's flat storage never grows, depth-cache repairs use the
-// tree-owned scratch, rotations reuse the thread-local merge buffers, and
-// the static costing path is pure pointer chasing.
+// KAryTree's flat storage never grows, pair queries write only the
+// tree-owned stamp array, rotations reuse the thread-local merge buffers,
+// and the static costing path is pure pointer chasing. The shape builder
+// is audited too: once warm, a build allocates the same number of times
+// whatever the tree size.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 
 #include "core/binary_splaynet.hpp"
 #include "core/local_router.hpp"
+#include "core/shape.hpp"
 #include "core/splaynet.hpp"
 #include "sim/simulator.hpp"
 #include "static_trees/full_tree.hpp"
@@ -171,6 +174,26 @@ TEST(AllocFree, BinarySplayServeIsAllocationFree) {
   const long before = allocations();
   for (int i = 500; i < 3000; ++i) net.serve(reqs[i].src, reqs[i].dst);
   EXPECT_EQ(allocations() - before, 0) << "binary serve allocated";
+}
+
+TEST(AllocFree, ShapeBuilderAllocatesNothingPerNode) {
+  // The tree's constructor allocates its flat storage in a fixed number of
+  // blocks and the installer stages every node in thread-local scratch, so
+  // once that scratch has grown for the arity, the allocation count of a
+  // build must not depend on n.
+  for (int k : {2, 3, 10}) {
+    const Shape small = make_complete_shape(512, k);
+    const Shape large = make_complete_shape(8192, k);
+    build_from_shape(k, small);  // warm-up: sizes the staging scratch
+    const auto build_allocations = [&](const Shape& shape) {
+      const long before = allocations();
+      const KAryTree tree = build_from_shape(k, shape);
+      EXPECT_EQ(tree.size(), shape.size);
+      return allocations() - before;
+    };
+    EXPECT_EQ(build_allocations(small), build_allocations(large))
+        << "k=" << k << " build_from_shape allocated per node";
+  }
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // bursts a ShardMap must stay a bijection with dense rank-ordered local
 // ids and match an independent from-scratch rebuild of the same final
 // assignment; the serving engine's trees must stay valid under interleaved
-// serve/migration traffic; and a migrated-but-unserved engine must be
+// serve/migration traffic; a migrated-but-unserved engine must be
 // indistinguishable — replayed costs included — from one built from
-// scratch over the final map.
+// scratch over the final map; and the relink price of every migration,
+// split and merge must equal the sorted-list symmetric difference of the
+// rebuilt shards' links.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -41,6 +45,195 @@ void check_bijection(const ShardMap& map, const std::string& what) {
   ASSERT_EQ(total, map.n()) << what;
   for (NodeId id = 1; id <= map.n(); ++id)
     ASSERT_EQ(seen[static_cast<std::size_t>(id)], 1) << what << " node " << id;
+}
+
+/// Every child->parent link of `shards` as a sorted list of unordered
+/// global-id pairs: the reference encoding for relink pricing.
+std::vector<std::uint64_t> sorted_links(const ShardedNetwork& net,
+                                        const std::vector<int>& shards) {
+  std::vector<std::uint64_t> out;
+  for (int s : shards) {
+    const KAryTree& t = net.shard(s).tree();
+    for (NodeId local = 1; local <= t.size(); ++local)
+      if (const NodeId p = t.parent(local); p != kNoNode)
+        out.push_back(pack_node_pair(net.map().global_of(s, local),
+                                     net.map().global_of(s, p)));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Reference relink price: size of the symmetric difference of two sorted
+/// link lists.
+Cost reference_relink(const std::vector<std::uint64_t>& before,
+                      const std::vector<std::uint64_t>& after) {
+  std::vector<std::uint64_t> diff;
+  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
+                                after.end(), std::back_inserter(diff));
+  return static_cast<Cost>(diff.size());
+}
+
+/// Parent of every node in global ids (kNoNode for shard roots).
+std::vector<NodeId> global_parents(const ShardedNetwork& net) {
+  std::vector<NodeId> parent(static_cast<std::size_t>(net.size()) + 1,
+                             kNoNode);
+  for (int s = 0; s < net.num_shards(); ++s) {
+    const KAryTree& t = net.shard(s).tree();
+    for (NodeId local = 1; local <= t.size(); ++local)
+      if (const NodeId p = t.parent(local); p != kNoNode)
+        parent[static_cast<std::size_t>(net.map().global_of(s, local))] =
+            net.map().global_of(s, p);
+  }
+  return parent;
+}
+
+/// Links present before and after with their direction reversed (x under
+/// y before, y under x after): shared links a one-way match would miss.
+int flipped_links(const std::vector<NodeId>& before,
+                  const std::vector<NodeId>& after) {
+  int flips = 0;
+  for (std::size_t g = 1; g < after.size(); ++g) {
+    const NodeId h = after[g];
+    if (h != kNoNode && before[static_cast<std::size_t>(h)] ==
+                            static_cast<NodeId>(g))
+      ++flips;
+  }
+  return flips;
+}
+
+/// Shards a batch touches (sources and destinations), ascending.
+std::vector<int> touched_shards(const ShardedNetwork& net,
+                                const std::vector<Migration>& batch) {
+  std::vector<int> shards;
+  for (const Migration& m : batch) {
+    shards.push_back(net.map().shard_of(m.node));
+    shards.push_back(m.to_shard);
+  }
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  return shards;
+}
+
+TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
+  // apply_migrations prices a rebuild in one pass over a parent array; the
+  // reference sorts the touched shards' links before and after and takes
+  // their std::set_symmetric_difference. The "before" links are those left
+  // by the extraction splays inside apply_migrations, so a twin fleet (same
+  // build, same traffic) replays the extractions to expose them.
+  int flips = 0;
+  for (int k : {2, 3, 5}) {
+    for (int S : {2, 4, 8}) {
+      const int n = 40 * S;
+      const std::uint64_t seed = 1000u * static_cast<std::uint64_t>(k) +
+                                 static_cast<std::uint64_t>(S);
+      const Trace traffic =
+          gen_workload(WorkloadKind::kTemporal05, n, 4000, seed);
+      const auto make_fleet = [&] {
+        ShardedNetwork fleet =
+            ShardedNetwork::balanced(k, n, S, ShardPartition::kHash);
+        fleet.add_replica(S - 1);
+        return fleet;
+      };
+      ShardedNetwork net = make_fleet();
+      ShardedNetwork twin = make_fleet();
+      std::mt19937_64 rng(seed);
+      std::size_t cursor = 0;
+      for (int round = 0; round < 8; ++round) {
+        for (int i = 0; i < 500; ++i, ++cursor) {
+          net.serve(traffic[cursor].src, traffic[cursor].dst);
+          twin.serve(traffic[cursor].src, traffic[cursor].dst);
+        }
+        std::vector<Migration> batch;
+        std::vector<int> owned(static_cast<std::size_t>(S));
+        for (int s = 0; s < S; ++s)
+          owned[static_cast<std::size_t>(s)] = net.map().shard_size(s);
+        std::vector<bool> used(static_cast<std::size_t>(n) + 1, false);
+        for (int i = 0; i < 12; ++i) {
+          const NodeId node = static_cast<NodeId>(1 + rng() % n);
+          const int from = net.map().shard_of(node);
+          const int to = static_cast<int>(rng() % S);
+          if (used[static_cast<std::size_t>(node)] || from == to ||
+              owned[static_cast<std::size_t>(from)] <= 1)
+            continue;
+          used[static_cast<std::size_t>(node)] = true;
+          --owned[static_cast<std::size_t>(from)];
+          ++owned[static_cast<std::size_t>(to)];
+          batch.push_back({node, to});
+        }
+        std::sort(batch.begin(), batch.end(),
+                  [](const Migration& a, const Migration& b) {
+                    return a.node < b.node;
+                  });
+        const std::vector<int> shards = touched_shards(net, batch);
+
+        Cost extraction = 0;
+        for (const Migration& m : batch)
+          extraction += twin.shard(twin.map().shard_of(m.node))
+                            .access(twin.map().local_of(m.node))
+                            .routing_cost;
+        const std::vector<std::uint64_t> before = sorted_links(twin, shards);
+        const std::vector<NodeId> parent_before = global_parents(twin);
+
+        const MigrationResult res = net.apply_migrations(batch);
+        twin.apply_migrations(batch);  // rebuilds the same shards balanced
+        const std::string where = "k=" + std::to_string(k) +
+                                  " S=" + std::to_string(S) +
+                                  " round=" + std::to_string(round);
+        ASSERT_EQ(res.extraction_routing, extraction) << where;
+        EXPECT_EQ(res.relink_edges,
+                  reference_relink(before, sorted_links(net, shards)))
+            << where;
+        EXPECT_GT(res.relink_edges, 0) << where;
+        flips += flipped_links(parent_before, global_parents(net));
+      }
+    }
+  }
+  EXPECT_GT(flips, 0) << "no batch reversed a link; the either-way match "
+                         "went untested";
+}
+
+TEST(MigrationFuzz, LifecycleRelinkCountMatchesSortedEdgeDiff) {
+  // split_shard and merge_shards price their rebuilds like
+  // apply_migrations; check both against the sorted reference on warmed
+  // fleets.
+  int flips = 0;
+  for (int k : {2, 3, 5}) {
+    const int n = 240;
+    const std::uint64_t seed = 77u + static_cast<std::uint64_t>(k);
+    const Trace traffic =
+        gen_workload(WorkloadKind::kTemporal075, n, 6000, seed);
+    ShardedNetwork net = ShardedNetwork::balanced(k, n, 4,
+                                                  ShardPartition::kHash);
+    net.add_replica(0);
+    std::mt19937_64 rng(seed);
+    std::size_t cursor = 0;
+    for (int round = 0; round < 12; ++round) {
+      for (int i = 0; i < 500; ++i, ++cursor)
+        net.serve(traffic[cursor].src, traffic[cursor].dst);
+      const int S = net.num_shards();
+      const int a = static_cast<int>(rng() % S);
+      const std::vector<NodeId> parent_before = global_parents(net);
+      const std::string where =
+          "k=" + std::to_string(k) + " round=" + std::to_string(round);
+      if (S <= 2 || (S < 8 && rng() % 2 == 0)) {
+        const std::vector<std::uint64_t> before = sorted_links(net, {a});
+        const LifecycleResult res = net.split_shard(a);
+        EXPECT_EQ(res.relink_edges,
+                  reference_relink(before,
+                                   sorted_links(net, {a, res.shard})))
+            << "split " << where;
+      } else {
+        const int b = (a + 1 + static_cast<int>(rng() % (S - 1))) % S;
+        const std::vector<std::uint64_t> before = sorted_links(net, {a, b});
+        const LifecycleResult res = net.merge_shards(a, b);
+        EXPECT_EQ(res.relink_edges,
+                  reference_relink(before, sorted_links(net, {res.shard})))
+            << "merge " << where;
+      }
+      flips += flipped_links(parent_before, global_parents(net));
+    }
+  }
+  EXPECT_GT(flips, 0);
 }
 
 TEST(MigrationFuzz, MapStaysABijectionUnderRandomBursts) {
