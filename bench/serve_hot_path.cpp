@@ -7,8 +7,8 @@
 //     queries; this is what the full/optimal rows of every table cost).
 // Results (requests/second and total cost) are printed and, with
 // --json <path>, written as a machine-readable record; the checked-in
-// BENCH_serve_hot_path.json tracks this machine's before/after numbers
-// for the flat-storage + depth-cache rewrite.
+// BENCH_serve_hot_path.json holds the median and min/max of five runs of
+// this binary before and after the latest serve-path change, per row.
 #include <chrono>
 #include <iostream>
 #include <sstream>

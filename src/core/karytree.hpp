@@ -159,9 +159,13 @@ class KAryTree {
   /// Installs keys/children on `id` and fixes the parent/slot back-links of
   /// every non-empty child. Does not touch `id`'s own parent link. The
   /// spans are copied into the flat storage; they must not alias this
-  /// tree's own key/child buffers.
-  void install(NodeId id, std::span<const RoutingKey> keys,
-               std::span<const NodeId> children, RoutingKey lo, RoutingKey hi);
+  /// tree's own key/child buffers. Returns how many children change parent
+  /// (were not yet linked below `id`) and, if `edge_changes` is given, adds
+  /// their links removed + added to it: that is how a rotation prices
+  /// itself (Section 2 cost model) without a before/after snapshot.
+  int install(NodeId id, std::span<const RoutingKey> keys,
+              std::span<const NodeId> children, RoutingKey lo, RoutingKey hi,
+              int* edge_changes = nullptr);
   /// Brace-list convenience for builders and tests.
   void install(NodeId id, std::initializer_list<RoutingKey> keys,
                std::initializer_list<NodeId> children, RoutingKey lo,

@@ -8,55 +8,59 @@ namespace san {
 namespace {
 
 // Alternating element/interval sequence produced by merging adjacent nodes,
-// plus the pre-rotation edge snapshot. slots.size() == elems.size() + 1;
-// slots[i] is the (possibly empty) subtree sitting in the interval
-// (elems[i-1], elems[i]) with range sentinels at the ends. Every interval
+// plus the rotation's running relink count. elems[0, n) are increasing and
+// slots[i], i <= n, is the (possibly empty) subtree in the interval
+// (elems[i-1], elems[i]), with range sentinels at the ends. Every interval
 // holds at most one subtree because each participating node's children
 // occupy disjoint consecutive intervals.
 //
-// The buffers are thread_local and grow to the per-arity high-water mark on
-// first use (a k-splay merges at most 3(k-1) elements), after which every
-// rotation runs without touching the heap — the serve() hot path performs
-// zero allocations in steady state.
+// A k-splay merges at most 3(k-1) elements, so thread-local arrays of 3k
+// elements and 3k + 1 slots, sized once for the largest arity the thread
+// has seen, are edited in place and scanned linearly: after the first
+// rotation the serve() hot path performs zero allocations.
 struct Scratch {
   std::vector<RoutingKey> elems;
   std::vector<NodeId> slots;
-  std::vector<NodeId> snap_nodes;
-  std::vector<NodeId> snap_parents;
+  int n = 0;
+  RotationResult res;
 };
 
-Scratch& scratch_for(int k) {
+// The scratch for arity `k`, reset to the one interval holding `top`;
+// splicing `top` then expands it into its keys and children.
+Scratch& scratch_for(int k, NodeId top) {
   thread_local Scratch s;
   const size_t cap = 3 * static_cast<size_t>(k);
-  s.elems.reserve(cap);
-  s.slots.reserve(cap + 1);
-  s.snap_nodes.reserve(cap + 4);
-  s.snap_parents.reserve(cap + 4);
+  if (s.elems.size() < cap) {
+    s.elems.resize(cap);
+    s.slots.resize(cap + 1);
+  }
+  s.n = 0;
+  s.slots[0] = top;
+  s.res = {};
   return s;
 }
 
-void expand(Scratch& m, const KAryTree& tree, NodeId id) {
-  const std::span<const RoutingKey> ks = tree.keys(id);
-  const std::span<const NodeId> cs = tree.children(id);
-  m.elems.assign(ks.begin(), ks.end());
-  m.slots.assign(cs.begin(), cs.end());
-}
-
 // Replaces slot `at` (which must currently hold `child`) with `child`'s own
-// keys and child slots.
+// keys and child slots, shifting the tail right.
 void splice(Scratch& m, int at, const KAryTree& tree, NodeId child) {
   assert(m.slots[static_cast<size_t>(at)] == child);
   const std::span<const RoutingKey> ks = tree.keys(child);
   const std::span<const NodeId> cs = tree.children(child);
-  m.slots.erase(m.slots.begin() + at);
-  m.slots.insert(m.slots.begin() + at, cs.begin(), cs.end());
-  m.elems.insert(m.elems.begin() + at, ks.begin(), ks.end());
+  const int c = static_cast<int>(ks.size());
+  RoutingKey* e = m.elems.data();
+  NodeId* sl = m.slots.data();
+  std::copy_backward(e + at, e + m.n, e + m.n + c);
+  std::copy_backward(sl + at + 1, sl + m.n + 1, sl + m.n + 1 + c);
+  std::copy(ks.begin(), ks.end(), e + at);
+  std::copy(cs.begin(), cs.end(), sl + at);
+  m.n += c;
 }
 
+// Index of the interval holding `value`: the count of elements <= value.
 int interval_index(const Scratch& m, RoutingKey value) {
-  return static_cast<int>(
-      std::upper_bound(m.elems.begin(), m.elems.end(), value) -
-      m.elems.begin());
+  int i = 0;
+  while (i < m.n && m.elems[static_cast<size_t>(i)] <= value) ++i;
+  return i;
 }
 
 // Interval-index constraints for a block choice. `hard_*` marks the slot
@@ -86,12 +90,14 @@ struct BlockAvoid {
 int collapse_block(KAryTree& tree, Scratch& m, NodeId id, int s,
                    BlockPlacement placement, RoutingKey outer_lo,
                    RoutingKey outer_hi, BlockAvoid avoid = {}) {
-  const int M = static_cast<int>(m.elems.size());
+  const int M = m.n;
   assert(s >= 0 && s <= M);
+  RoutingKey* e = m.elems.data();
+  NodeId* sl = m.slots.data();
   const RoutingKey v = id_key(id);
-  const auto lb = std::lower_bound(m.elems.begin(), m.elems.end(), v);
-  const bool own_key_present = lb != m.elems.end() && *lb == v;
-  int j = static_cast<int>(lb - m.elems.begin());
+  int j = 0;
+  while (j < M && e[j] < v) ++j;
+  const bool own_key_present = j < M && e[j] == v;
   int a_min, a_max;
   if (own_key_present) {
     if (s == 0) s = 1;  // must take at least the own id key
@@ -125,21 +131,19 @@ int collapse_block(KAryTree& tree, Scratch& m, NodeId id, int s,
     }
   }
 
-  const RoutingKey lo = (a == 0) ? outer_lo : m.elems[static_cast<size_t>(a - 1)];
-  const RoutingKey hi =
-      (a + s == M) ? outer_hi : m.elems[static_cast<size_t>(a + s)];
+  const RoutingKey lo = (a == 0) ? outer_lo : e[a - 1];
+  const RoutingKey hi = (a + s == M) ? outer_hi : e[a + s];
   // Spans view the scratch buffers; install() copies them into the tree's
   // flat storage before we shrink the merged sequence below.
-  tree.install(id,
-               std::span<const RoutingKey>(m.elems.data() + a,
-                                           static_cast<size_t>(s)),
-               std::span<const NodeId>(m.slots.data() + a,
-                                       static_cast<size_t>(s) + 1),
-               lo, hi);
+  m.res.parent_changes += tree.install(
+      id, std::span<const RoutingKey>(e + a, static_cast<size_t>(s)),
+      std::span<const NodeId>(sl + a, static_cast<size_t>(s) + 1), lo, hi,
+      &m.res.edge_changes);
 
-  m.elems.erase(m.elems.begin() + a, m.elems.begin() + a + s);
-  m.slots.erase(m.slots.begin() + a, m.slots.begin() + a + s + 1);
-  m.slots.insert(m.slots.begin() + a, id);
+  sl[a] = id;
+  std::copy(e + a + s, e + M, e + a);
+  std::copy(sl + a + s + 1, sl + M + 1, sl + a + 1);
+  m.n = M - s;
   return a;
 }
 
@@ -153,27 +157,20 @@ int clamp_block_size(int desired, int total_remaining, int budget_after,
   return std::clamp(desired, lower, upper);
 }
 
-void snapshot(Scratch& m, const KAryTree& tree,
-              std::initializer_list<NodeId> protagonists) {
-  m.snap_nodes.clear();
-  m.snap_parents.clear();
-  for (NodeId s : m.slots)
-    if (s != kNoNode) m.snap_nodes.push_back(s);
-  for (NodeId p : protagonists) m.snap_nodes.push_back(p);
-  for (NodeId nd : m.snap_nodes) m.snap_parents.push_back(tree.parent(nd));
-}
-
-RotationResult diff(const KAryTree& tree, const Scratch& m) {
-  RotationResult res;
-  for (size_t i = 0; i < m.snap_nodes.size(); ++i) {
-    NodeId now = tree.parent(m.snap_nodes[i]);
-    NodeId before = m.snap_parents[i];
-    if (now == before) continue;
-    ++res.parent_changes;
-    if (before != kNoNode) ++res.edge_changes;  // link removed
-    if (now != kNoNode) ++res.edge_changes;     // link added
-  }
-  return res;
+// Installs the rest of the merged sequence as `x`, the rotated segment's
+// new top, and hangs `x` where the segment hung: below `top` at `top_slot`,
+// or as the root. `x` itself drops its old parent link and gains one to
+// `top`. Returns the rotation's relink count.
+RotationResult install_top(KAryTree& tree, Scratch& m, NodeId x, NodeId top,
+                           int top_slot, RoutingKey lo, RoutingKey hi) {
+  m.res.parent_changes += tree.install(
+      x, std::span<const RoutingKey>(m.elems.data(), static_cast<size_t>(m.n)),
+      std::span<const NodeId>(m.slots.data(), static_cast<size_t>(m.n) + 1),
+      lo, hi, &m.res.edge_changes);
+  tree.link(top, top_slot, x);
+  ++m.res.parent_changes;
+  m.res.edge_changes += top == kNoNode ? 1 : 2;
+  return m.res;
 }
 
 }  // namespace
@@ -189,25 +186,18 @@ RotationResult k_semi_splay(KAryTree& tree, NodeId x,
   const RoutingKey hi = tree.hi(p);
   const int k = tree.arity();
 
-  Scratch& m = scratch_for(k);
-  expand(m, tree, p);
+  Scratch& m = scratch_for(k, p);
+  splice(m, 0, tree, p);
   splice(m, x_slot, tree, x);
-  snapshot(m, tree, {x, p});
 
-  const int M = static_cast<int>(m.elems.size());
+  const int M = m.n;
   const int desired =
       policy.sizing == BlockSizing::kGreedyMax ? k - 1 : (M + 1) / 2;
   const int s_p = clamp_block_size(desired, M, /*budget_after=*/1, k);
   BlockAvoid p_avoid;
   if (policy.case_preference) p_avoid.soft = interval_index(m, id_key(x));
   collapse_block(tree, m, p, s_p, policy.placement, lo, hi, p_avoid);
-
-  tree.install(x, m.elems, m.slots, lo, hi);
-  if (g == kNoNode)
-    tree.set_root(x);
-  else
-    tree.link(g, g_slot, x);
-  return diff(tree, m);
+  return install_top(tree, m, x, g, g_slot, lo, hi);
 }
 
 RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
@@ -223,17 +213,16 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
   const RoutingKey hi = tree.hi(g);
   const int k = tree.arity();
 
-  Scratch& m = scratch_for(k);
-  expand(m, tree, g);
+  Scratch& m = scratch_for(k, g);
+  splice(m, 0, tree, g);
   splice(m, p_slot, tree, p);
   // After splicing p's arrays at slot p_slot, p's former child slots begin
   // at index p_slot; x sits at offset x_slot within them.
   const int x_begin = p_slot + x_slot;
   const int x_len = tree.num_children(x);
   splice(m, x_begin, tree, x);
-  snapshot(m, tree, {x, p, g});
 
-  const int M = static_cast<int>(m.elems.size());
+  const int M = m.n;
   const bool greedy = policy.sizing == BlockSizing::kGreedyMax;
   const int s_g = clamp_block_size(greedy ? k - 1 : (M + 2) / 3, M,
                                    /*budget_after=*/2, k);
@@ -251,7 +240,7 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
       collapse_block(tree, m, g, s_g, policy.placement, lo, hi, g_avoid);
   // Re-read the remaining element count: collapse_block may take one extra
   // element when the own-id-key rule forces a non-empty block.
-  const int M2 = static_cast<int>(m.elems.size());
+  const int M2 = m.n;
   const int s_p = clamp_block_size(greedy ? k - 1 : (M2 + 1) / 2, M2,
                                    /*budget_after=*/1, k);
   // p prefers to stay g's sibling (case 1); when its identifier interval
@@ -259,13 +248,7 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
   BlockAvoid p_avoid;
   if (policy.case_preference) p_avoid.soft = g_slot;
   collapse_block(tree, m, p, s_p, policy.placement, lo, hi, p_avoid);
-
-  tree.install(x, m.elems, m.slots, lo, hi);
-  if (top == kNoNode)
-    tree.set_root(x);
-  else
-    tree.link(top, top_slot, x);
-  return diff(tree, m);
+  return install_top(tree, m, x, top, top_slot, lo, hi);
 }
 
 }  // namespace san

@@ -6,8 +6,9 @@
 //     rotation, and across a wrap of the per-query stamp tag;
 //   * lo/hi ranges: recomputed top-down from the keys alone, they must
 //     partition each node's range exactly as the cached lo/hi claim;
-//   * adjustment accounting: each rotation's edge_changes/parent_changes
-//     must match an independently diffed before/after parent snapshot.
+//   * adjustment accounting: under every rotation policy, each rotation's
+//     edge_changes/parent_changes must match an independently diffed
+//     before/after parent snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "core/rotation.hpp"
 #include "core/shape.hpp"
 #include "core/splaynet.hpp"
+#include "rotation_policies.hpp"
 
 namespace san {
 
@@ -160,38 +162,40 @@ TEST(FuzzInvariants, ServeAccessMixWithFullAudits) {
 }
 
 TEST(FuzzInvariants, RotationAccountingMatchesIndependentEdgeDiff) {
-  for (const auto& [k, n, seed] : {std::tuple{2, 40, 1u}, std::tuple{3, 60, 2u},
-                                   std::tuple{6, 90, 3u}}) {
-    std::mt19937_64 rng(seed);
-    KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
-    std::uniform_int_distribution<NodeId> pick(1, n);
-    int splays = 0, semis = 0;
-    for (int i = 0; i < 1500; ++i) {
-      const NodeId x = pick(rng);
-      const NodeId p = t.parent(x);
-      if (p == kNoNode) continue;  // root: no rotation defined
-      const std::vector<NodeId> before = snapshot_parents(t);
-      RotationResult reported;
-      if (t.parent(p) != kNoNode && (rng() & 1)) {
-        reported = k_splay(t, x);
-        ++splays;
-      } else {
-        reported = k_semi_splay(t, x);
-        ++semis;
+  for (const PolicyCase& pc : kPolicies) {
+    for (const auto& [k, n, seed] :
+         {std::tuple{2, 40, 1u}, std::tuple{3, 60, 2u}, std::tuple{6, 90, 3u}}) {
+      std::mt19937_64 rng(seed);
+      KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
+      std::uniform_int_distribution<NodeId> pick(1, n);
+      int splays = 0, semis = 0;
+      for (int i = 0; i < 1500; ++i) {
+        const NodeId x = pick(rng);
+        const NodeId p = t.parent(x);
+        if (p == kNoNode) continue;  // root: no rotation defined
+        const std::vector<NodeId> before = snapshot_parents(t);
+        RotationResult reported;
+        if (t.parent(p) != kNoNode && (rng() & 1)) {
+          reported = k_splay(t, x, pc.policy);
+          ++splays;
+        } else {
+          reported = k_semi_splay(t, x, pc.policy);
+          ++semis;
+        }
+        const RotationResult independent = diff_parents(t, before);
+        ASSERT_EQ(reported.parent_changes, independent.parent_changes)
+            << pc.name << " k=" << k << " rotation " << i << " of node " << x;
+        ASSERT_EQ(reported.edge_changes, independent.edge_changes)
+            << pc.name << " k=" << k << " rotation " << i << " of node " << x;
+        if (i % 150 == 0) {
+          const auto err = t.validate();
+          ASSERT_FALSE(err.has_value()) << pc.name << ": " << *err;
+        }
       }
-      const RotationResult independent = diff_parents(t, before);
-      ASSERT_EQ(reported.parent_changes, independent.parent_changes)
-          << "k=" << k << " rotation " << i << " of node " << x;
-      ASSERT_EQ(reported.edge_changes, independent.edge_changes)
-          << "k=" << k << " rotation " << i << " of node " << x;
-      if (i % 150 == 0) {
-        const auto err = t.validate();
-        ASSERT_FALSE(err.has_value()) << *err;
-      }
+      // The mix must actually exercise both rotation kinds.
+      EXPECT_GT(splays, 100) << pc.name;
+      EXPECT_GT(semis, 100) << pc.name;
     }
-    // The mix must actually exercise both rotation kinds.
-    EXPECT_GT(splays, 100);
-    EXPECT_GT(semis, 100);
   }
 }
 

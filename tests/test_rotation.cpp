@@ -3,11 +3,16 @@
 // survive arbitrary rotation storms for every arity and policy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
+#include <sstream>
 
 #include "core/rotation.hpp"
 #include "core/shape.hpp"
+#include "io/checksum.hpp"
+#include "io/tree_io.hpp"
+#include "rotation_policies.hpp"
 
 namespace san {
 namespace {
@@ -24,19 +29,6 @@ std::set<NodeId> subtree_ids(const KAryTree& t, NodeId root) {
   }
   return ids;
 }
-
-struct PolicyCase {
-  RotationPolicy policy;
-  const char* name;
-};
-
-const PolicyCase kPolicies[] = {
-    {{BlockSizing::kBalanced, BlockPlacement::kCentered}, "balanced-centered"},
-    {{BlockSizing::kGreedyMax, BlockPlacement::kCentered}, "greedy-centered"},
-    {{BlockSizing::kBalanced, BlockPlacement::kLeftmost}, "balanced-left"},
-    {{BlockSizing::kBalanced, BlockPlacement::kRightmost}, "balanced-right"},
-    {{BlockSizing::kGreedyMax, BlockPlacement::kLeftmost}, "greedy-left"},
-};
 
 class RotationPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -142,6 +134,87 @@ TEST(Rotation, BinaryCaseActsLikeBstRotation) {
   ASSERT_TRUE(t.valid());
   EXPECT_EQ(t.root(), child);
   EXPECT_EQ(t.node(root).parent, child);
+}
+
+// Fingerprint of one seeded storm of ~500 mixed k_splay / k_semi_splay
+// calls on a random shape: the CRC32 of the serialized final tree and the
+// summed RotationResult.
+struct StormPin {
+  int k;
+  const char* policy;
+  std::uint32_t crc;
+  int parent_changes;
+  int edge_changes;
+};
+
+StormPin run_storm(int k, const PolicyCase& pc, std::uint64_t seed) {
+  constexpr int n = 150;
+  std::mt19937_64 rng(seed);
+  KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
+  RotationResult sum;
+  for (int done = 0; done < 500;) {
+    const NodeId x = 1 + static_cast<NodeId>(rng() % n);
+    const NodeId p = t.parent(x);
+    if (p == kNoNode) continue;
+    const RotationResult r = (t.parent(p) != kNoNode && (rng() & 1))
+                                 ? k_splay(t, x, pc.policy)
+                                 : k_semi_splay(t, x, pc.policy);
+    sum.parent_changes += r.parent_changes;
+    sum.edge_changes += r.edge_changes;
+    ++done;
+  }
+  std::ostringstream out;
+  write_tree(out, t);
+  return {k, pc.name, crc32(out.str()), sum.parent_changes, sum.edge_changes};
+}
+
+TEST(Rotation, StormLayoutIsPinned) {
+  // The golden-cost suite locks serve costs under the default policy only;
+  // these pins lock the trees themselves and the relink accounting, under
+  // every block rule.
+  const StormPin pins[] = {
+      {2, "balanced-centered", 0x9317bdf8u, 1556, 3090},
+      {2, "greedy-centered", 0xbefb564au, 1553, 3086},
+      {2, "balanced-left", 0xdc65e7c9u, 1590, 3150},
+      {2, "balanced-right", 0x21f42d25u, 1596, 3164},
+      {2, "greedy-left", 0xfb2ca9aau, 1604, 3204},
+      {2, "no-case-preference", 0xc9242bf7u, 1578, 3134},
+      {3, "balanced-centered", 0x73c26aa7u, 1696, 3368},
+      {3, "greedy-centered", 0x5099d0bcu, 1770, 3508},
+      {3, "balanced-left", 0x1f23b10cu, 1775, 3506},
+      {3, "balanced-right", 0x1b4801beu, 1749, 3454},
+      {3, "greedy-left", 0x588f6fb7u, 1708, 3394},
+      {3, "no-case-preference", 0xf0921acfu, 1732, 3444},
+      {5, "balanced-centered", 0x8799ae10u, 1782, 3520},
+      {5, "greedy-centered", 0x7c34e495u, 1781, 3532},
+      {5, "balanced-left", 0x0be3cb88u, 1854, 3668},
+      {5, "balanced-right", 0x355f132du, 1778, 3514},
+      {5, "greedy-left", 0x7efc1444u, 1900, 3772},
+      {5, "no-case-preference", 0x739688a1u, 1833, 3650},
+      {10, "balanced-centered", 0x38af500du, 1875, 3704},
+      {10, "greedy-centered", 0xaefcdf3cu, 1952, 3846},
+      {10, "balanced-left", 0x3839cb49u, 1927, 3822},
+      {10, "balanced-right", 0x4a7ffa05u, 1960, 3866},
+      {10, "greedy-left", 0xca7cf241u, 2060, 4076},
+      {10, "no-case-preference", 0xd6867cc8u, 1873, 3716},
+  };
+  size_t i = 0;
+  for (int k : {2, 3, 5, 10}) {
+    for (size_t pi = 0; pi < std::size(kPolicies); ++pi, ++i) {
+      ASSERT_LT(i, std::size(pins));
+      const StormPin& want = pins[i];
+      const StormPin got =
+          run_storm(k, kPolicies[pi], 7000 + 100 * static_cast<unsigned>(k) + pi);
+      ASSERT_EQ(want.k, k);
+      ASSERT_STREQ(want.policy, kPolicies[pi].name);
+      EXPECT_EQ(got.crc, want.crc) << "k=" << k << " " << want.policy;
+      EXPECT_EQ(got.parent_changes, want.parent_changes)
+          << "k=" << k << " " << want.policy;
+      EXPECT_EQ(got.edge_changes, want.edge_changes)
+          << "k=" << k << " " << want.policy;
+    }
+  }
+  EXPECT_EQ(i, std::size(pins));
 }
 
 }  // namespace
