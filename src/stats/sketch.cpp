@@ -108,7 +108,7 @@ std::vector<SpaceSaving::Entry> SpaceSaving::entries() const {
   out.reserve(items_.size());
   for (const auto& [key, item] : items_)
     out.push_back({key, item.count, item.error});
-  // (count desc, key asc): the exact window's sorted_entries() order, and
+  // (count desc, key asc): the exact window's planner order, and
   // independent of hash-map iteration order.
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.count != b.count) return a.count > b.count;

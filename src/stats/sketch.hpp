@@ -1,15 +1,16 @@
 // Deterministic, mergeable streaming summaries of pair-demand histograms.
 //
-// The rebalancer's exact window (workload/rebalance.hpp) keeps one hash-map
-// entry per distinct communicating pair, which is fine at n=10^3 but not at
-// n=10^6, where a uniform background alone can touch ~window_capacity new
-// pairs per epoch. These two sketches bound that state independently of n
-// and m while preserving exactly what the planner consumes:
+// The rebalancer's exact window (workload/rebalance.hpp) keeps one flat,
+// planner-ordered entry per distinct communicating pair, which is fine at
+// n=10^3 but not at n=10^6, where a uniform background alone can touch
+// ~window_capacity new pairs per epoch. These two sketches bound that
+// state independently of n and m while preserving exactly what the
+// planner consumes:
 //   * CountMinSketch — point estimates of any pair's window weight
 //     (overestimate by at most total_weight * e / width per row, min over
 //     depth rows). Cells are doubles so the epoch decay is one multiply.
 //   * SpaceSaving   — the top-k heavy pairs with per-entry error bounds;
-//     its entry list replaces the exact window's sorted_entries().
+//     its entry list replaces the exact window's ordered entries.
 // Both are deterministic functions of the observation sequence: hashing is
 // splitmix64 (core/rng.hpp) — never std::hash — and every eviction and
 // merge tie-breaks on the key, so two runs (or two shards merging their
@@ -95,7 +96,7 @@ class SpaceSaving {
   /// Tracked count (upper bound), or 0 for untracked keys.
   double count(std::uint64_t key) const;
   /// All tracked entries, heaviest first, (count desc, key asc) — the same
-  /// deterministic order the exact window's sorted_entries() uses.
+  /// deterministic order the exact window keeps its entries in.
   std::vector<Entry> entries() const;
 
   /// Multiplies every count and error by `factor` (epoch decay). Order is

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+
+#include "core/rng.hpp"
 
 namespace san {
 namespace {
 
 std::uint64_t pair_key(NodeId u, NodeId v) { return pack_node_pair(u, v); }
+
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -63,20 +69,52 @@ RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
     hot_ = std::make_unique<SpaceSaving>(cfg_.sketch_top_k);
     cm_ = std::make_unique<CountMinSketch>(cfg_.sketch_cm_width,
                                            cfg_.sketch_cm_depth);
+  } else {
+    slots_.assign(16, kEmptySlot);
   }
 }
 
 void RebalanceState::observe(const Request& r, const ShardMap& map) {
   if (r.src == r.dst) return;
+  // Resolve both shards first: shard_of() rejects out-of-range ids, and a
+  // rejected request must leave the window untouched.
+  const bool cross = map.shard_of(r.src) != map.shard_of(r.dst);
   const std::uint64_t key = pair_key(r.src, r.dst);
   if (hot_) {
     hot_->observe(key, 1.0);
     cm_->observe(key, 1.0);
   } else {
-    pairs_[key] += 1.0;
+    // Keep room for one more entry at load <= 1/2.
+    if (2 * (entries_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
+    const std::size_t slot = find_slot(key);
+    if (slots_[slot] == kEmptySlot) {
+      slots_[slot] = static_cast<std::uint32_t>(entries_.size());
+      const auto [u, v] = std::minmax(r.src, r.dst);
+      entries_.push_back({u, v, 0.0});
+      touched_.push_back(0);
+    }
+    const std::size_t i = slots_[slot];
+    entries_[i].weight += 1.0;
+    touched_[i] = 1;
   }
   requests_ += 1.0;
-  if (map.shard_of(r.src) != map.shard_of(r.dst)) cross_ += 1.0;
+  if (cross) cross_ += 1.0;
+}
+
+std::size_t RebalanceState::find_slot(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;  // power of two
+  for (std::size_t s = splitmix64_mix(key) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t i = slots_[s];
+    if (i == kEmptySlot || pair_key(entries_[i].u, entries_[i].v) == key)
+      return s;
+  }
+}
+
+void RebalanceState::rehash(std::size_t slots) {
+  slots_.assign(slots, kEmptySlot);
+  for (std::size_t i = 0; i < entries_.size(); ++i)
+    slots_[find_slot(pair_key(entries_[i].u, entries_[i].v))] =
+        static_cast<std::uint32_t>(i);
 }
 
 double RebalanceState::pair_weight(NodeId u, NodeId v) const {
@@ -90,36 +128,56 @@ double RebalanceState::pair_weight(NodeId u, NodeId v) const {
     const double est = cm_->estimate(key);
     return est < kWindowFloorWeight ? 0.0 : est;
   }
-  const auto it = pairs_.find(key);
-  return it == pairs_.end() ? 0.0 : it->second;
+  const std::uint32_t i = slots_[find_slot(key)];
+  return i == kEmptySlot ? 0.0 : entries_[i].weight;
 }
 
-std::vector<RebalanceState::PairEntry> RebalanceState::sorted_entries() const {
-  std::vector<PairEntry> entries;
+RebalanceState::Entries RebalanceState::ordered_entries() {
+  fresh_.clear();
   if (hot_) {
     // The space-saving summary IS the window under kSketch: the planner
-    // works off the top-k heavy pairs (already in (count desc, key asc)
-    // order, which matches the exact branch's sort below).
-    const std::vector<SpaceSaving::Entry> tracked = hot_->entries();
-    entries.reserve(tracked.size());
-    for (const SpaceSaving::Entry& e : tracked)
-      entries.push_back({static_cast<NodeId>(e.key >> 32),
-                         static_cast<NodeId>(e.key & 0xffffffffu), e.count});
-    return entries;
+    // works off the top-k heavy pairs, already in (count desc, key asc)
+    // order, which is planner order.
+    for (const SpaceSaving::Entry& e : hot_->entries())
+      fresh_.push_back({static_cast<NodeId>(e.key >> 32),
+                        static_cast<NodeId>(e.key & 0xffffffffu), e.count});
+    return fresh_;
   }
-  entries.reserve(pairs_.size());
-  for (const auto& [key, weight] : pairs_)
-    entries.push_back({static_cast<NodeId>(key >> 32),
-                       static_cast<NodeId>(key & 0xffffffffu), weight});
   // Hot pairs first; full (u, v) tie-break so the order — and with it every
-  // greedy decision — is independent of hash-map iteration order.
-  std::sort(entries.begin(), entries.end(),
-            [](const PairEntry& a, const PairEntry& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
-  return entries;
+  // greedy decision — is a function of the window's contents alone.
+  const auto before = [](const PairEntry& a, const PairEntry& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    if (a.u != b.u) return a.u < b.u;
+    return a.v < b.v;
+  };
+  // Compact the untouched entries to the front, in order, and set the
+  // touched ones aside.
+  std::size_t kept = 0;
+  bool ordered = true;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (touched_[i]) {
+      fresh_.push_back(entries_[i]);
+      continue;
+    }
+    if (kept > 0 && !before(entries_[kept - 1], entries_[i])) ordered = false;
+    entries_[kept++] = entries_[i];
+  }
+  if (!ordered) {
+    // The decay's rounding merged two untouched weights into one value, so
+    // their (u, v) tie-break no longer holds: sort the whole window.
+    std::copy(fresh_.begin(), fresh_.end(), entries_.begin() + kept);
+    std::sort(entries_.begin(), entries_.end(), before);
+    return entries_;
+  }
+  std::sort(fresh_.begin(), fresh_.end(), before);
+  // Merge from the back; the tail past `kept` has room for every touched
+  // entry. Pairs are distinct, so the order has no ties.
+  std::size_t i = kept, j = fresh_.size(), out = entries_.size();
+  while (j > 0)
+    entries_[--out] = i > 0 && before(fresh_[j - 1], entries_[i - 1])
+                          ? entries_[--i]
+                          : fresh_[--j];
+  return entries_;
 }
 
 void RebalanceState::decay() {
@@ -131,21 +189,30 @@ void RebalanceState::decay() {
     cm_->scale(cfg_.window_decay);
     return;
   }
-  for (auto& [key, weight] : pairs_) weight *= cfg_.window_decay;
+  // One factor for every weight keeps the window in planner order (up to
+  // rounding ties, which the next ordered_entries() detects).
+  for (PairEntry& e : entries_) e.weight *= cfg_.window_decay;
   // Prune aged-out pairs: only weights that have decayed to noise
   // (kWindowFloorWeight) are dropped unconditionally. The cut must NOT
   // start at 1.0 — that would evict every pair not re-observed in the
   // current epoch after a single decay, collapsing the "exponentially aged
   // sliding window" to depth 1 for cold pairs even with the table nearly
   // empty. Only when the table exceeds its capacity does the cut rise
-  // (deterministic doubling; value predicate — no dependence on iteration
-  // order) until it fits, evicting lightest-first as documented.
+  // (deterministic doubling; value predicate) until it fits, evicting
+  // lightest-first as documented. Weights descend, so each cut is a tail.
   double cut = kWindowFloorWeight;
+  auto end = entries_.end();
   while (true) {
-    std::erase_if(pairs_, [cut](const auto& kv) { return kv.second < cut; });
-    if (pairs_.size() <= cfg_.window_capacity) break;
+    end = std::partition_point(
+        entries_.begin(), end,
+        [cut](const PairEntry& e) { return e.weight >= cut; });
+    if (std::cmp_less_equal(end - entries_.begin(), cfg_.window_capacity))
+      break;
     cut *= 2.0;
   }
+  entries_.erase(end, entries_.end());
+  touched_.assign(entries_.size(), 0);
+  rehash(slots_.size());
 }
 
 RebalancePlan RebalanceState::epoch(const ShardMap& map,
@@ -154,7 +221,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   plan.cross_fraction =
       requests_ == 0.0 ? 0.0 : cross_ / requests_;
 
-  const std::vector<PairEntry> entries = sorted_entries();
+  const Entries entries = ordered_entries();
 
   // Window load per shard (each endpoint touch counts its weight), shared
   // by the imbalance trigger and the watermark policy.
@@ -237,8 +304,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   return plan;
 }
 
-void RebalanceState::plan_lifecycle(const ShardMap& map,
-                                    const std::vector<PairEntry>& entries,
+void RebalanceState::plan_lifecycle(const ShardMap& map, Entries entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
   // Per-shard window load over node-owning shards, plus the two coldest
@@ -323,24 +389,53 @@ void RebalanceState::plan_lifecycle(const ShardMap& map,
 
 namespace {
 
-/// Per-node window adjacency, built once per planning pass from the sorted
-/// entry list (so its per-node partner order is deterministic too).
+/// Per-node window adjacency in CSR form (n + 2 offsets, two partner
+/// records per pair), built once per planning pass from the ordered entry
+/// list. Rows list partners in entry order, so every sum over a row adds
+/// the same terms in the same order on every run.
 struct Adjacency {
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, double>>> of;
+  struct Partner {
+    NodeId node;
+    double weight;
+  };
+  std::vector<std::uint32_t> start;  ///< row of id x: [start[x], start[x+1])
+  std::vector<Partner> partners;
 
-  void add(NodeId a, NodeId b, double w) {
-    of[a].push_back({b, w});
-    of[b].push_back({a, w});
+  template <typename Entries>
+  Adjacency(int n, const Entries& entries)
+      : start(static_cast<std::size_t>(n) + 2, 0),
+        partners(2 * entries.size()) {
+    for (const auto& e : entries) {
+      ++start[static_cast<std::size_t>(e.u)];
+      ++start[static_cast<std::size_t>(e.v)];
+    }
+    // start[x] becomes the end of row x; filling back to front from the
+    // last entry leaves it at the row's beginning.
+    for (std::size_t x = 1; x < start.size(); ++x) start[x] += start[x - 1];
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      partners[--start[static_cast<std::size_t>(it->u)]] = {it->v, it->weight};
+      partners[--start[static_cast<std::size_t>(it->v)]] = {it->u, it->weight};
+    }
+  }
+
+  std::span<const Partner> row(NodeId x) const {
+    const std::size_t b = start[static_cast<std::size_t>(x)];
+    return {partners.data() + b, start[static_cast<std::size_t>(x) + 1] - b};
+  }
+
+  /// Total window weight of node `x` (the sum over its pairs).
+  double load(NodeId x) const {
+    double sum = 0.0;
+    for (const Partner& p : row(x)) sum += p.weight;
+    return sum;
   }
 };
 
 /// Window weight node `x` sends to shard `t` under assignment `shard_of`.
 double affinity(const Adjacency& adj, const std::vector<int>& shard_of,
                 NodeId x, int t) {
-  const auto it = adj.of.find(x);
-  if (it == adj.of.end()) return 0.0;
   double sum = 0.0;
-  for (const auto& [partner, w] : it->second)
+  for (const auto& [partner, w] : adj.row(x))
     if (shard_of[static_cast<std::size_t>(partner)] == t) sum += w;
   return sum;
 }
@@ -379,10 +474,9 @@ int shard_capacity(const ShardMap& map, double factor) {
 
 void RebalanceState::plan_hot_pairs(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<PairEntry>& entries,
+                                    Entries entries,
                                     RebalancePlan& plan) const {
-  Adjacency adj;
-  for (const PairEntry& e : entries) adj.add(e.u, e.v, e.weight);
+  const Adjacency adj(map.n(), entries);
   const int capacity = shard_capacity(map, cfg_.capacity_factor);
 
   PlanScratch sc(map);
@@ -429,11 +523,10 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
 
 void RebalanceState::plan_watermark(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<PairEntry>& entries,
+                                    Entries entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
-  Adjacency adj;
-  for (const PairEntry& e : entries) adj.add(e.u, e.v, e.weight);
+  const Adjacency adj(map.n(), entries);
   // The greedy loop evolves the same per-shard load epoch() already
   // measured (one endpoint touch per pair per shard).
   std::vector<double> load = touches;
@@ -442,15 +535,6 @@ void RebalanceState::plan_watermark(const ShardMap& map,
   std::vector<int>& shard_of = sc.shard_of;
   std::vector<int>& owned = sc.owned;
   std::vector<bool>& moved = sc.moved;
-
-  // Per-node window weight (the sum over its pairs; its *shed-able* load
-  // is smaller — pairs with a partner in the same shard keep touching the
-  // shard through the partner after the node leaves).
-  std::unordered_map<NodeId, double> node_load;
-  for (const PairEntry& e : entries) {
-    node_load[e.u] += e.weight;
-    node_load[e.v] += e.weight;
-  }
 
   while (static_cast<int>(plan.migrations.size()) < cfg_.max_migrations) {
     double max = 0.0, sum = 0.0;
@@ -479,8 +563,10 @@ void RebalanceState::plan_watermark(const ShardMap& map,
       const NodeId node = map.global_of(hottest, local);
       if (moved[static_cast<std::size_t>(node)]) continue;
       if (shard_of[static_cast<std::size_t>(node)] != hottest) continue;
-      const auto nl = node_load.find(node);
-      const double w = nl == node_load.end() ? 0.0 : nl->second;
+      // The node's window weight; its *shed-able* load is smaller — pairs
+      // with a partner in the same shard keep touching the shard through
+      // the partner after the node leaves.
+      const double w = adj.load(node);
       if (w == 0.0) continue;  // moving silent nodes cannot shed load
       const double score =
           2.0 * affinity(adj, shard_of, node, hottest) - w;  // internal - external
@@ -524,11 +610,9 @@ void RebalanceState::plan_watermark(const ShardMap& map,
     // A touch leaves the hot shard only for pairs whose partner is not
     // also there (intra pairs keep anchoring it through the partner), and
     // the target gains one touch for every pair not already ending there.
-    const auto nl = node_load.find(evict);
-    const double w = nl == node_load.end() ? 0.0 : nl->second;
     load[static_cast<std::size_t>(hottest)] -=
-        w - affinity(adj, shard_of, evict, hottest);
-    load[static_cast<std::size_t>(target)] += w - target_aff;
+        evict_load - affinity(adj, shard_of, evict, hottest);
+    load[static_cast<std::size_t>(target)] += evict_load - target_aff;
     --owned[static_cast<std::size_t>(hottest)];
     ++owned[static_cast<std::size_t>(target)];
     shard_of[static_cast<std::size_t>(evict)] = target;

@@ -29,7 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "stats/sketch.hpp"
@@ -76,8 +76,9 @@ enum class RebalanceTrigger {
 
 /// How the window's pair-demand histogram is stored.
 enum class DemandTracker {
-  kExact,   ///< hash map, one entry per distinct pair (state grows with the
-            ///< observed pair universe up to window_capacity)
+  kExact,   ///< one flat entry per distinct pair, kept in planner order
+            ///< between epochs (state grows with the observed pair
+            ///< universe up to window_capacity)
   kSketch,  ///< SpaceSaving top-k + CountMin estimates (stats/sketch.hpp):
             ///< state fixed by sketch_top_k / sketch_cm_width, independent
             ///< of n and m — the n >= 10^6 streaming configuration
@@ -124,7 +125,7 @@ struct RebalanceConfig {
   DemandTracker tracker = DemandTracker::kExact;
   /// kSketch: heavy-pair entries tracked by the space-saving summary (the
   /// planner's working set — plays the role window_capacity plays for the
-  /// exact map).
+  /// exact window).
   std::size_t sketch_top_k = 4096;
   /// kSketch: count-min width (rounded up to a power of two) and depth.
   /// Point-estimate error is ~ window_weight / width per row; the default
@@ -206,6 +207,13 @@ struct RebalancePlan {
   }
 };
 
+/// The sliding window plus the planners that read it. Under kExact the
+/// window is one flat entry vector kept in planner order (weight desc, then
+/// u, v) between epochs, indexed by uint32 open-addressing slots. observe()
+/// bumps or appends an entry and flags it touched; epoch() sorts only the
+/// T touched entries and merges them into the untouched run (O(N + T log T)
+/// for N pairs), which decay() keeps in order by scaling every weight alike
+/// and cutting aged-out entries from the tail.
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
@@ -213,6 +221,8 @@ class RebalanceState {
   const RebalanceConfig& config() const { return cfg_; }
 
   /// Accounts one served request into the window under the current map.
+  /// Throws TreeError, recording nothing, when an endpoint is outside the
+  /// map's id range.
   void observe(const Request& r, const ShardMap& map);
 
   /// Epoch boundary: evaluates the trigger against the current window,
@@ -232,30 +242,42 @@ class RebalanceState {
     NodeId v = kNoNode;
     double weight = 0.0;
   };
+  using Entries = std::span<const PairEntry>;
 
   void plan_hot_pairs(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<PairEntry>& entries,
-                      RebalancePlan& plan) const;
+                      Entries entries, RebalancePlan& plan) const;
   /// `touches` is the per-shard window load epoch() measured (one endpoint
   /// touch per pair per shard), reused as the evolving load model.
   void plan_watermark(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<PairEntry>& entries,
-                      const std::vector<double>& touches,
+                      Entries entries, const std::vector<double>& touches,
                       RebalancePlan& plan) const;
   /// Split/merge/replicate planning from the same window `touches` load
   /// model; see the lifecycle fields of RebalanceConfig.
-  void plan_lifecycle(const ShardMap& map,
-                      const std::vector<PairEntry>& entries,
+  void plan_lifecycle(const ShardMap& map, Entries entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
-  std::vector<PairEntry> sorted_entries() const;
+  /// The window in planner order: the sketch's heavy pairs, or the exact
+  /// window after its touched entries are merged back into order.
+  Entries ordered_entries();
   void decay();
+  /// Index slot holding `key`'s entry, or the empty slot it would take.
+  std::size_t find_slot(std::uint64_t key) const;
+  /// Rebuilds the slot index over entries_ in `slots` (a power of two).
+  void rehash(std::size_t slots);
 
   RebalanceConfig cfg_;
-  /// kExact: (min id << 32 | max id) -> exponentially aged request count.
-  std::unordered_map<std::uint64_t, double> pairs_;
-  /// kSketch: fixed-size summaries standing in for pairs_. hot_ feeds the
-  /// planner's entry list; cm_ answers pair_weight() point queries.
+  /// kExact: the window, in planner order except for touched entries.
+  std::vector<PairEntry> entries_;
+  /// kExact: 1 for entries observed since the last epoch (parallel to
+  /// entries_); their weights moved, so their positions are stale.
+  std::vector<std::uint8_t> touched_;
+  /// kExact: open-addressing index into entries_; kEmptySlot marks a hole.
+  std::vector<std::uint32_t> slots_;
+  /// epoch() scratch, reused across epochs: the touched entries (kExact)
+  /// or the summary's heavy pairs, which are the whole window (kSketch).
+  std::vector<PairEntry> fresh_;
+  /// kSketch: fixed-size summaries standing in for entries_. hot_ feeds
+  /// the planner's entry list; cm_ answers pair_weight() point queries.
   std::unique_ptr<SpaceSaving> hot_;
   std::unique_ptr<CountMinSketch> cm_;
   /// Previous epoch's top drift_top_k pair keys, sorted (drift detector).

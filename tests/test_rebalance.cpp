@@ -1,14 +1,23 @@
-// Adaptive shard rebalancing: window/policy/trigger units, migration
+// Adaptive shard rebalancing: window/policy/trigger units, the exact
+// window fuzzed against a std::map model of its rules, migration
 // application on the serving engine, the rebalance-disabled differential
 // against PR 3's static pipeline, sequential-vs-concurrent epoch drains,
-// and a golden static-vs-adaptive cost lock on the drifting workloads.
+// a golden static-vs-adaptive cost lock on the drifting workloads, and a
+// pinned hash of every plan field over seeded drifting streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generators.hpp"
 #include "workload/rebalance.hpp"
@@ -138,6 +147,168 @@ TEST(Rebalance, CapacityPressureEvictsLightestFirst) {
   EXPECT_DOUBLE_EQ(state.pair_weight(7, 8), 2.0);
   EXPECT_DOUBLE_EQ(state.pair_weight(9, 10), 2.5);
   EXPECT_DOUBLE_EQ(state.pair_weight(11, 12), 3.0);
+}
+
+// A request naming an id outside the map must be rejected before it
+// reaches the window: a recorded pair with an out-of-range endpoint would
+// make every later epoch() throw before decay() could age it out.
+TEST(Rebalance, ObserveRejectsOutOfRangeIdsWithoutRecording) {
+  for (DemandTracker tracker :
+       {DemandTracker::kExact, DemandTracker::kSketch}) {
+    RebalanceConfig cfg;
+    cfg.policy = RebalancePolicy::kHotPair;
+    cfg.trigger = RebalanceTrigger::kEveryEpoch;
+    cfg.tracker = tracker;
+    RebalanceState state(cfg);
+    ShardMap map(8, 2);
+    const std::string what = demand_tracker_name(tracker);
+
+    for (int i = 0; i < 4; ++i) state.observe({1, 5}, map);
+    const double weight = state.pair_weight(1, 9);
+    const double requests = state.window_requests();
+    const double cross = state.window_cross();
+    EXPECT_THROW(state.observe({1, 9}, map), TreeError) << what;
+    EXPECT_THROW(state.observe({9, 1}, map), TreeError) << what;
+    EXPECT_THROW(state.observe({0, 3}, map), TreeError) << what;
+    EXPECT_EQ(state.pair_weight(1, 9), weight) << what;
+    EXPECT_EQ(state.window_requests(), requests) << what;
+    EXPECT_EQ(state.window_cross(), cross) << what;
+
+    for (int e = 0; e < 3; ++e) {
+      EXPECT_NO_THROW(state.epoch(map, RebalanceCostHints{})) << what;
+    }
+    EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 0.5) << what;
+  }
+}
+
+// The documented window rules, restated over a std::map: +1 per observe,
+// x decay per epoch, then a cut starting at kWindowFloorWeight that
+// doubles until the window fits its capacity.
+class WindowModel {
+ public:
+  WindowModel(double decay, std::size_t capacity)
+      : decay_(decay), capacity_(capacity) {}
+
+  void observe(NodeId u, NodeId v, bool cross) {
+    if (u == v) return;
+    weights_[std::minmax(u, v)] += 1.0;
+    requests_ += 1.0;
+    if (cross) cross_ += 1.0;
+  }
+
+  void epoch() {
+    requests_ *= decay_;
+    cross_ *= decay_;
+    for (auto& [pair, w] : weights_) w *= decay_;
+    double cut = kWindowFloorWeight;
+    while (true) {
+      std::erase_if(weights_,
+                    [cut](const auto& kv) { return kv.second < cut; });
+      if (weights_.size() <= capacity_) break;
+      cut *= 2.0;
+    }
+  }
+
+  double weight(NodeId u, NodeId v) const {
+    const auto it = weights_.find(std::minmax(u, v));
+    return it == weights_.end() ? 0.0 : it->second;
+  }
+  double requests() const { return requests_; }
+  double cross() const { return cross_; }
+
+ private:
+  double decay_;
+  std::size_t capacity_;
+  std::map<std::pair<NodeId, NodeId>, double> weights_;
+  double requests_ = 0.0;
+  double cross_ = 0.0;
+};
+
+TEST(Rebalance, ExactWindowMatchesMapReference) {
+  struct Scenario {
+    const char* name;
+    int n;              // ids drawn from [1, n]
+    std::size_t burst;  // observes per epoch
+    std::size_t capacity;
+    double decay;
+  };
+  const Scenario scenarios[] = {
+      {"dense-collisions", 8, 300, 1 << 16, 0.5},
+      {"dense-collisions-nondyadic", 6, 200, 1 << 16, 0.75},
+      {"growth-bursts", 2000, 1500, 1 << 16, 0.5},
+      {"growth-bursts-nondyadic", 2000, 1500, 1 << 16, 0.7},
+      {"tight-capacity", 64, 400, 16, 0.5},
+      {"tight-capacity-nondyadic", 200, 900, 5, 0.75},
+      {"capacity-one", 12, 50, 1, 0.6},
+  };
+  for (const Scenario& sc : scenarios) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      const std::string what =
+          std::string(sc.name) + " seed=" + std::to_string(seed);
+      RebalanceConfig cfg;
+      cfg.policy = RebalancePolicy::kHotPair;
+      cfg.trigger = RebalanceTrigger::kEveryEpoch;
+      cfg.window_decay = sc.decay;
+      cfg.window_capacity = sc.capacity;
+      RebalanceState state(cfg);
+      WindowModel model(sc.decay, sc.capacity);
+      const ShardMap map(sc.n, 2);
+      std::mt19937_64 rng(seed);
+      std::vector<std::pair<NodeId, NodeId>> seen;
+      auto draw = [&] { return static_cast<NodeId>(1 + rng() % sc.n); };
+
+      for (int e = 0; e < 12; ++e) {
+        // Bursty epochs: some observe a fraction of the budget, so weights
+        // spread over many scales and whole bands age out together.
+        const std::size_t count = sc.burst >> (rng() % 3);
+        for (std::size_t i = 0; i < count; ++i) {
+          const NodeId u = draw();
+          const NodeId v = rng() % 4 == 0 && !seen.empty()
+                               ? seen[rng() % seen.size()].second
+                               : draw();
+          state.observe({u, v}, map);
+          model.observe(u, v, map.shard_of(u) != map.shard_of(v));
+          if (u != v) seen.push_back(std::minmax(u, v));
+        }
+        std::sort(seen.begin(), seen.end());
+        seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+        state.epoch(map, RebalanceCostHints{});
+        model.epoch();
+        ASSERT_EQ(state.window_requests(), model.requests()) << what;
+        ASSERT_EQ(state.window_cross(), model.cross()) << what;
+        for (const auto& [u, v] : seen)
+          ASSERT_EQ(state.pair_weight(u, v), model.weight(u, v))
+              << what << " epoch " << e << " pair (" << u << ", " << v << ")";
+      }
+    }
+  }
+}
+
+// An inexact decay factor can round two different weights to one value.
+// The pair that led by one ulp then ties the other and must fall behind it
+// when its (u, v) is larger: the window may not keep the stale order.
+TEST(Rebalance, DecayRoundingTiesKeepPlannerOrder) {
+  RebalanceConfig cfg;
+  cfg.policy = RebalancePolicy::kHotPair;
+  cfg.trigger = RebalanceTrigger::kEveryEpoch;
+  cfg.window_decay = 0.7;
+  cfg.drift_top_k = 1;
+  RebalanceState state(cfg);
+  ShardMap map(8, 2);
+  // Per-epoch observation counts. Both histories reach 12.11 after three
+  // decays, give or take one ulp; (5, 6) ends the ulp higher.
+  const int heavy[] = {0, 9, 11}, light[] = {10, 12, 4};
+  for (int e = 0; e < 3; ++e) {
+    for (int i = 0; i < heavy[e]; ++i) state.observe({5, 6}, map);
+    for (int i = 0; i < light[e]; ++i) state.observe({1, 2}, map);
+    state.epoch(map, RebalanceCostHints{});
+  }
+  ASSERT_GT(state.pair_weight(5, 6), state.pair_weight(1, 2));
+  // (5, 6) is the top pair; the decay after planning rounds both to one value.
+  state.epoch(map, RebalanceCostHints{});
+  ASSERT_EQ(state.pair_weight(5, 6), state.pair_weight(1, 2));
+  // Tied, (1, 2) leads, so the one-pair top set is entirely new.
+  EXPECT_DOUBLE_EQ(state.epoch(map, RebalanceCostHints{}).drift, 1.0);
 }
 
 TEST(Rebalance, SketchWindowObservesAndAgesLikeTheExactOne) {
@@ -581,6 +752,114 @@ TEST(RebalanceGolden, StaticVsAdaptiveTotalsLocked) {
   // its drift period matches the epoch cadence, so plans are stale on
   // arrival; the golden rows above keep that honest number pinned.)
   EXPECT_LT(hotpair_elephants, static_elephants);
+}
+
+// --- pinned plan stream -------------------------------------------------
+//
+// Every RebalancePlan field of a ~40-epoch drifting run, folded into one
+// hash per configuration. The window's storage and the planners' data
+// structures may change; the plans they produce may not.
+// Regenerate (after an intentional semantic change only!) with
+//   SAN_PRINT_GOLDENS=1 ./build/test_rebalance
+// and paste the printed values over kPlanStreamHashes.
+
+struct PlanStreamCase {
+  RebalancePolicy policy;
+  double decay;
+  std::size_t capacity;
+};
+
+const PlanStreamCase kPlanStreamCases[] = {
+    {RebalancePolicy::kHotPair, 0.5, 64},
+    {RebalancePolicy::kHotPair, 0.5, RebalanceConfig{}.window_capacity},
+    {RebalancePolicy::kHotPair, 0.75, 64},
+    {RebalancePolicy::kHotPair, 0.75, RebalanceConfig{}.window_capacity},
+    {RebalancePolicy::kWatermark, 0.5, 64},
+    {RebalancePolicy::kWatermark, 0.5, RebalanceConfig{}.window_capacity},
+    {RebalancePolicy::kWatermark, 0.75, 64},
+    {RebalancePolicy::kWatermark, 0.75, RebalanceConfig{}.window_capacity},
+};
+
+const std::uint64_t kPlanStreamHashes[] = {
+    0x0dc19a3a06599322ull,
+    0xe926693d11d41fdeull,
+    0xcacef848a13a87e6ull,
+    0x3cc48df324481d61ull,
+    0x8f2b6a46a952c02aull,
+    0x224eb0948c2cfcbbull,
+    0x719827a00f960b44ull,
+    0xa9b58e773fd59099ull,
+};
+
+std::uint64_t plan_stream_hash(const PlanStreamCase& c) {
+  const int n = 2000, S = 8;
+  const std::size_t epoch = 1000;
+  RebalanceConfig cfg;
+  cfg.policy = c.policy;
+  cfg.trigger = RebalanceTrigger::kEveryEpoch;
+  cfg.epoch_requests = epoch;
+  cfg.window_decay = c.decay;
+  cfg.window_capacity = c.capacity;
+  cfg.watermark = 1.2;
+  cfg.split_watermark = 2.0;
+  cfg.merge_watermark = 0.5;
+  cfg.max_shards = 12;
+  cfg.min_shards = 4;
+  cfg.replicas = 2;
+  RebalanceState state(cfg);
+  ShardMap map(n, S, ShardPartition::kHash);
+  const Trace trace = gen_phase_elephants(n, 40 * epoch, 8, 0x5EED);
+  const RebalanceCostHints hints{.cross_penalty = 2.0, .migration_cost = 3.0};
+
+  std::uint64_t h = 0;
+  auto fold = [&h](std::uint64_t x) { h = splitmix64_mix(h ^ x); };
+  auto fold_int = [&](long long x) { fold(static_cast<std::uint64_t>(x)); };
+  for (std::size_t at = 0; at < trace.size(); at += epoch) {
+    for (std::size_t i = at; i < at + epoch; ++i)
+      state.observe(trace.requests[i], map);
+    const RebalancePlan plan = state.epoch(map, hints);
+    fold_int(plan.triggered);
+    fold_int(static_cast<long long>(plan.migrations.size()));
+    for (const Migration& m : plan.migrations) {
+      fold_int(m.node);
+      fold_int(m.to_shard);
+    }
+    fold(std::bit_cast<std::uint64_t>(plan.est_gain));
+    fold(std::bit_cast<std::uint64_t>(plan.cross_fraction));
+    fold(std::bit_cast<std::uint64_t>(plan.load_imbalance));
+    fold(std::bit_cast<std::uint64_t>(plan.drift));
+    fold_int(plan.split_shard);
+    fold_int(plan.merge_into);
+    fold_int(plan.merge_from);
+    fold_int(static_cast<long long>(plan.replicate.size()));
+    for (int s : plan.replicate) fold_int(s);
+
+    // Apply the plan like the batch pipeline's barrier does: migrations
+    // first, then at most one split or merge.
+    for (const Migration& m : plan.migrations) map.migrate(m.node, m.to_shard);
+    if (plan.split_shard >= 0 && map.shard_size(plan.split_shard) >= 2)
+      map.split(plan.split_shard);
+    else if (plan.merge_from >= 0)
+      map.merge(plan.merge_into, plan.merge_from);
+  }
+  return h;
+}
+
+TEST(Rebalance, PlanStreamIsPinned) {
+  ASSERT_EQ(std::size(kPlanStreamCases), std::size(kPlanStreamHashes));
+  std::vector<std::uint64_t> measured;
+  for (const PlanStreamCase& c : kPlanStreamCases)
+    measured.push_back(plan_stream_hash(c));
+  if (print_mode()) {
+    for (std::uint64_t h : measured)
+      std::printf("    0x%016llxull,\n", static_cast<unsigned long long>(h));
+    GTEST_SKIP() << "printed " << measured.size() << " plan-stream hashes";
+  }
+  for (std::size_t i = 0; i < measured.size(); ++i)
+    EXPECT_EQ(measured[i], kPlanStreamHashes[i])
+        << rebalance_policy_name(kPlanStreamCases[i].policy)
+        << " decay=" << kPlanStreamCases[i].decay
+        << " capacity=" << kPlanStreamCases[i].capacity;
 }
 
 // post_intra_fraction reports the final map's locality in both modes.
