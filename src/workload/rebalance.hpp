@@ -259,6 +259,8 @@ class RebalanceState {
   /// The window in planner order: the sketch's heavy pairs, or the exact
   /// window after its touched entries are merged back into order.
   Entries ordered_entries();
+  /// Ages the window. Under kExact it must be in planner order, as
+  /// ordered_entries() leaves it, so that every prune cut is a tail.
   void decay();
   /// Index slot holding `key`'s entry, or the empty slot it would take.
   std::size_t find_slot(std::uint64_t key) const;
@@ -271,7 +273,7 @@ class RebalanceState {
   /// kExact: 1 for entries observed since the last epoch (parallel to
   /// entries_); their weights moved, so their positions are stale.
   std::vector<std::uint8_t> touched_;
-  /// kExact: open-addressing index into entries_; kEmptySlot marks a hole.
+  /// kExact: open-addressing index into entries_; UINT32_MAX marks a hole.
   std::vector<std::uint32_t> slots_;
   /// epoch() scratch, reused across epochs: the touched entries (kExact)
   /// or the summary's heavy pairs, which are the whole window (kSketch).
