@@ -150,28 +150,21 @@ RebalanceState::Entries RebalanceState::ordered_entries() {
     if (a.u != b.u) return a.u < b.u;
     return a.v < b.v;
   };
-  // Compact the untouched entries to the front, in order, and set the
-  // touched ones aside.
+  // Compact the untouched entries to the front, in order, and set aside
+  // the touched ones plus any untouched entry the decay's rounding tied
+  // with the one kept before it (their (u, v) tie-break no longer holds).
   std::size_t kept = 0;
-  bool ordered = true;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (touched_[i]) {
+    if (touched_[i] ||
+        (kept > 0 && !before(entries_[kept - 1], entries_[i]))) {
       fresh_.push_back(entries_[i]);
       continue;
     }
-    if (kept > 0 && !before(entries_[kept - 1], entries_[i])) ordered = false;
     entries_[kept++] = entries_[i];
   }
-  if (!ordered) {
-    // The decay's rounding merged two untouched weights into one value, so
-    // their (u, v) tie-break no longer holds: sort the whole window.
-    std::copy(fresh_.begin(), fresh_.end(), entries_.begin() + kept);
-    std::sort(entries_.begin(), entries_.end(), before);
-    return entries_;
-  }
   std::sort(fresh_.begin(), fresh_.end(), before);
-  // Merge from the back; the tail past `kept` has room for every touched
-  // entry. Pairs are distinct, so the order has no ties.
+  // Merge from the back; the tail past `kept` has room for every entry set
+  // aside. Pairs are distinct, so the order has no ties.
   std::size_t i = kept, j = fresh_.size(), out = entries_.size();
   while (j > 0)
     entries_[--out] = i > 0 && before(fresh_[j - 1], entries_[i - 1])
@@ -190,7 +183,8 @@ void RebalanceState::decay() {
     return;
   }
   // One factor for every weight keeps the window in planner order (up to
-  // rounding ties, which the next ordered_entries() detects).
+  // rounding ties, which the next ordered_entries() sorts with the touched
+  // entries).
   for (PairEntry& e : entries_) e.weight *= cfg_.window_decay;
   // Prune aged-out pairs: only weights that have decayed to noise
   // (kWindowFloorWeight) are dropped unconditionally. The cut must NOT

@@ -213,7 +213,9 @@ struct RebalancePlan {
 /// bumps or appends an entry and flags it touched; epoch() sorts only the
 /// T touched entries and merges them into the untouched run (O(N + T log T)
 /// for N pairs), which decay() keeps in order by scaling every weight alike
-/// and cutting aged-out entries from the tail.
+/// and cutting aged-out entries from the tail. An untouched entry whose
+/// decayed weight rounds to its predecessor's is sorted with the touched
+/// ones.
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
@@ -275,8 +277,9 @@ class RebalanceState {
   std::vector<std::uint8_t> touched_;
   /// kExact: open-addressing index into entries_; UINT32_MAX marks a hole.
   std::vector<std::uint32_t> slots_;
-  /// epoch() scratch, reused across epochs: the touched entries (kExact)
-  /// or the summary's heavy pairs, which are the whole window (kSketch).
+  /// epoch() scratch, reused across epochs: the entries set aside for the
+  /// merge (kExact) or the summary's heavy pairs, which are the whole
+  /// window (kSketch).
   std::vector<PairEntry> fresh_;
   /// kSketch: fixed-size summaries standing in for entries_. hot_ feeds
   /// the planner's entry list; cm_ answers pair_weight() point queries.
