@@ -18,18 +18,25 @@ void prefetch_read(const void* p) {
 
 }  // namespace
 
-KAryTree::KAryTree(int k, int n) : k_(k), n_(n) {
+KAryTree::KAryTree(int k, int n) : k_(k), n_(0) {
   if (k < 2) throw TreeError("arity must be >= 2");
+  reset(n);
+}
+
+void KAryTree::reset(int n) {
   if (n < 1) throw TreeError("tree needs at least one node");
+  n_ = n;
+  root_ = kNoNode;
   const size_t slots = static_cast<size_t>(n) + 1;
   parent_.assign(slots, kNoNode);
   slot_in_parent_.assign(slots, -1);
   lo_.assign(slots, kKeyMin);
   hi_.assign(slots, kKeyMax);
   nkeys_.assign(slots, 0);  // zero keys -> one (empty) interval
-  keys_.assign(static_cast<size_t>(n) * static_cast<size_t>(k - 1), 0);
-  children_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), kNoNode);
+  keys_.assign(static_cast<size_t>(n) * static_cast<size_t>(k_ - 1), 0);
+  children_.assign(static_cast<size_t>(n) * static_cast<size_t>(k_), kNoNode);
   stamp_.assign(slots, 0);
+  tag_ = 0;
 }
 
 int KAryTree::depth(NodeId id) const {

@@ -70,6 +70,12 @@ class KAryTree {
   /// allocated here, once.
   KAryTree(int k, int n);
 
+  /// Returns the tree to the state KAryTree(arity(), n) constructs: `n`
+  /// detached nodes, no root, cleared query stamps. Storage is reused in
+  /// place and only grows when n exceeds every size it held before, which
+  /// is how a rebuild keeps its allocations on the thread that resets.
+  void reset(int n);
+
   int arity() const { return k_; }
   int size() const { return n_; }
   NodeId root() const { return root_; }

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "core/parallel.hpp"
 #include "io/checksum.hpp"
 #include "io/tree_io.hpp"
 #include "static_trees/full_tree.hpp"
@@ -112,30 +113,63 @@ std::vector<NodeId> ShardedNetwork::global_parents(
   return parent;
 }
 
-Cost ShardedNetwork::relink_edges(const std::vector<NodeId>& before,
-                                  const std::vector<int>& shards) const {
-  // |before| + |after| - 2|both| over unordered links: a rebuilt link g->h
-  // is shared when it existed before either way round.
-  Cost links = static_cast<Cost>(
-      std::count_if(before.begin(), before.end(),
-                    [](NodeId p) { return p != kNoNode; }));
-  for (int s : shards) {
-    const KAryTree& t = shards_[static_cast<std::size_t>(s)].tree();
-    for (NodeId local = 1; local <= t.size(); ++local) {
-      const NodeId p = t.parent(local);
-      if (p == kNoNode) continue;
-      const NodeId g = map_.global_of(s, local);
-      const NodeId h = map_.global_of(s, p);
-      links += before[static_cast<std::size_t>(g)] == h ||
-                       before[static_cast<std::size_t>(h)] == g
-                   ? -1
-                   : 1;
-    }
+Cost ShardedNetwork::relinks_of(int s,
+                                const std::vector<NodeId>& before) const {
+  // A rebuilt link g->h is shared when it existed before either way round:
+  // -1 for each shared link, +1 for each new one.
+  Cost links = 0;
+  const KAryTree& t = shards_[static_cast<std::size_t>(s)].tree();
+  for (NodeId local = 1; local <= t.size(); ++local) {
+    const NodeId p = t.parent(local);
+    if (p == kNoNode) continue;
+    const NodeId g = map_.global_of(s, local);
+    const NodeId h = map_.global_of(s, p);
+    links += before[static_cast<std::size_t>(g)] == h ||
+                     before[static_cast<std::size_t>(h)] == g
+                 ? -1
+                 : 1;
   }
   return links;
 }
 
-MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
+Cost ShardedNetwork::rebuild(const std::vector<int>& shards,
+                             const std::vector<NodeId>& before, int threads) {
+  // Storage is sized here, on the caller: a worker's allocations land in
+  // its own malloc arena, which keeps the freed pages resident, so trees
+  // resized inside the round would raise peak RSS for nothing.
+  for (int s : shards) shard(s).tree_mut().reset(map_.shard_size(s));
+  // Largest first: the round lasts as long as its slowest worker.
+  std::vector<int> order = shards;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const int sa = map_.shard_size(a), sb = map_.shard_size(b);
+    return sa != sb ? sa > sb : a < b;
+  });
+  std::vector<Cost> relinks(order.size());
+  parallel_for(0, static_cast<long>(order.size()), threads, [&](long i) {
+    const int s = order[static_cast<std::size_t>(i)];
+    KAryTree& t = shard(s).tree_mut();
+    t.set_root(install_shape(t, make_complete_shape(t.size(), k_), 1, kKeyMin,
+                             kKeyMax));
+    if (auto err = t.validate())
+      throw TreeError("rebuild: shard " + std::to_string(s) +
+                      " has an invalid balanced topology: " + *err);
+    relinks[static_cast<std::size_t>(i)] = relinks_of(s, before);
+  });
+  // |before| + |after| - 2|both|: the per-shard counts hold the last two
+  // terms, and integer sums do not depend on which worker ran what.
+  Cost links = static_cast<Cost>(
+      std::count_if(before.begin(), before.end(),
+                    [](NodeId p) { return p != kNoNode; }));
+  for (const Cost c : relinks) links += c;
+  for (int s : shards)
+    if (replicas_[static_cast<std::size_t>(s)])
+      *replicas_[static_cast<std::size_t>(s)] =
+          shards_[static_cast<std::size_t>(s)];
+  return links;
+}
+
+MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch,
+                                                 int threads) {
   MigrationResult res;
 
   // Normalize: drop no-ops, validate, fixed ascending-node order so the
@@ -194,18 +228,12 @@ MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
   }
   const std::vector<NodeId> before = global_parents(affected);
 
-  // Phase 2 — remap and rebuild the affected shards balanced over their
-  // compacted local id spaces. Replicas of affected shards are refreshed
-  // to the rebuilt primary so the lockstep invariant survives migrations.
-  for (const Migration& m : batch) map_.migrate(m.node, m.to_shard);
-  for (int s : affected) {
-    shards_[static_cast<std::size_t>(s)] =
-        KArySplayNet::balanced(k_, map_.shard_size(s), policy_, mode_);
-    if (replicas_[static_cast<std::size_t>(s)])
-      *replicas_[static_cast<std::size_t>(s)] =
-          shards_[static_cast<std::size_t>(s)];
-  }
-  res.relink_edges = relink_edges(before, affected);
+  // Phase 2 — remap the whole batch in one pass and rebuild the affected
+  // shards balanced over their compacted local id spaces. Replicas of
+  // affected shards are refreshed to the rebuilt primary so the lockstep
+  // invariant survives migrations.
+  map_.migrate(batch);
+  res.relink_edges = rebuild(affected, before, threads);
   res.migrated = static_cast<int>(batch.size());
   return res;
 }
@@ -217,7 +245,7 @@ Cost top_edge_count(int S) { return S > 1 ? static_cast<Cost>(S - 1) : 0; }
 
 }  // namespace
 
-LifecycleResult ShardedNetwork::split_shard(int s) {
+LifecycleResult ShardedNetwork::split_shard(int s, int threads) {
   check_shard(s, "split_shard");
   if (map_.shard_size(s) < 2)
     throw TreeError("split_shard: shard " + std::to_string(s) +
@@ -228,23 +256,20 @@ LifecycleResult ShardedNetwork::split_shard(int s) {
 
   const std::vector<NodeId> before = global_parents({s});
   const int fresh = map_.split(s);
-  shards_.push_back(
-      KArySplayNet::balanced(k_, map_.shard_size(fresh), policy_, mode_));
-  shards_[static_cast<std::size_t>(s)] =
-      KArySplayNet::balanced(k_, map_.shard_size(s), policy_, mode_);
+  // A one-node placeholder for the new shard; rebuild() sizes and fills it.
+  shards_.push_back(KArySplayNet::balanced(k_, 1, policy_, mode_));
   // The old replica described the unsplit shard; drop it (the planner can
   // re-replicate either half next epoch).
   replicas_[static_cast<std::size_t>(s)].reset();
   replicas_.push_back(nullptr);
+  res.relink_edges = rebuild({s, fresh}, before, threads);
   rebuild_top();
   res.top_edges += top_edge_count(map_.shards());
-
-  res.relink_edges = relink_edges(before, {s, fresh});
   res.shard = fresh;
   return res;
 }
 
-LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
+LifecycleResult ShardedNetwork::merge_shards(int into, int from, int threads) {
   check_shard(into, "merge_shards");
   check_shard(from, "merge_shards");
   if (into == from) throw TreeError("merge_shards: into == from");
@@ -257,12 +282,9 @@ LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
   replicas_.erase(replicas_.begin() + from);
   const int at = map_.merge(into, from);
   shards_.erase(shards_.begin() + from);
-  shards_[static_cast<std::size_t>(at)] =
-      KArySplayNet::balanced(k_, map_.shard_size(at), policy_, mode_);
+  res.relink_edges = rebuild({at}, before, threads);
   rebuild_top();
   res.top_edges += top_edge_count(map_.shards());
-
-  res.relink_edges = relink_edges(before, {at});
   res.shard = at;
   return res;
 }

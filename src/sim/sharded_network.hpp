@@ -21,7 +21,14 @@
 //
 // Shards share no mutable state, so a trace can be drained one shard per
 // worker (sim/simulator.hpp: run_trace_sharded) with costs bit-identical
-// to the sequential order.
+// to the sequential order. The epoch barrier's rebuilds (apply_migrations,
+// split_shard, merge_shards) fan out the same way: each affected shard is
+// rebuilt by one worker of a parallel round `threads` wide — 0 = all
+// cores, 1 = inline on the caller — and every result, tree and map is the
+// same at any width. The caller sizes every rebuilt tree's storage before
+// the round, so workers allocate no tree storage: what a worker allocates
+// stays resident in its own malloc arena, and rebuilds sized there cost
+// peak RSS without saving time.
 #pragma once
 
 #include <memory>
@@ -106,20 +113,24 @@ class ShardedNetwork {
   Cost cross_shard_served() const { return cross_served_; }
   void note_cross_served(Cost requests) { cross_served_ += requests; }
 
-  /// Applies one rebalancing batch between drains. Per migrating node (the
-  /// batch is processed in ascending node order, no-ops dropped):
-  ///   1. *Extraction*: the node is splayed to its source shard's root
-  ///      (KArySplayNet::access) — the splay-tree deletion idiom — and the
-  ///      ascent's routing + rotation cost is charged to the batch.
-  ///   2. The ShardMap migrates it (dense local ids recompact).
+  /// Applies one rebalancing batch between drains (the batch is processed
+  /// in ascending node order, no-ops dropped):
+  ///   1. *Extraction*: each migrating node is splayed to its source
+  ///      shard's root (KArySplayNet::access) — the splay-tree deletion
+  ///      idiom — and the ascent's routing + rotation cost is charged to
+  ///      the batch.
+  ///   2. The ShardMap migrates the whole batch in one pass (dense local
+  ///      ids recompact).
   ///   3. Every affected shard rebuilds a balanced tree over its new local
-  ///      id space; the structural cost charged is the edge symmetric
+  ///      id space, one shard per worker of a `threads`-wide round (see the
+  ///      file comment); the structural cost charged is the edge symmetric
   ///      difference between the post-extraction and rebuilt topologies in
   ///      global-id terms — this prices both the root detach and the
   ///      re-insert at the destination root in Section 2 link units.
   /// Throws TreeError (before touching anything) if the batch would drain
   /// a shard below one node, since a shard serves a non-empty tree.
-  MigrationResult apply_migrations(std::vector<Migration> batch);
+  MigrationResult apply_migrations(std::vector<Migration> batch,
+                                   int threads = 0);
 
   /// Engine-derived planning estimates: cross_penalty = mean top-level
   /// route plus the second root ascent; migration_cost = a balanced-depth
@@ -132,16 +143,18 @@ class ShardedNetwork {
   /// nodes becomes a brand-new shard (id = old shards()), both halves are
   /// rebuilt balanced over their compacted local id spaces, and the top
   /// tree is re-slotted over S+1 positions. A replica of `s` is dropped
-  /// (its state described the unsplit shard). Throws TreeError when the
-  /// shard has fewer than 2 nodes.
-  LifecycleResult split_shard(int s);
+  /// (its state described the unsplit shard). The two halves rebuild in a
+  /// `threads`-wide round. Throws TreeError when the shard has fewer than
+  /// 2 nodes.
+  LifecycleResult split_shard(int s, int threads = 0);
 
   /// Merges shard `from` into shard `into`: the combined shard rebuilds
   /// balanced, `from`'s slot disappears (shard ids above it shift down),
   /// and the top tree re-slots over S-1 positions. Replicas of both
   /// operands are dropped; replicas of other shards keep following their
   /// (re-numbered) primaries. Returns the combined shard's post-merge id.
-  LifecycleResult merge_shards(int into, int from);
+  /// `threads` as for split_shard (one shard rebuilds, so it runs inline).
+  LifecycleResult merge_shards(int into, int from, int threads = 0);
 
   // ---- read replicas --------------------------------------------------
   // A replica is a lockstep state-machine copy of its primary: the drain
@@ -193,11 +206,18 @@ class ShardedNetwork {
   /// Parent links of `shards` in global ids, indexed by global node id
   /// (kNoNode for shard roots and for nodes of other shards).
   std::vector<NodeId> global_parents(const std::vector<int>& shards) const;
-  /// Section 2 link pricing of a rebuild: the edge symmetric difference
-  /// between `before` (global_parents() taken before the rebuild) and the
-  /// links of the rebuilt `shards`, which must own the same nodes.
-  Cost relink_edges(const std::vector<NodeId>& before,
-                    const std::vector<int>& shards) const;
+  /// The barrier round shared by migrations, split and merge, run after
+  /// the map has changed: resets `shards`' trees to their new sizes on the
+  /// caller, rebuilds each balanced and validates it on a worker of a
+  /// `threads`-wide round (largest first), refreshes their replicas, and
+  /// returns the Section 2 link price — the edge symmetric difference
+  /// between `before` (global_parents() taken before the map changed) and
+  /// the rebuilt links. `shards` must own the nodes `before` covers.
+  Cost rebuild(const std::vector<int>& shards,
+               const std::vector<NodeId>& before, int threads);
+  /// Shard `s`'s share of that price: -1 per rebuilt link that `before`
+  /// holds either way round, +1 per new one.
+  Cost relinks_of(int s, const std::vector<NodeId>& before) const;
   void rebuild_top();
   void check_shard(int s, const char* what) const;
 

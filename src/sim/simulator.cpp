@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -120,12 +121,25 @@ struct ChunkSplit {
   std::size_t intra_requests = 0;
 };
 
+/// Feeds one chunk into the rebalance window. It reads only the map, which
+/// no drain changes, so it can run as one more task of a drain round.
+struct ObserveTask {
+  RebalanceState* state = nullptr;
+  std::span<const Request> requests;
+
+  void run(const ShardMap& map) const {
+    for (const Request& r : requests) state->observe(r, map);
+  }
+};
+
 /// Serves one contiguous slice of the trace through the batched pipeline
 /// and accumulates its costs into `res`. Both the static path (one chunk =
 /// the whole trace) and the rebalancing path (one chunk per epoch) go
-/// through here, so their drains cannot diverge.
+/// through here, so their drains cannot diverge. A non-null `observe` runs
+/// in the same round, after the drains in sequential mode.
 ChunkSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
-                       const ShardedRunOptions& opt, SimResult& res) {
+                       const ShardedRunOptions& opt, SimResult& res,
+                       const ObserveTask* observe) {
   PartitionedTrace pt = partition_trace(chunk, net.map());
   const int S = net.num_shards();
 
@@ -133,18 +147,31 @@ ChunkSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
   // drain is deterministic regardless of scheduling (locality reordering
   // included — it permutes each shard's own queue deterministically).
   std::vector<ShardDrain> partial(static_cast<std::size_t>(S));
+  const auto drain = [&](int s) {
+    partial[static_cast<std::size_t>(s)] =
+        drain_shard(net.shard(s), net.replica_mut(s),
+                    pt.ops[static_cast<std::size_t>(s)], opt.schedule);
+  };
   if (opt.sequential) {
-    for (int s = 0; s < S; ++s)
-      partial[static_cast<std::size_t>(s)] =
-          drain_shard(net.shard(s), net.replica_mut(s),
-                      pt.ops[static_cast<std::size_t>(s)], opt.schedule);
+    for (int s = 0; s < S; ++s) drain(s);
+    if (observe != nullptr) observe->run(net.map());
   } else {
-    parallel_for(0, S, opt.threads, [&](long s) {
-      partial[static_cast<std::size_t>(s)] =
-          drain_shard(net.shard(static_cast<int>(s)),
-                      net.replica_mut(static_cast<int>(s)),
-                      pt.ops[static_cast<std::size_t>(s)], opt.schedule);
+    // Longest queue first and the observe task last: the round lasts as
+    // long as the task that starts last.
+    std::vector<int> order(static_cast<std::size_t>(S));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const std::size_t qa = pt.ops[static_cast<std::size_t>(a)].size();
+      const std::size_t qb = pt.ops[static_cast<std::size_t>(b)].size();
+      return qa != qb ? qa > qb : a < b;
     });
+    parallel_for(0, S + (observe != nullptr ? 1 : 0), opt.threads,
+                 [&](long i) {
+                   if (i < S)
+                     drain(order[static_cast<std::size_t>(i)]);
+                   else
+                     observe->run(net.map());
+                 });
   }
 
   // Combine in shard index order (fixed, mode-independent): per-shard sums
@@ -235,9 +262,11 @@ class FaultInjector {
   }
 
   /// Drains one chunk, splitting it at the scripted kill indices.
-  /// `served_before` is the global request index of chunk[0].
-  ChunkSplit drain(std::span<const Request> chunk,
-                   std::size_t served_before) {
+  /// `served_before` is the global request index of chunk[0]. `observe`
+  /// rides along with the first sub-chunk's drain; a non-empty chunk
+  /// always has one, and kills leave the map alone.
+  ChunkSplit drain(std::span<const Request> chunk, std::size_t served_before,
+                   const ObserveTask* observe) {
     ChunkSplit total;
     std::size_t done = 0;
     while (pending()) {
@@ -248,7 +277,10 @@ class FaultInjector {
       if (at > served_before + chunk.size()) break;  // fires in a later chunk
       const std::size_t rel = at - served_before;
       const std::span<const Request> tail = chunk.subspan(done, rel - done);
-      if (!tail.empty()) accumulate(total, drain_chunk(net_, tail, opt_, res_));
+      if (!tail.empty()) {
+        accumulate(total, drain_chunk(net_, tail, opt_, res_, observe));
+        observe = nullptr;
+      }
       switch (kills_[next_].kind) {
         case FaultKind::kShardKill:
           crash_recover(kills_[next_].shard, tail);
@@ -268,7 +300,8 @@ class FaultInjector {
       done = rel;
     }
     if (done < chunk.size())
-      accumulate(total, drain_chunk(net_, chunk.subspan(done), opt_, res_));
+      accumulate(total,
+                 drain_chunk(net_, chunk.subspan(done), opt_, res_, observe));
     return total;
   }
 
@@ -349,18 +382,21 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
       const std::size_t got = fill_exact(stream, buf);
       if (got == 0) break;
       injector.snapshot_all();
-      injector.drain(std::span<const Request>(buf.data(), got), res.requests);
+      injector.drain(std::span<const Request>(buf.data(), got), res.requests,
+                     nullptr);
       res.requests += got;
     }
   } else {
-    // Rebalance epochs: drain a chunk, account it into the sliding window,
-    // let the trigger decide at the barrier, apply the batch, resume. The
-    // final chunk skips the barrier — there is nothing left to serve, so a
-    // rebalance there would be pure cost.
+    // Rebalance epochs: drain a chunk while the same round accounts it into
+    // the sliding window, let the trigger decide at the barrier, apply the
+    // batch, resume. The final chunk skips the observe and the barrier —
+    // there is nothing left to serve, so a rebalance there would be pure
+    // cost. The barrier's rebuilds run as wide as the drains.
     RebalanceState state(*opt.rebalance);
     const RebalanceCostHints base_hints = net.cost_hints();
     const std::size_t epoch = opt.rebalance->epoch_requests;
     const double decay = opt.rebalance->window_decay;
+    const int width = opt.sequential ? 1 : opt.threads;
     double cross_cost = 0.0, intra_cost = 0.0;
     double cross_reqs = 0.0, intra_reqs = 0.0;
     std::vector<Request> buf(std::min(total, epoch));
@@ -368,10 +404,13 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
       const std::size_t got = fill_exact(stream, buf);
       if (got == 0) break;
       const std::span<const Request> chunk(buf.data(), got);
+      const bool last = res.requests + got >= total || got < epoch;
+      const ObserveTask observe{&state, chunk};
       injector.snapshot_all();
-      const ChunkSplit split = injector.drain(chunk, res.requests);
+      const ChunkSplit split =
+          injector.drain(chunk, res.requests, last ? nullptr : &observe);
       res.requests += got;
-      if (res.requests >= total || got < epoch) break;
+      if (last) break;
       // Aged at the same rate as the pair window, so the cost measurement
       // tracks the topology the upcoming plan will actually serve instead
       // of averaging in the long-gone cold-start epochs.
@@ -381,7 +420,6 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
           cross_reqs * decay + static_cast<double>(split.cross_requests);
       intra_reqs =
           intra_reqs * decay + static_cast<double>(split.intra_requests);
-      for (const Request& r : chunk) state.observe(r, net.map());
 
       // Price colocation with the run's own measurements once both sides
       // have been observed: what a cross-shard request has actually cost
@@ -402,7 +440,7 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
         ++res.rebalance_epochs;
         if (!plan.migrations.empty()) {
           const MigrationResult applied =
-              net.apply_migrations(std::move(plan.migrations));
+              net.apply_migrations(std::move(plan.migrations), width);
           res.migrations += applied.migrated;
           res.migration_cost += applied.total_cost();
         }
@@ -428,12 +466,12 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
       // modes.
       if (plan.split_shard >= 0 &&
           net.map().shard_size(plan.split_shard) >= 2) {
-        const LifecycleResult lr = net.split_shard(plan.split_shard);
+        const LifecycleResult lr = net.split_shard(plan.split_shard, width);
         ++res.shard_splits;
         res.lifecycle_cost += lr.total_cost();
       } else if (plan.merge_from >= 0) {
         const LifecycleResult lr =
-            net.merge_shards(plan.merge_into, plan.merge_from);
+            net.merge_shards(plan.merge_into, plan.merge_from, width);
         ++res.shard_merges;
         res.lifecycle_cost += lr.total_cost();
       }

@@ -267,9 +267,12 @@ SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
 
 /// How run_trace_sharded drains the per-shard queues.
 struct ShardedRunOptions {
-  int threads = 0;          ///< Executor width for the concurrent drain (0 = auto)
-  bool sequential = false;  ///< drain shards in index order on the caller —
-                            ///< the bit-identical determinism reference
+  /// Executor width for the concurrent drain and the barrier's rebuild
+  /// round (0 = auto).
+  int threads = 0;
+  bool sequential = false;  ///< drain and rebuild shards in index order on
+                            ///< the caller — the bit-identical
+                            ///< determinism reference
   /// Non-null + enabled() turns on rebalance epochs: the trace is served
   /// in epoch_requests-sized chunks; after each chunk the drain barrier
   /// doubles as a rebalance point (observe window, evaluate trigger, apply
@@ -298,7 +301,10 @@ struct ShardedRunOptions {
 /// the same trace request-by-request through net.serve(). With rebalancing
 /// enabled the epoch schedule, every planned batch, and hence every cost
 /// are still bit-identical across modes and thread counts: chunks drain
-/// deterministically and planning runs at the barrier on the caller.
+/// deterministically, the window observes each chunk as one more task of
+/// its drain round (it reads only the map), planning runs at the barrier
+/// on the caller, and the barrier's per-shard rebuilds give the same trees
+/// at any width.
 SimResult run_trace_sharded(ShardedNetwork& net, const Trace& trace,
                             const ShardedRunOptions& opt = {});
 

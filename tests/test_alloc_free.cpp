@@ -6,7 +6,8 @@
 // tree-owned stamp array, rotations reuse the thread-local merge buffers,
 // and the static costing path is pure pointer chasing. The shape builder
 // is audited too: once warm, a build allocates the same number of times
-// whatever the tree size.
+// whatever the tree size. So is the sharded barrier's rebuild round: its
+// workers allocate no tree storage (the caller sizes it).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,32 +20,46 @@
 #include "core/local_router.hpp"
 #include "core/shape.hpp"
 #include "core/splaynet.hpp"
+#include "sim/sharded_network.hpp"
 #include "sim/simulator.hpp"
 #include "static_trees/full_tree.hpp"
 #include "workload/generators.hpp"
 
 namespace {
 std::atomic<long> g_allocations{0};
+/// Largest single allocation made by any thread but the one that set
+/// t_test_thread.
+std::atomic<std::size_t> g_largest_off_thread{0};
+thread_local bool t_test_thread = false;
+
+void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (t_test_thread) return;
+  std::size_t seen = g_largest_off_thread.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_off_thread.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
 }
+}  // namespace
 
 // Counting replacements for the global allocation functions. Counting the
 // allocation side only is enough: the tests assert a zero *delta*, so any
 // new/delete pair inside the measured window is caught via the new.
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = size == 0 ? a : (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded)) return p;
@@ -194,6 +209,39 @@ TEST(AllocFree, ShapeBuilderAllocatesNothingPerNode) {
     EXPECT_EQ(build_allocations(small), build_allocations(large))
         << "k=" << k << " build_from_shape allocated per node";
   }
+}
+
+TEST(AllocFree, BarrierRoundAllocatesNoTreeStorageOnWorkers) {
+  // The caller resets every rebuilt tree to its new size before the round;
+  // the workers only install the balanced shape, validate and count
+  // relinks, which takes a few small blocks per node at most. Tree storage
+  // cannot hide under the bound: one shard's parent array alone is bigger.
+  constexpr std::size_t kBound = 4096;
+  const int n = 8192, S = 4;
+  ShardedNetwork net = ShardedNetwork::balanced(3, n, S);
+  const std::size_t parent_bytes =
+      (static_cast<std::size_t>(net.shard(0).size()) + 1) * sizeof(NodeId);
+  ASSERT_GE(parent_bytes, 2 * kBound);
+
+  std::mt19937_64 rng(2024);
+  t_test_thread = true;
+  g_largest_off_thread.store(0, std::memory_order_relaxed);
+  int migrated = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Migration> batch;
+    std::vector<bool> used(static_cast<std::size_t>(n) + 1, false);
+    for (int i = 0; i < 32; ++i) {
+      const NodeId node = static_cast<NodeId>(1 + rng() % n);
+      if (used[static_cast<std::size_t>(node)]) continue;
+      used[static_cast<std::size_t>(node)] = true;
+      batch.push_back({node, static_cast<int>(rng() % S)});
+    }
+    migrated += net.apply_migrations(std::move(batch), 4).migrated;
+  }
+  t_test_thread = false;
+  EXPECT_GT(migrated, 0);
+  EXPECT_LT(g_largest_off_thread.load(std::memory_order_relaxed), kBound)
+      << "a rebuild worker allocated tree storage";
 }
 
 }  // namespace

@@ -165,9 +165,10 @@ TEST(DpDifferential, FlatEngineMatchesReferenceOracle) {
       for (NodeId u = 1; u <= n; ++u) {
         ASSERT_EQ(fast.tree.parent(u), ref.tree.parent(u))
             << "seed=" << seed << " k=" << k << " n=" << n << " node=" << u;
-        if (fast.tree.parent(u) != kNoNode)
+        if (fast.tree.parent(u) != kNoNode) {
           ASSERT_EQ(fast.tree.slot_in_parent(u), ref.tree.slot_in_parent(u))
               << "seed=" << seed << " k=" << k << " n=" << n << " node=" << u;
+        }
       }
       ++seeds;
     }

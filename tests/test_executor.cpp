@@ -194,7 +194,8 @@ TEST(Executor, ExceptionRethrownOnlyAfterWorkersQuiesce) {
       }
       // Give other participants time to be genuinely mid-fn when the
       // throw happens, so a premature rethrow would observe them.
-      for (volatile int spin = 0; spin < 2000; ++spin) {
+      for (volatile int spin = 0; spin < 2000;) {
+        spin = spin + 1;
       }
       in_flight.fetch_sub(1, std::memory_order_acq_rel);
     };

@@ -43,8 +43,9 @@ TEST(LatencyHistogram, BucketGeometry) {
     prev = idx;
     EXPECT_LE(LatencyHistogram::bucket_low(idx), v);
     // The last bucket's upper edge is 2^64 (not representable); skip it.
-    if (idx + 1 < LatencyHistogram::kBuckets)
+    if (idx + 1 < LatencyHistogram::kBuckets) {
       EXPECT_GT(LatencyHistogram::bucket_low(idx + 1), v);
+    }
   }
 }
 

@@ -6,15 +6,18 @@
 // indistinguishable — replayed costs included — from one built from
 // scratch over the final map; and the relink price of every migration,
 // split and merge must equal the sorted-list symmetric difference of the
-// rebuilt shards' links.
+// rebuilt shards' links, with the same results, trees and map whether the
+// barrier's rebuild round runs inline or four threads wide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "io/tree_io.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generators.hpp"
 #include "workload/rebalance.hpp"
@@ -101,6 +104,35 @@ int flipped_links(const std::vector<NodeId>& before,
   return flips;
 }
 
+/// write_tree bytes of one tree.
+std::string tree_bytes(const KAryTree& tree) {
+  std::ostringstream out;
+  write_tree(out, tree);
+  return out.str();
+}
+
+/// Two fleets hold the same map and the same bytes in every shard and
+/// replica.
+void expect_same_fleet(const ShardedNetwork& a, const ShardedNetwork& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.num_shards(), b.num_shards()) << where;
+  for (int s = 0; s < a.num_shards(); ++s) {
+    ASSERT_EQ(a.map().shard_size(s), b.map().shard_size(s)) << where;
+    EXPECT_EQ(tree_bytes(a.shard(s).tree()), tree_bytes(b.shard(s).tree()))
+        << where << " shard " << s;
+    ASSERT_EQ(a.has_replica(s), b.has_replica(s)) << where << " shard " << s;
+    if (a.has_replica(s)) {
+      EXPECT_EQ(tree_bytes(a.replica(s).tree()),
+                tree_bytes(b.replica(s).tree()))
+          << where << " replica " << s;
+    }
+  }
+  for (NodeId id = 1; id <= a.size(); ++id) {
+    ASSERT_EQ(a.map().shard_of(id), b.map().shard_of(id)) << where;
+    ASSERT_EQ(a.map().local_of(id), b.map().local_of(id)) << where;
+  }
+}
+
 /// Shards a batch touches (sources and destinations), ascending.
 std::vector<int> touched_shards(const ShardedNetwork& net,
                                 const std::vector<Migration>& batch) {
@@ -119,7 +151,9 @@ TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
   // reference sorts the touched shards' links before and after and takes
   // their std::set_symmetric_difference. The "before" links are those left
   // by the extraction splays inside apply_migrations, so a twin fleet (same
-  // build, same traffic) replays the extractions to expose them.
+  // build, same traffic) replays the extractions to expose them. `net`
+  // rebuilds inline and a third fleet, `wide`, four threads wide; the two
+  // must agree on every result, tree and map.
   int flips = 0;
   for (int k : {2, 3, 5}) {
     for (int S : {2, 4, 8}) {
@@ -136,12 +170,14 @@ TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
       };
       ShardedNetwork net = make_fleet();
       ShardedNetwork twin = make_fleet();
+      ShardedNetwork wide = make_fleet();
       std::mt19937_64 rng(seed);
       std::size_t cursor = 0;
       for (int round = 0; round < 8; ++round) {
         for (int i = 0; i < 500; ++i, ++cursor) {
           net.serve(traffic[cursor].src, traffic[cursor].dst);
           twin.serve(traffic[cursor].src, traffic[cursor].dst);
+          wide.serve(traffic[cursor].src, traffic[cursor].dst);
         }
         std::vector<Migration> batch;
         std::vector<int> owned(static_cast<std::size_t>(S));
@@ -174,11 +210,18 @@ TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
         const std::vector<std::uint64_t> before = sorted_links(twin, shards);
         const std::vector<NodeId> parent_before = global_parents(twin);
 
-        const MigrationResult res = net.apply_migrations(batch);
+        const MigrationResult res = net.apply_migrations(batch, 1);
+        const MigrationResult wide_res = wide.apply_migrations(batch, 4);
         twin.apply_migrations(batch);  // rebuilds the same shards balanced
         const std::string where = "k=" + std::to_string(k) +
                                   " S=" + std::to_string(S) +
                                   " round=" + std::to_string(round);
+        EXPECT_EQ(wide_res.migrated, res.migrated) << where;
+        EXPECT_EQ(wide_res.extraction_routing, res.extraction_routing) << where;
+        EXPECT_EQ(wide_res.extraction_rotations, res.extraction_rotations)
+            << where;
+        EXPECT_EQ(wide_res.relink_edges, res.relink_edges) << where;
+        expect_same_fleet(net, wide, where);
         ASSERT_EQ(res.extraction_routing, extraction) << where;
         EXPECT_EQ(res.relink_edges,
                   reference_relink(before, sorted_links(net, shards)))
@@ -195,21 +238,28 @@ TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
 TEST(MigrationFuzz, LifecycleRelinkCountMatchesSortedEdgeDiff) {
   // split_shard and merge_shards price their rebuilds like
   // apply_migrations; check both against the sorted reference on warmed
-  // fleets.
+  // fleets, and an inline rebuild (`net`) against a four-wide one (`wide`).
   int flips = 0;
   for (int k : {2, 3, 5}) {
     const int n = 240;
     const std::uint64_t seed = 77u + static_cast<std::uint64_t>(k);
     const Trace traffic =
         gen_workload(WorkloadKind::kTemporal075, n, 6000, seed);
-    ShardedNetwork net = ShardedNetwork::balanced(k, n, 4,
-                                                  ShardPartition::kHash);
-    net.add_replica(0);
+    const auto make_fleet = [&] {
+      ShardedNetwork fleet =
+          ShardedNetwork::balanced(k, n, 4, ShardPartition::kHash);
+      fleet.add_replica(0);
+      return fleet;
+    };
+    ShardedNetwork net = make_fleet();
+    ShardedNetwork wide = make_fleet();
     std::mt19937_64 rng(seed);
     std::size_t cursor = 0;
     for (int round = 0; round < 12; ++round) {
-      for (int i = 0; i < 500; ++i, ++cursor)
+      for (int i = 0; i < 500; ++i, ++cursor) {
         net.serve(traffic[cursor].src, traffic[cursor].dst);
+        wide.serve(traffic[cursor].src, traffic[cursor].dst);
+      }
       const int S = net.num_shards();
       const int a = static_cast<int>(rng() % S);
       const std::vector<NodeId> parent_before = global_parents(net);
@@ -217,19 +267,28 @@ TEST(MigrationFuzz, LifecycleRelinkCountMatchesSortedEdgeDiff) {
           "k=" + std::to_string(k) + " round=" + std::to_string(round);
       if (S <= 2 || (S < 8 && rng() % 2 == 0)) {
         const std::vector<std::uint64_t> before = sorted_links(net, {a});
-        const LifecycleResult res = net.split_shard(a);
+        const LifecycleResult res = net.split_shard(a, 1);
+        const LifecycleResult wide_res = wide.split_shard(a, 4);
         EXPECT_EQ(res.relink_edges,
                   reference_relink(before,
                                    sorted_links(net, {a, res.shard})))
             << "split " << where;
+        EXPECT_EQ(wide_res.shard, res.shard) << "split " << where;
+        EXPECT_EQ(wide_res.relink_edges, res.relink_edges) << "split " << where;
+        EXPECT_EQ(wide_res.top_edges, res.top_edges) << "split " << where;
       } else {
         const int b = (a + 1 + static_cast<int>(rng() % (S - 1))) % S;
         const std::vector<std::uint64_t> before = sorted_links(net, {a, b});
-        const LifecycleResult res = net.merge_shards(a, b);
+        const LifecycleResult res = net.merge_shards(a, b, 1);
+        const LifecycleResult wide_res = wide.merge_shards(a, b, 4);
         EXPECT_EQ(res.relink_edges,
                   reference_relink(before, sorted_links(net, {res.shard})))
             << "merge " << where;
+        EXPECT_EQ(wide_res.shard, res.shard) << "merge " << where;
+        EXPECT_EQ(wide_res.relink_edges, res.relink_edges) << "merge " << where;
+        EXPECT_EQ(wide_res.top_edges, res.top_edges) << "merge " << where;
       }
+      expect_same_fleet(net, wide, where);
       flips += flipped_links(parent_before, global_parents(net));
     }
   }

@@ -60,8 +60,9 @@ TEST(SketchCountMin, NeverUnderestimatesAndMeetsTheErrorBound) {
   // Untracked keys may collide into nonzero cells but never exceed the
   // same bound above a true weight of zero.
   for (std::uint64_t probe : {std::uint64_t{1}, std::uint64_t{424242}}) {
-    if (exact.count(splitmix64_mix(probe)) == 0)
+    if (exact.count(splitmix64_mix(probe)) == 0) {
       EXPECT_LE(cm.estimate(splitmix64_mix(probe)), eps_w);
+    }
   }
 }
 
