@@ -270,8 +270,8 @@ struct ShardedRunOptions {
   /// Executor width for the concurrent drain and the barrier's rebuild
   /// round (0 = auto).
   int threads = 0;
-  bool sequential = false;  ///< drain and rebuild shards in index order on
-                            ///< the caller — the bit-identical
+  bool sequential = false;  ///< drain (in shard index order) and rebuild
+                            ///< shards on the caller — the bit-identical
                             ///< determinism reference
   /// Non-null + enabled() turns on rebalance epochs: the trace is served
   /// in epoch_requests-sized chunks; after each chunk the drain barrier
