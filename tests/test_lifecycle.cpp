@@ -161,6 +161,52 @@ TEST(Lifecycle, RecoveryRebuildsBitIdenticalState) {
   }
 }
 
+TEST(Lifecycle, FaultedAdaptiveRunMatchesUnfaulted) {
+  // Kills split a chunk's drain into sub-drains, and the rebalance window
+  // must still observe each chunk exactly once (it rides with the first
+  // non-empty sub-drain), so the faulted run plans, migrates and serves
+  // exactly like the unfaulted one. The kills land on a chunk's first
+  // request, twice inside one chunk, and on a chunk's last boundary, where
+  // no sub-drain follows the kill.
+  const int n = 128, k = 3, S = 4;
+  for (std::uint64_t seed : {5u, 606u}) {
+    const Trace trace =
+        gen_workload(WorkloadKind::kPhaseElephants, n, 6000, seed);
+    for (RebalancePolicy policy :
+         {RebalancePolicy::kHotPair, RebalancePolicy::kWatermark}) {
+      RebalanceConfig cfg;
+      cfg.policy = policy;
+      cfg.trigger = RebalanceTrigger::kEveryEpoch;
+      cfg.epoch_requests = 1000;
+      FaultPlan plan;
+      plan.kills = {{0, 1}, {1500, 2}, {1500, 0}, {3000, 3}, {4200, 1}};
+      for (bool sequential : {true, false}) {
+        ShardedNetwork clean =
+            ShardedNetwork::balanced(k, n, S, ShardPartition::kHash);
+        ShardedNetwork faulted =
+            ShardedNetwork::balanced(k, n, S, ShardPartition::kHash);
+        ShardedRunOptions opt;
+        opt.sequential = sequential;
+        opt.rebalance = &cfg;
+        const SimResult want = run_trace_sharded(clean, trace, opt);
+        opt.faults = &plan;
+        const SimResult got = run_trace_sharded(faulted, trace, opt);
+
+        const std::string what = "seed=" + std::to_string(seed) + " " +
+                                 rebalance_policy_name(policy) +
+                                 (sequential ? " seq" : " conc");
+        expect_same_costs(got, want, what);
+        EXPECT_GT(want.migrations, 0) << what;
+        EXPECT_EQ(got.rebalance_epochs, want.rebalance_epochs) << what;
+        EXPECT_EQ(got.migrations, want.migrations) << what;
+        EXPECT_EQ(got.migration_cost, want.migration_cost) << what;
+        EXPECT_EQ(got.faults_injected, 5) << what;
+        expect_trees_equal(faulted, clean, what);
+      }
+    }
+  }
+}
+
 TEST(Lifecycle, ReplicaPromotionRecoversWithoutReplay) {
   const int n = 64, S = 4, k = 2;
   const Trace trace = gen_workload(WorkloadKind::kFacebook, n, 5000, 11);
