@@ -228,11 +228,10 @@ MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch,
   }
   const std::vector<NodeId> before = global_parents(affected);
 
-  // Phase 2 — remap the whole batch in one pass and rebuild the affected
-  // shards balanced over their compacted local id spaces. Replicas of
-  // affected shards are refreshed to the rebuilt primary so the lockstep
-  // invariant survives migrations.
-  map_.migrate(batch);
+  // Phase 2 — remap and rebuild the affected shards balanced over their
+  // compacted local id spaces. Replicas of affected shards are refreshed
+  // to the rebuilt primary so the lockstep invariant survives migrations.
+  for (const Migration& m : batch) map_.migrate(m.node, m.to_shard);
   res.relink_edges = rebuild(affected, before, threads);
   res.migrated = static_cast<int>(batch.size());
   return res;
@@ -269,7 +268,7 @@ LifecycleResult ShardedNetwork::split_shard(int s, int threads) {
   return res;
 }
 
-LifecycleResult ShardedNetwork::merge_shards(int into, int from, int threads) {
+LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
   check_shard(into, "merge_shards");
   check_shard(from, "merge_shards");
   if (into == from) throw TreeError("merge_shards: into == from");
@@ -282,7 +281,7 @@ LifecycleResult ShardedNetwork::merge_shards(int into, int from, int threads) {
   replicas_.erase(replicas_.begin() + from);
   const int at = map_.merge(into, from);
   shards_.erase(shards_.begin() + from);
-  res.relink_edges = rebuild({at}, before, threads);
+  res.relink_edges = rebuild({at}, before, 1);
   rebuild_top();
   res.top_edges += top_edge_count(map_.shards());
   res.shard = at;

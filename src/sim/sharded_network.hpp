@@ -22,10 +22,10 @@
 // Shards share no mutable state, so a trace can be drained one shard per
 // worker (sim/simulator.hpp: run_trace_sharded) with costs bit-identical
 // to the sequential order. The epoch barrier's rebuilds (apply_migrations,
-// split_shard, merge_shards) fan out the same way: each affected shard is
-// rebuilt by one worker of a parallel round `threads` wide — 0 = all
-// cores, 1 = inline on the caller — and every result, tree and map is the
-// same at any width. The caller sizes every rebuilt tree's storage before
+// split_shard) fan out the same way: each affected shard is rebuilt by one
+// worker of a parallel round `threads` wide — 0 = all cores, 1 = inline on
+// the caller — and every result, tree and map is the same at any width.
+// merge_shards rebuilds one shard, so it always runs inline. The caller sizes every rebuilt tree's storage before
 // the round, so workers allocate no tree storage: what a worker allocates
 // stays resident in its own malloc arena, and rebuilds sized there cost
 // peak RSS without saving time.
@@ -119,8 +119,7 @@ class ShardedNetwork {
   ///      shard's root (KArySplayNet::access) — the splay-tree deletion
   ///      idiom — and the ascent's routing + rotation cost is charged to
   ///      the batch.
-  ///   2. The ShardMap migrates the whole batch in one pass (dense local
-  ///      ids recompact).
+  ///   2. The ShardMap migrates each node (dense local ids recompact).
   ///   3. Every affected shard rebuilds a balanced tree over its new local
   ///      id space, one shard per worker of a `threads`-wide round (see the
   ///      file comment); the structural cost charged is the edge symmetric
@@ -153,8 +152,7 @@ class ShardedNetwork {
   /// and the top tree re-slots over S-1 positions. Replicas of both
   /// operands are dropped; replicas of other shards keep following their
   /// (re-numbered) primaries. Returns the combined shard's post-merge id.
-  /// `threads` as for split_shard (one shard rebuilds, so it runs inline).
-  LifecycleResult merge_shards(int into, int from, int threads = 0);
+  LifecycleResult merge_shards(int into, int from);
 
   // ---- read replicas --------------------------------------------------
   // A replica is a lockstep state-machine copy of its primary: the drain

@@ -471,7 +471,7 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
         res.lifecycle_cost += lr.total_cost();
       } else if (plan.merge_from >= 0) {
         const LifecycleResult lr =
-            net.merge_shards(plan.merge_into, plan.merge_from, width);
+            net.merge_shards(plan.merge_into, plan.merge_from);
         ++res.shard_merges;
         res.lifecycle_cost += lr.total_cost();
       }

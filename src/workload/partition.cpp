@@ -88,57 +88,34 @@ ShardMap::ShardMap(int n, int shards, const std::vector<int>& assignment)
   }
 }
 
-void ShardMap::migrate(std::span<const Migration> batch) {
-  for (const Migration& m : batch) {
-    check(m.node);
-    if (m.to_shard < 0 || m.to_shard >= shards_)
-      throw TreeError("ShardMap::migrate: shard " +
-                      std::to_string(m.to_shard) + " out of range");
-  }
-  // Ascending node order exposes a node listed twice; the stable sort by
-  // destination then leaves each shard's arrivals as one sorted run.
-  std::vector<Migration> moves(batch.begin(), batch.end());
-  std::sort(moves.begin(), moves.end(),
-            [](const Migration& a, const Migration& b) {
-              return a.node < b.node;
-            });
-  if (std::adjacent_find(moves.begin(), moves.end(),
-                         [](const Migration& a, const Migration& b) {
-                           return a.node == b.node;
-                         }) != moves.end())
-    throw TreeError("ShardMap::migrate: node listed twice in one batch");
-  std::erase_if(moves, [&](const Migration& m) {
-    return shard_of_[static_cast<std::size_t>(m.node)] == m.to_shard;
-  });
-  std::stable_sort(moves.begin(), moves.end(),
-                   [](const Migration& a, const Migration& b) {
-                     return a.to_shard < b.to_shard;
-                   });
+void ShardMap::migrate(NodeId id, int to_shard) {
+  check(id);
+  if (to_shard < 0 || to_shard >= shards_)
+    throw TreeError("ShardMap::migrate: shard " + std::to_string(to_shard) +
+                    " out of range");
+  const int from = shard_of_[static_cast<std::size_t>(id)];
+  if (from == to_shard) return;
 
-  std::vector<int> touched;
-  for (const Migration& m : moves) {
-    touched.push_back(shard_of_[static_cast<std::size_t>(m.node)]);
-    touched.push_back(m.to_shard);
-    shard_of_[static_cast<std::size_t>(m.node)] = m.to_shard;
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // Extract: locals are rank-ordered, so the node's position in its source
+  // shard is exactly local_of - 1; everything after it shifts down one.
+  std::vector<NodeId>& src = globals_[static_cast<std::size_t>(from)];
+  const std::size_t at = static_cast<std::size_t>(
+      local_of_[static_cast<std::size_t>(id)] - 1);
+  src.erase(src.begin() + static_cast<std::ptrdiff_t>(at));
+  for (std::size_t i = at; i < src.size(); ++i)
+    --local_of_[static_cast<std::size_t>(src[i])];
 
-  // Per touched shard: drop the nodes that left, merge in the run that
-  // arrives, and renumber the whole list once.
-  auto arrivals = moves.begin();
-  for (const int s : touched) {
-    std::vector<NodeId>& g = globals_[static_cast<std::size_t>(s)];
-    std::erase_if(g, [&](NodeId id) {
-      return shard_of_[static_cast<std::size_t>(id)] != s;
-    });
-    const std::ptrdiff_t kept = static_cast<std::ptrdiff_t>(g.size());
-    for (; arrivals != moves.end() && arrivals->to_shard == s; ++arrivals)
-      g.push_back(arrivals->node);
-    std::inplace_merge(g.begin(), g.begin() + kept, g.end());
-    for (std::size_t i = 0; i < g.size(); ++i)
-      local_of_[static_cast<std::size_t>(g[i])] = static_cast<NodeId>(i + 1);
-  }
+  // Insert at the global-id rank position of the destination; everything
+  // at or after it shifts up one, keeping locals dense and rank-ordered.
+  std::vector<NodeId>& dst = globals_[static_cast<std::size_t>(to_shard)];
+  const auto pos = std::lower_bound(dst.begin(), dst.end(), id);
+  const std::size_t rank = static_cast<std::size_t>(pos - dst.begin());
+  for (auto it = pos; it != dst.end(); ++it)
+    ++local_of_[static_cast<std::size_t>(*it)];
+  dst.insert(dst.begin() + static_cast<std::ptrdiff_t>(rank), id);
+
+  shard_of_[static_cast<std::size_t>(id)] = to_shard;
+  local_of_[static_cast<std::size_t>(id)] = static_cast<NodeId>(rank + 1);
 }
 
 int ShardMap::split(int shard) {

@@ -43,15 +43,6 @@ inline std::uint64_t pack_node_pair(NodeId a, NodeId b) {
          static_cast<std::uint32_t>(b);
 }
 
-/// One node move between shards: what the rebalance planner emits
-/// (workload/rebalance.hpp) and what ShardMap::migrate applies.
-struct Migration {
-  NodeId node = kNoNode;
-  int to_shard = -1;
-
-  friend bool operator==(const Migration&, const Migration&) = default;
-};
-
 enum class ShardPartition {
   kContiguous,  ///< shard s owns ids [s*n/S-ish range]; sizes differ by <= 1
   kHash,        ///< splitmix64(id) % S; sizes concentrate around n/S
@@ -62,9 +53,9 @@ const char* shard_partition_name(ShardPartition policy);
 
 /// Node -> (shard, local id) mapping. Construction validates 1 <= shards
 /// <= n and that no shard is empty (hash can starve a shard only when n is
-/// tiny relative to S). After construction the map can evolve through
-/// migrate(), which keeps local ids dense and rank-ordered; migrate() may
-/// drain a shard to empty (the serving engine layers its own
+/// tiny relative to S). After construction the map can evolve one node at
+/// a time through migrate(), which keeps local ids dense and rank-ordered;
+/// migrate() may drain a shard to empty (the serving engine layers its own
 /// no-empty-shard guard on top, sim/sharded_network.hpp).
 class ShardMap {
  public:
@@ -76,20 +67,12 @@ class ShardMap {
   /// migrate() calls is checked against (tests/test_migration_fuzz.cpp).
   ShardMap(int n, int shards, const std::vector<int>& assignment);
 
-  /// Moves every batch node to its `to_shard` (entries naming the node's
-  /// current shard are no-ops) in one pass: each shard the batch touches
-  /// has its rank-ordered global list rebuilt and its locals rewritten
-  /// once, so every shard keeps dense 1..|shard| local ids in ascending
-  /// global order. The result depends only on the final assignment, so it
-  /// equals applying the moves one at a time in any order. Throws
-  /// TreeError, before changing anything, on an id or shard out of range
-  /// or a node listed twice. O(b log b + the touched shards' sizes).
-  void migrate(std::span<const Migration> batch);
-  /// One-element batch.
-  void migrate(NodeId id, int to_shard) {
-    const Migration m{id, to_shard};
-    migrate(std::span<const Migration>(&m, 1));
-  }
+  /// Moves one node to `to_shard` (no-op when it already lives there).
+  /// Local ids recompact on both sides: the source shard's locals above
+  /// the extracted rank shift down, the destination's locals at and above
+  /// the insertion rank shift up, so both shards keep dense 1..|shard|
+  /// local ids in ascending global order. O(|source| + |destination|).
+  void migrate(NodeId id, int to_shard);
 
   /// Tablet-style shard split: the upper floor(size/2) local ranks of
   /// `shard` move to a brand-new shard appended with id shards(); the

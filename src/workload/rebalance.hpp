@@ -46,6 +46,14 @@ namespace san {
 /// Capacity pressure can still raise the cut (rebalance.cpp: decay()).
 inline constexpr double kWindowFloorWeight = 1.0 / 1024.0;
 
+/// One planned node move.
+struct Migration {
+  NodeId node = kNoNode;
+  int to_shard = -1;
+
+  friend bool operator==(const Migration&, const Migration&) = default;
+};
+
 enum class RebalancePolicy {
   kNone,       ///< never migrate — exactly PR 3's static sharding
   kHotPair,    ///< greedy hot-pair colocation

@@ -238,7 +238,9 @@ TEST(MigrationFuzz, RelinkCountMatchesSortedEdgeDiff) {
 TEST(MigrationFuzz, LifecycleRelinkCountMatchesSortedEdgeDiff) {
   // split_shard and merge_shards price their rebuilds like
   // apply_migrations; check both against the sorted reference on warmed
-  // fleets, and an inline rebuild (`net`) against a four-wide one (`wide`).
+  // fleets, and an inline split (`net`) against a four-wide one (`wide`).
+  // A merge rebuilds one shard, always inline; `wide` merges too so the
+  // twins stay comparable.
   int flips = 0;
   for (int k : {2, 3, 5}) {
     const int n = 240;
@@ -279,14 +281,11 @@ TEST(MigrationFuzz, LifecycleRelinkCountMatchesSortedEdgeDiff) {
       } else {
         const int b = (a + 1 + static_cast<int>(rng() % (S - 1))) % S;
         const std::vector<std::uint64_t> before = sorted_links(net, {a, b});
-        const LifecycleResult res = net.merge_shards(a, b, 1);
-        const LifecycleResult wide_res = wide.merge_shards(a, b, 4);
+        const LifecycleResult res = net.merge_shards(a, b);
+        wide.merge_shards(a, b);
         EXPECT_EQ(res.relink_edges,
                   reference_relink(before, sorted_links(net, {res.shard})))
             << "merge " << where;
-        EXPECT_EQ(wide_res.shard, res.shard) << "merge " << where;
-        EXPECT_EQ(wide_res.relink_edges, res.relink_edges) << "merge " << where;
-        EXPECT_EQ(wide_res.top_edges, res.top_edges) << "merge " << where;
       }
       expect_same_fleet(net, wide, where);
       flips += flipped_links(parent_before, global_parents(net));

@@ -116,39 +116,6 @@ TEST(ShardMap, MigrateRecompactsLocalIdsOnBothSides) {
   EXPECT_THROW(map.migrate(1, -1), TreeError);
 }
 
-TEST(ShardMap, BatchMigrateMatchesOneAtATimeAndRejectsBadBatches) {
-  // One pass over a batch that swaps nodes both ways, drains into one
-  // shard from two and carries a no-op must land on the same map as the
-  // same moves made one node at a time.
-  const std::vector<Migration> batch = {
-      {6, 2}, {10, 1}, {3, 2}, {2, 0}, {12, 1}, {7, 2}};
-  ShardMap whole(12, 3, ShardPartition::kContiguous);
-  whole.migrate(batch);
-  ShardMap single(12, 3, ShardPartition::kContiguous);
-  for (const Migration& m : batch) single.migrate(m.node, m.to_shard);
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_EQ(whole.shard_size(s), single.shard_size(s));
-    for (NodeId local = 1; local <= whole.shard_size(s); ++local)
-      EXPECT_EQ(whole.global_of(s, local), single.global_of(s, local));
-  }
-  for (NodeId id = 1; id <= 12; ++id) {
-    EXPECT_EQ(whole.shard_of(id), single.shard_of(id));
-    EXPECT_EQ(whole.local_of(id), single.local_of(id));
-  }
-
-  // A bad entry anywhere in the batch throws before anything moves.
-  const std::vector<Migration> twice = {{1, 1}, {5, 0}, {1, 2}};
-  const std::vector<Migration> late_range = {{1, 1}, {5, 0}, {9, 3}};
-  for (const std::vector<Migration>& bad : {twice, late_range}) {
-    ShardMap map(12, 3, ShardPartition::kContiguous);
-    EXPECT_THROW(map.migrate(bad), TreeError);
-    for (NodeId id = 1; id <= 12; ++id) {
-      EXPECT_EQ(map.shard_of(id), (id - 1) / 4);
-      EXPECT_EQ(map.local_of(id), ((id - 1) % 4) + 1);
-    }
-  }
-}
-
 TEST(ShardMap, ExplicitAssignmentRoundTrips) {
   std::vector<int> assign(9, 0);
   for (NodeId id = 1; id <= 8; ++id) assign[static_cast<std::size_t>(id)] = id % 3;
