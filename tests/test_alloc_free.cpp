@@ -32,7 +32,10 @@ std::atomic<long> g_allocations{0};
 std::atomic<std::size_t> g_largest_off_thread{0};
 thread_local bool t_test_thread = false;
 
-void count_allocation(std::size_t size) {
+// Out of line: with it inlined, GCC -O3 -fsanitize=thread stops inlining
+// operator new, then sees the inlined delete's free() take a pointer
+// from operator new and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void count_allocation(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (t_test_thread) return;
   std::size_t seen = g_largest_off_thread.load(std::memory_order_relaxed);
