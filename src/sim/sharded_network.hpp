@@ -25,10 +25,11 @@
 // split_shard) fan out the same way: each affected shard is rebuilt by one
 // worker of a parallel round `threads` wide — 0 = all cores, 1 = inline on
 // the caller — and every result, tree and map is the same at any width.
-// merge_shards rebuilds one shard, so it always runs inline. The caller sizes every rebuilt tree's storage before
-// the round, so workers allocate no tree storage: what a worker allocates
-// stays resident in its own malloc arena, and rebuilds sized there cost
-// peak RSS without saving time.
+// merge_shards rebuilds one shard, so it always runs inline. The caller
+// sizes every rebuilt tree's storage before the round, so workers
+// allocate no tree storage: what a worker allocates stays resident in its
+// own malloc arena, and rebuilds sized there cost peak RSS without saving
+// time.
 #pragma once
 
 #include <memory>
