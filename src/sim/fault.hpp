@@ -5,7 +5,7 @@
 // shard `shard`". Because the trigger is a request count — not wall
 // time — a failure scenario replays bit-exactly: the batch pipeline
 // (sim/simulator.hpp) splits its drain chunks at the kill points, so the
-// pre-crash state, the tree_io snapshot the recovery restores, and the
+// pre-crash state, the tree-image snapshot the recovery restores, and the
 // trace tail it replays are identical on every run, sequential or
 // concurrent. The open-loop frontend (sim/serve_frontend.hpp) fires the
 // same script at its dispatch counter and recovers at a quiesce barrier;
@@ -17,8 +17,9 @@
 //   * kShardKill     — the shard loses its in-memory tree; recovery is
 //     two-tier: a replicated shard fails over by promotion (the lockstep
 //     copy already holds the exact pre-crash state), an unreplicated one
-//     is rebuilt from its last tree_io snapshot plus a replay of the
-//     trace tail served since it. Replay costs are accounted separately
+//     is rebuilt from its last snapshot (a checksummed tree image, see
+//     ShardedNetwork::snapshot_shard) plus a replay of the trace tail
+//     served since it. Replay costs are accounted separately
 //     from serve costs (SimResult::recovery_cost), the same convention
 //     migration_cost uses, so a faulted run's golden serve counters match
 //     the unfaulted run's.

@@ -591,7 +591,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   if (opt_.faults != nullptr && opt_.faults->enabled())
     events = opt_.faults->kills;
   std::size_t next_event = 0;
-  std::vector<std::string> snaps;   // [shard] tree_io snapshot text
+  std::vector<std::string> snaps;   // [shard] tree image snapshot
   std::vector<Request> fault_tail;  // admitted since the snapshots
   auto snapshot_all = [&] {
     if (next_event >= events.size()) return;

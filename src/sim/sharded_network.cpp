@@ -1,12 +1,8 @@
 #include "sim/sharded_network.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
-#include <string_view>
 
 #include "core/parallel.hpp"
-#include "io/checksum.hpp"
 #include "io/tree_io.hpp"
 #include "static_trees/full_tree.hpp"
 
@@ -314,69 +310,14 @@ const KArySplayNet& ShardedNetwork::replica(int s) const {
   return *replicas_[static_cast<std::size_t>(s)];
 }
 
-namespace {
-
-/// Snapshot integrity footer: one trailing line "#crc32 XXXXXXXX" over
-/// every preceding byte of the tree_io text. '#' keeps it visually apart
-/// from tree lines; restore_shard() strips and verifies it before the
-/// hardened parse, so a torn or bit-flipped snapshot is rejected before
-/// any topology work.
-constexpr std::string_view kSnapshotFooterTag = "#crc32 ";
-
-std::string checksum_footer(std::string_view body) {
-  char line[20];
-  std::snprintf(line, sizeof(line), "#crc32 %08x\n", crc32(body));
-  return line;
-}
-
-/// Validates the footer and returns the tree_io body it covers.
-std::string_view strip_snapshot_footer(const std::string& snap) {
-  if (snap.empty() || snap.back() != '\n')
-    throw TreeError(
-        "restore_shard: snapshot missing integrity footer (torn snapshot?)");
-  const std::size_t prev = snap.rfind('\n', snap.size() - 2);
-  const std::size_t at = prev == std::string::npos ? 0 : prev + 1;
-  const std::string_view footer(snap.data() + at, snap.size() - at);
-  // "#crc32 " + 8 hex digits + '\n'
-  if (footer.size() != kSnapshotFooterTag.size() + 9 ||
-      footer.substr(0, kSnapshotFooterTag.size()) != kSnapshotFooterTag)
-    throw TreeError(
-        "restore_shard: snapshot missing integrity footer (torn snapshot?)");
-  std::uint32_t want = 0;
-  for (std::size_t i = kSnapshotFooterTag.size(); i + 1 < footer.size(); ++i) {
-    const char c = footer[i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9')
-      digit = static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint32_t>(c - 'a' + 10);
-    else
-      throw TreeError("restore_shard: malformed snapshot checksum footer");
-    want = (want << 4) | digit;
-  }
-  const std::string_view body(snap.data(), at);
-  if (crc32(body) != want)
-    throw TreeError(
-        "restore_shard: snapshot checksum mismatch (torn or bit-flipped "
-        "snapshot)");
-  return body;
-}
-
-}  // namespace
-
 std::string ShardedNetwork::snapshot_shard(int s) const {
   check_shard(s, "snapshot_shard");
-  std::ostringstream out;
-  write_tree(out, shards_[static_cast<std::size_t>(s)].tree());
-  std::string snap = out.str();
-  snap += checksum_footer(snap);
-  return snap;
+  return write_tree_image(shards_[static_cast<std::size_t>(s)].tree());
 }
 
 void ShardedNetwork::restore_shard(int s, const std::string& snap) {
   check_shard(s, "restore_shard");
-  std::istringstream in(std::string(strip_snapshot_footer(snap)));
-  KAryTree tree = read_tree(in);  // hardened parse + topology validation
+  KAryTree tree = read_tree_image(snap);  // checksummed + validated
   if (tree.arity() != k_)
     throw TreeError("restore_shard: snapshot arity " +
                     std::to_string(tree.arity()) + " != engine arity " +
@@ -386,8 +327,7 @@ void ShardedNetwork::restore_shard(int s, const std::string& snap) {
                     std::to_string(tree.size()) + " nodes, shard " +
                     std::to_string(s) + " owns " +
                     std::to_string(map_.shard_size(s)));
-  shards_[static_cast<std::size_t>(s)] =
-      KArySplayNet(std::move(tree), policy_, mode_);
+  shard(s).tree_mut() = std::move(tree);  // validated by the decoder
   if (replicas_[static_cast<std::size_t>(s)])
     *replicas_[static_cast<std::size_t>(s)] =
         shards_[static_cast<std::size_t>(s)];

@@ -183,18 +183,21 @@ class ShardedNetwork {
 
   // ---- crash recovery -------------------------------------------------
 
-  /// Serializes shard `s`'s current topology in san-tree v1 text format
-  /// (io/tree_io.hpp) plus a trailing "#crc32 XXXXXXXX" integrity footer
-  /// over the text — the snapshot a crash recovery restores from.
+  /// Shard `s`'s current topology as a tree image (io/tree_io.hpp): a
+  /// header, one fixed-size record of keys and children per node and a
+  /// CRC32 trailer over the rest — the snapshot a crash recovery restores
+  /// from. In-memory state in native byte order, not a file format.
   std::string snapshot_shard(int s) const;
 
   /// Simulated crash recovery: replaces shard `s`'s (lost) tree with the
-  /// topology parsed from `snap`. The integrity footer is verified first
-  /// (a torn or bit-flipped snapshot is rejected before any parsing),
-  /// then the snapshot is validated (tree_io's hardened loader) and must
-  /// match the shard's arity and current node count; a replica of `s` is
-  /// refreshed to the restored state. The caller replays the trace tail
-  /// served since the snapshot to reach the exact pre-crash state.
+  /// topology decoded from `snap`. The decoder checks the image's length,
+  /// CRC and header before it allocates, range-checks every record before
+  /// it indexes with it and validates the tree it built; the tree must
+  /// then match the shard's arity and current node count. A rejected
+  /// snapshot throws TreeError and leaves the shard as it was. A replica
+  /// of `s` is refreshed to the restored state. The caller replays the
+  /// trace tail served since the snapshot to reach the exact pre-crash
+  /// state.
   void restore_shard(int s, const std::string& snap);
 
   /// Replica failover: primary becomes a copy of the lockstep replica

@@ -228,9 +228,9 @@ std::size_t fill_exact(RequestStream& stream, std::span<Request> out) {
 }
 
 /// Scripted crash machinery of the batch pipeline (sim/fault.hpp). While
-/// kills are pending, every shard is snapshotted (tree_io text form, in
-/// memory) at each *resume point* — chunk starts and post-recovery
-/// instants. Between two resume points the map is constant and each
+/// kills are pending, every shard is snapshotted (a binary tree image with
+/// a CRC32 trailer, in memory) at each *resume point* — chunk starts and
+/// post-recovery instants. Between two resume points the map is constant and each
 /// shard's ops form one contiguous drain, so a kill recovers bit-exactly:
 /// restore the snapshot, re-project the sub-chunk served since it, and
 /// replay the killed shard's queue under the same schedule. A replicated
@@ -352,7 +352,7 @@ class FaultInjector {
   SimResult& res_;
   std::vector<FaultEvent> kills_;
   std::size_t next_ = 0;
-  std::vector<std::string> snaps_;  ///< [shard] tree_io snapshot text
+  std::vector<std::string> snaps_;  ///< [shard] tree image snapshot
 };
 
 }  // namespace

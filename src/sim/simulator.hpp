@@ -286,9 +286,9 @@ struct ShardedRunOptions {
   ScheduleConfig schedule{};
   /// Non-null + enabled() injects scripted shard kills (sim/fault.hpp):
   /// the drain splits its chunks at the kill indices, snapshots every
-  /// shard (tree_io) at each resume point while kills are pending, and
-  /// recovers a killed shard by replica promotion or snapshot restore +
-  /// trace-tail replay. Deterministic and mode-independent; under the
+  /// shard (a checksummed binary tree image) at each resume point while
+  /// kills are pending, and recovers a killed shard by replica promotion
+  /// or snapshot restore + trace-tail replay. Deterministic and mode-independent; under the
   /// FIFO schedule the serve counters bit-match the unfaulted run
   /// (locality windows legitimately re-seat at the crash boundary).
   const FaultPlan* faults = nullptr;

@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/rotation.hpp"
 #include "core/shape.hpp"
+#include "core/splaynet.hpp"
+#include "io/checksum.hpp"
 #include "io/trace_io.hpp"
 #include "io/tree_io.hpp"
 #include "workload/generators.hpp"
@@ -183,6 +189,159 @@ TEST(TreeIo, RejectsForgedNodeRecords) {
   {
     std::stringstream buf("san-tree v1 2 2 1\n1 min max 1 2097152\n");
     EXPECT_THROW(read_tree(buf), TreeError);
+  }
+}
+
+// ---- tree image ---------------------------------------------------------
+
+std::string text_of(const KAryTree& t) {
+  std::ostringstream out;
+  write_tree(out, t);
+  return out.str();
+}
+
+// Field offsets of the image layout documented in io/tree_io.hpp.
+constexpr std::size_t kHeader = 16;
+std::size_t record_bytes(int k) { return 4 + 8 * (k - 1) + 4 * k; }
+std::size_t child_at(int k, NodeId id, int slot) {
+  return kHeader + (id - 1) * record_bytes(k) + 4 + 8 * (k - 1) + 4 * slot;
+}
+
+void put_i32(std::string& img, std::size_t at, std::int32_t v) {
+  std::memcpy(img.data() + at, &v, sizeof v);
+}
+
+/// Recomputes the trailer, so only the forged field can be at fault.
+std::string resealed(std::string img) {
+  const std::uint32_t crc = crc32(img.data(), img.size() - 4);
+  std::memcpy(img.data() + img.size() - 4, &crc, sizeof crc);
+  return img;
+}
+
+KArySplayNet splayed(int k, int n, std::uint64_t seed) {
+  KArySplayNet net = KArySplayNet::balanced(k, n);
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 400; ++i) {
+    const NodeId u = 1 + static_cast<NodeId>(rng() % n);
+    const NodeId v = 1 + static_cast<NodeId>(rng() % n);
+    if (u != v) net.serve(u, v);
+  }
+  return net;
+}
+
+TEST(TreeIo, ImageRoundTripsSplayedTreesAndRejectsForgeries) {
+  const int n = 40;
+  for (int k : {2, 3, 5}) {
+    const KArySplayNet net = splayed(k, n, 17 + static_cast<unsigned>(k));
+    const KAryTree& t = net.tree();
+    const std::string img = write_tree_image(t);
+    ASSERT_EQ(img.size(), kHeader + n * record_bytes(k) + 4) << "k=" << k;
+    const KAryTree back = read_tree_image(img);
+    EXPECT_EQ(text_of(back), text_of(t)) << "k=" << k;
+    EXPECT_EQ(write_tree_image(back), img) << "k=" << k;
+
+    // Each forgery carries a valid CRC, so the decoder's own checks must
+    // catch it. `adopted` is a child of a node below the root; `leaf` is
+    // another node with no children, which the forgery makes its second
+    // parent.
+    const NodeId root = t.root();
+    auto first_child = [&](NodeId id) {
+      for (NodeId c : t.children(id))
+        if (c != kNoNode) return c;
+      return kNoNode;
+    };
+    NodeId adopted = kNoNode, leaf = kNoNode;
+    for (NodeId id = 1; id <= n && adopted == kNoNode; ++id)
+      if (id != root) adopted = first_child(id);
+    for (NodeId id = 1; id <= n && leaf == kNoNode; ++id)
+      if (id != root && id != adopted && first_child(id) == kNoNode) leaf = id;
+    ASSERT_NE(adopted, kNoNode);
+    ASSERT_NE(leaf, kNoNode);
+    const std::size_t root_rec = kHeader + (root - 1) * record_bytes(k);
+    std::vector<std::pair<std::string, std::string>> forged;
+    auto forge = [&](const std::string& what, auto&& edit) {
+      std::string bad = img;
+      edit(bad);
+      forged.emplace_back(what, resealed(std::move(bad)));
+    };
+    forge("child id above n", [&](std::string& b) {
+      put_i32(b, child_at(k, root, 0), n + 1);
+    });
+    forge("negative child id", [&](std::string& b) {
+      put_i32(b, child_at(k, root, 0), -5);
+    });
+    forge("key count above k-1", [&](std::string& b) {
+      put_i32(b, root_rec, k);
+    });
+    forge("key count bomb", [&](std::string& b) {
+      put_i32(b, root_rec, 0x7fffffff);
+    });
+    forge("negative key count", [&](std::string& b) {
+      put_i32(b, root_rec, -1);
+    });
+    forge("root 0", [&](std::string& b) { put_i32(b, 12, 0); });
+    forge("root above n", [&](std::string& b) { put_i32(b, 12, n + 1); });
+    forge("node under two parents", [&](std::string& b) {
+      put_i32(b, child_at(k, leaf, 0), adopted);
+    });
+    forge("header n one short", [&](std::string& b) { put_i32(b, 8, n - 1); });
+    forge("header n one over", [&](std::string& b) { put_i32(b, 8, n + 1); });
+    forge("header n past the cap", [&](std::string& b) {
+      put_i32(b, 8, (1 << 24) + 1);
+    });
+    forge("header arity 1", [&](std::string& b) { put_i32(b, 4, 1); });
+    forge("header arity of another layout", [&](std::string& b) {
+      put_i32(b, 4, k + 1);
+    });
+    forge("format tag", [&](std::string& b) { b[0] = 'X'; });
+    for (const auto& [what, bad] : forged)
+      EXPECT_THROW(read_tree_image(bad), TreeError) << "k=" << k << ": " << what;
+  }
+  // Too short to hold a header and a trailer.
+  EXPECT_THROW(read_tree_image(""), TreeError);
+  EXPECT_THROW(read_tree_image(std::string(19, '\0')), TreeError);
+}
+
+// ---- checksum -----------------------------------------------------------
+
+/// Bit-at-a-time CRC32 over the reflected IEEE polynomial: the definition
+/// the table-driven implementation must agree with.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, Crc32MatchesBitwiseReference) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::string_view{}), 0u);
+
+  std::mt19937_64 rng(20261017);
+  std::vector<unsigned char> buf(4096);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  // Every tail length of the 8-byte loop at every start alignment.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+
+  // Incremental updates in random chunk sizes fold to the one-shot value.
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, crc32_bitwise(buf.data(), buf.size()));
+  for (int round = 0; round < 20; ++round) {
+    Crc32 c;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const std::size_t len = std::min<std::size_t>(rng() % 40, buf.size() - at);
+      c.update(buf.data() + at, len);
+      at += len;
+    }
+    EXPECT_EQ(c.value(), whole) << "round " << round;
   }
 }
 

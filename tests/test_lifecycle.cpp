@@ -671,19 +671,51 @@ TEST(Lifecycle, RestoreShardValidatesSnapshots) {
   ShardedNetwork net = ShardedNetwork::balanced(3, 48, 4);
   const std::string good = net.snapshot_shard(1);
   EXPECT_NO_THROW(net.restore_shard(1, good));
+  // A rejected snapshot leaves the shard exactly as it was.
+  auto unchanged = [&] { return net.snapshot_shard(1) == good; };
   // Wrong shard: node counts differ (48 over 4 shards = 12 each, so use a
   // snapshot from a differently-sized fleet).
   ShardedNetwork other = ShardedNetwork::balanced(3, 48, 3);
   EXPECT_THROW(net.restore_shard(1, other.snapshot_shard(0)), TreeError);
+  EXPECT_TRUE(unchanged());
   // Wrong arity.
   ShardedNetwork binary = ShardedNetwork::balanced(2, 48, 4);
   EXPECT_THROW(net.restore_shard(1, binary.snapshot_shard(1)), TreeError);
+  EXPECT_TRUE(unchanged());
   // Hostile bytes.
   EXPECT_THROW(net.restore_shard(1, "san-tree v1 3 999999999 1\n"),
                TreeError);
+  EXPECT_TRUE(unchanged());
   EXPECT_THROW(net.restore_shard(1, "garbage"), TreeError);
+  EXPECT_TRUE(unchanged());
   EXPECT_THROW(net.restore_shard(1, good.substr(0, good.size() / 2)),
                TreeError);
+  EXPECT_TRUE(unchanged());
+
+  // One-bit flips, caught by the CRC32 trailer. Offsets follow the image
+  // layout in io/tree_io.hpp: a 16-byte header, then per node (k = 3) a
+  // 32-byte record of a 4-byte key count, two 8-byte key slots and three
+  // 4-byte child slots. The root's keys and first child slot are in use.
+  const KAryTree& tree = net.shard(1).tree();
+  ASSERT_EQ(tree.num_keys(tree.root()), 2);
+  ASSERT_NE(tree.child(tree.root(), 0), kNoNode);
+  const std::size_t root_rec =
+      16 + static_cast<std::size_t>(tree.root() - 1) * 32;
+  const std::size_t flips[] = {
+      9,                    // header: the size field
+      root_rec + 4 + 2,     // the root's first routing key
+      root_rec + 4 + 16,    // the root's first child id
+      good.size() - 1       // CRC32 trailer
+  };
+  for (const std::size_t at : flips) {
+    for (int bit : {0, 7}) {
+      std::string bad = good;
+      bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+      EXPECT_THROW(net.restore_shard(1, bad), TreeError)
+          << "byte " << at << " bit " << bit;
+      EXPECT_TRUE(unchanged()) << "byte " << at << " bit " << bit;
+    }
+  }
 }
 
 }  // namespace
