@@ -254,6 +254,40 @@ TEST(Chaos, GeneratorIsDeterministicAndValid) {
   EXPECT_THROW(gen_chaos_plan(7, 2, 1), TreeError);
 }
 
+// Pins the generator's stream: the literal event lists below are what the
+// splitmix64 draws of these (seed, shards, m) inputs produce. Any change
+// to the seeding, the PRNG or the order of draws shows up here.
+TEST(Chaos, PlanIsPinned) {
+  constexpr FaultKind kKill = FaultKind::kShardKill;
+  constexpr FaultKind kWorker = FaultKind::kWorkerKill;
+  constexpr FaultKind kPressure = FaultKind::kQueuePressure;
+  struct Case {
+    std::uint64_t seed;
+    int shards;
+    std::size_t m;
+    std::vector<FaultEvent> events;
+  };
+  const std::vector<Case> cases = {
+      {0, 4, 10000,
+       {{2467, 1, kKill},
+        {3961, 1, kKill},
+        {5331, 3, kKill},
+        {6851, 0, kPressure},
+        {8245, 3, kPressure}}},
+      {42, 3, 9000,
+       {{1951, 1, kKill},
+        {3392, 0, kKill},
+        {8307, 0, kWorker},
+        {8658, 2, kWorker}}},
+      {0xDEADBEEFull, 8, 1000000,
+       {{100536, 1, kKill}, {450567, 7, kPressure}}},
+      {7, 1, 2, {{1, 0, kKill}, {1, 0, kPressure}, {1, 0, kPressure}}},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(gen_chaos_plan(c.seed, c.shards, c.m).kills, c.events)
+        << "seed " << c.seed << " shards " << c.shards << " m " << c.m;
+}
+
 // A chaos script drives the full frontend recovery machinery and the run
 // still conserves every request under the lossless policy.
 TEST(Chaos, FrontendSurvivesChaosPlans) {
