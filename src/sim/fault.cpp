@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/rng.hpp"
 #include "core/types.hpp"
 
 namespace san {
-namespace {
-
-/// splitmix64: the chaos generator's PRNG. Chosen for being tiny, seedable
-/// and stable across platforms — the plan must be a pure function of the
-/// seed, not of the standard library's distribution implementations.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -95,14 +83,14 @@ FaultPlan gen_chaos_plan(std::uint64_t seed, int shards, std::size_t m) {
     throw TreeError("gen_chaos_plan: need at least two requests");
   // Fold every input into the stream so plans differ across (shards, m)
   // even under a shared seed.
-  std::uint64_t state = (seed + 1) * 0x9E3779B97F4A7C15ull ^
+  std::uint64_t state = (seed + 1) * kSplitmix64Gamma ^
                         (static_cast<std::uint64_t>(shards) << 32) ^
                         static_cast<std::uint64_t>(m);
   const std::size_t events =
-      2 + static_cast<std::size_t>(splitmix64(state) % 5);  // 2..6
+      2 + static_cast<std::size_t>(splitmix64_next(state) % 5);  // 2..6
   std::vector<std::size_t> at(events);
   for (std::size_t& a : at)
-    a = 1 + static_cast<std::size_t>(splitmix64(state) %
+    a = 1 + static_cast<std::size_t>(splitmix64_next(state) %
                                      static_cast<std::uint64_t>(m - 1));
   std::sort(at.begin(), at.end());
   FaultPlan plan;
@@ -111,12 +99,12 @@ FaultPlan gen_chaos_plan(std::uint64_t seed, int shards, std::size_t m) {
     // Shard kills dominate (they exercise snapshot restore / promotion,
     // the deepest recovery path); worker kills and queue pressure each
     // take a quarter of the rolls.
-    const std::uint64_t roll = splitmix64(state) % 4;
+    const std::uint64_t roll = splitmix64_next(state) % 4;
     const FaultKind kind = roll < 2   ? FaultKind::kShardKill
                            : roll == 2 ? FaultKind::kWorkerKill
                                        : FaultKind::kQueuePressure;
     const int shard = static_cast<int>(
-        splitmix64(state) % static_cast<std::uint64_t>(shards));
+        splitmix64_next(state) % static_cast<std::uint64_t>(shards));
     plan.kills.push_back({a, shard, kind});
   }
   plan.validate();

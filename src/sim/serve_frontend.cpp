@@ -11,22 +11,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "workload/rebalance.hpp"
 
 namespace san {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// splitmix64, the deterministic stream behind handover-retry backoff
-/// jitter. Stable across platforms so a backoff schedule is a pure
-/// function of (backoff_seed, worker slot).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 /// Circuit-breaker states, one per shard. kRecovery is dispatcher-owned
 /// (set around a shard kill's recovery window); kOpen is worker-owned
@@ -318,14 +309,15 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     std::uint64_t seen_epoch = ~std::uint64_t{0};
     std::uint64_t rng =
         opt_.backoff_seed ^
-        (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(w) + 1));
+        (kSplitmix64Gamma * (static_cast<std::uint64_t>(w) + 1));
     // Deterministic backoff between handover retries: exponential base
-    // plus seeded jitter, microseconds-scale so retry exhaustion resolves
-    // well under any realistic deadline.
+    // plus seeded splitmix64 jitter, microseconds-scale so retry
+    // exhaustion resolves well under any realistic deadline. The schedule
+    // is a pure function of (backoff_seed, worker slot).
     auto backoff = [&](int attempt) {
       const std::uint64_t base = 2'000ull << std::min(attempt, 10);
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(base + splitmix64(rng) % (base / 2 + 1)));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(
+          base + splitmix64_next(rng) % (base / 2 + 1)));
     };
     // Shed bookkeeping for an item this worker drops (deadline at
     // dequeue, breaker, retry exhaustion): record its age and dispose of

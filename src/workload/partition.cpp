@@ -7,14 +7,6 @@
 #include "core/rng.hpp"
 
 namespace san {
-namespace {
-
-/// splitmix64 (core/rng.hpp): stable across platforms — the shard
-/// assignment is part of the reproducible experiment setup, so it must not
-/// depend on std::hash.
-std::uint64_t mix64(std::uint64_t x) { return splitmix64_mix(x); }
-
-}  // namespace
 
 const char* shard_partition_name(ShardPartition policy) {
   switch (policy) {
@@ -49,7 +41,10 @@ ShardMap::ShardMap(int n, int shards, ShardPartition policy)
       s = (id - 1) < cut ? (id - 1) / (base + 1)
                          : big + ((id - 1) - cut) / base;
     } else {
-      s = static_cast<int>(mix64(static_cast<std::uint64_t>(id)) %
+      // splitmix64, not std::hash: the shard assignment is part of the
+      // reproducible experiment setup, so it must be stable across
+      // platforms.
+      s = static_cast<int>(splitmix64_mix(static_cast<std::uint64_t>(id)) %
                            static_cast<std::uint64_t>(shards));
     }
     shard_of_[static_cast<std::size_t>(id)] = s;
