@@ -13,24 +13,31 @@
 //     streaming path deletes. The streaming run goes FIRST so the
 //     process's peak-RSS watermark (VmHWM, monotonic) still shows what
 //     the streamed section alone needed.
-//   * sketch vs exact — the PR 4 drift benchmark (rotating hotset,
-//     n = 2000, S = 8, hotpair policy) with the rebalancer's demand
-//     window kept exactly vs by the sketch pair
-//     (stats/sketch.hpp). The sketch run's grand total must stay within
-//     2% of exact while its window state is bounded independently of n.
+//   * window capacity — the adaptive streaming pipeline (rotating
+//     hotset, n = 10^6, S = 8, hotpair policy, m = 10^6) with the
+//     rebalancer's demand window capped at 4096 pairs and at the default
+//     65,536. window_capacity is the window's memory bound, independent
+//     of n and m; each row records the grand cost (serve + migration),
+//     the migrations, the time and the RSS delta, sampled at every chunk
+//     pull so the window is counted at its largest.
 //
 // --smoke shrinks everything to CI-sized runs; SAN_BENCH_FULL=1 raises
 // the top stream length to the 10^8 class. The checked-in
 // BENCH_stream_scaling.json records this machine's numbers.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #if defined(__linux__)
 #include <unistd.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 #include "bench_common.hpp"
@@ -152,46 +159,61 @@ HeadToHead run_head_to_head(int n, std::size_t m) {
   return h;
 }
 
-struct SketchReport {
-  int n = 0;
-  int shards = 0;
-  std::size_t m = 0;
-  Cost exact_grand = 0;
-  Cost sketch_grand = 0;
-  double ratio = 0.0;
-  double exact_seconds = 0.0;
-  double sketch_seconds = 0.0;
-  Cost exact_migrations = 0;
-  Cost sketch_migrations = 0;
+/// Pass-through stream that samples the current RSS at every chunk pull,
+/// so the peak includes the state that lives only inside the run (the
+/// rebalancer's window and the planner's scratch).
+class RssSampler final : public RequestStream {
+ public:
+  explicit RssSampler(RequestStream& inner) : inner_(inner) {}
+
+  int n() const override { return inner_.n(); }
+  std::size_t size() const override { return inner_.size(); }
+  std::size_t fill(std::span<Request> out) override {
+    peak_ = std::max(peak_, current_rss_bytes());
+    return inner_.fill(out);
+  }
+  std::size_t peak() const { return peak_; }
+
+ private:
+  RequestStream& inner_;
+  std::size_t peak_ = 0;
 };
 
-SketchReport run_sketch_vs_exact() {
-  SketchReport rep;
-  rep.n = bench::scaled(256, 2000, 2000);
-  rep.shards = 8;
-  rep.m = bench::trace_length();
-  const Trace trace = gen_workload(WorkloadKind::kRotatingHot, rep.n, rep.m,
-                                   bench::bench_seed());
-  auto run_with = [&](DemandTracker tracker, double& seconds, Cost& migs) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.tracker = tracker;
-    ShardedNetwork net = ShardedNetwork::balanced(
-        3, rep.n, rep.shards, ShardPartition::kContiguous);
-    const auto t0 = std::chrono::steady_clock::now();
-    const SimResult res = run_trace_sharded(
-        net, trace, {.threads = bench::bench_threads(), .rebalance = &cfg});
-    seconds = seconds_since(t0);
-    migs = res.migrations;
-    return res.grand_total_cost();
-  };
-  rep.exact_grand =
-      run_with(DemandTracker::kExact, rep.exact_seconds, rep.exact_migrations);
-  rep.sketch_grand = run_with(DemandTracker::kSketch, rep.sketch_seconds,
-                              rep.sketch_migrations);
-  rep.ratio = static_cast<double>(rep.sketch_grand) /
-              static_cast<double>(rep.exact_grand);
-  return rep;
+struct CapacityRow {
+  std::size_t window_capacity = 0;
+  Cost grand_cost = 0;
+  Cost migrations = 0;
+  double seconds = 0.0;
+  double rss_delta_mb = 0.0;  ///< peak sampled RSS minus RSS before
+};
+
+CapacityRow run_window_capacity(int n, std::size_t m,
+                                std::size_t window_capacity) {
+  CapacityRow row;
+  row.window_capacity = window_capacity;
+#if defined(__GLIBC__)
+  // Hand the earlier sections' freed heap back to the OS first: a run that
+  // reuses retained pages would otherwise show a smaller delta.
+  malloc_trim(0);
+#endif
+  const std::size_t before = current_rss_bytes();
+  RebalanceConfig cfg;
+  cfg.policy = RebalancePolicy::kHotPair;
+  cfg.window_capacity = window_capacity;
+  ShardedNetwork net =
+      ShardedNetwork::balanced(3, n, 8, ShardPartition::kContiguous);
+  StreamingWorkload workload(WorkloadKind::kRotatingHot, n, m,
+                             bench::bench_seed());
+  RssSampler stream(workload);
+  const auto t0 = std::chrono::steady_clock::now();
+  const SimResult res = run_trace_sharded_stream(
+      net, stream, {.threads = bench::bench_threads(), .rebalance = &cfg});
+  row.seconds = seconds_since(t0);
+  row.grand_cost = res.grand_total_cost();
+  row.migrations = res.migrations;
+  row.rss_delta_mb =
+      mb(std::max(stream.peak(), current_rss_bytes())) - mb(before);
+  return row;
 }
 
 }  // namespace
@@ -249,18 +271,20 @@ int main(int argc, char** argv) {
   t2.print();
   std::cout << "\n";
 
-  const SketchReport sk = run_sketch_vs_exact();
-  Table t3({"tracker", "grand total", "migrations", "seconds"});
-  t3.add_row({"exact", std::to_string(sk.exact_grand),
-              std::to_string(sk.exact_migrations),
-              fixed_cell(sk.exact_seconds, 3)});
-  t3.add_row({"sketch", std::to_string(sk.sketch_grand),
-              std::to_string(sk.sketch_migrations),
-              fixed_cell(sk.sketch_seconds, 3)});
-  std::cout << "-- sketch vs exact demand window, rotating hotset n=" << sk.n
-            << ", S=" << sk.shards << ", m=" << sk.m
-            << " (grand-cost ratio " << fixed_cell(sk.ratio, 4)
-            << ", bound 1.02) --\n";
+  const std::size_t cap_m =
+      bench::scaled<std::size_t>(100'000, 1'000'000, 1'000'000);
+  std::vector<CapacityRow> caps;
+  for (std::size_t capacity : {std::size_t{4096},
+                               RebalanceConfig{}.window_capacity})
+    caps.push_back(run_window_capacity(n_big, cap_m, capacity));
+  Table t3({"window capacity", "grand total", "migrations", "seconds",
+            "rss delta (MB)"});
+  for (const CapacityRow& r : caps)
+    t3.add_row({std::to_string(r.window_capacity),
+                std::to_string(r.grand_cost), std::to_string(r.migrations),
+                fixed_cell(r.seconds, 3), fixed_cell(r.rss_delta_mb, 1)});
+  std::cout << "-- demand-window capacity, rotating hotset n=" << n_big
+            << ", S=8, hotpair, m=" << cap_m << " streamed --\n";
   t3.print();
 
   std::ostringstream js;
@@ -289,14 +313,18 @@ int main(int argc, char** argv) {
      << fixed_cell(h.materialized.seconds, 4) << ", \"req_per_sec\": "
      << static_cast<long long>(h.materialized.req_per_sec)
      << ", \"rss_delta_mb\": " << fixed_cell(h.materialized.rss_delta_mb, 1)
-     << "}\n  },\n  \"sketch_vs_exact\": {\n    \"n\": " << sk.n
-     << ",\n    \"shards\": " << sk.shards << ",\n    \"m\": " << sk.m
-     << ",\n    \"exact_grand_cost\": " << sk.exact_grand
-     << ",\n    \"sketch_grand_cost\": " << sk.sketch_grand
-     << ",\n    \"ratio\": " << fixed_cell(sk.ratio, 4)
-     << ",\n    \"exact_migrations\": " << sk.exact_migrations
-     << ",\n    \"sketch_migrations\": " << sk.sketch_migrations
-     << "\n  }\n}\n";
+     << "}\n  },\n  \"window_capacity\": {\n    \"n\": " << n_big
+     << ",\n    \"shards\": 8,\n    \"m\": " << cap_m
+     << ",\n    \"rows\": [\n";
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    const CapacityRow& r = caps[i];
+    js << "      {\"window_capacity\": " << r.window_capacity
+       << ", \"grand_cost\": " << r.grand_cost << ", \"migrations\": "
+       << r.migrations << ", \"seconds\": " << fixed_cell(r.seconds, 4)
+       << ", \"rss_delta_mb\": " << fixed_cell(r.rss_delta_mb, 1) << "}"
+       << (i + 1 < caps.size() ? ",\n" : "\n");
+  }
+  js << "    ]\n  }\n}\n";
   bench::write_json_result(js.str());
   return 0;
 }

@@ -5,15 +5,10 @@
 // call (and block inlining) on every request of every replay. AnyNetwork
 // replaces it with a std::variant: run_trace visits the variant ONCE and
 // then runs a monomorphic serve loop on the concrete type, so the hot
-// path compiles down to direct calls into the tree engines.
-//
-// Open extension is still possible through the unique_ptr<Network>
-// alternative — a thin virtual adapter kept for factory boundaries
-// (sim/sweep.hpp) that want to sweep a topology the variant does not
-// know. Only that escape hatch pays virtual dispatch per request.
+// path compiles down to direct calls into the tree engines. A new
+// topology joins the serving paths by becoming an alternative here.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -28,48 +23,25 @@ class AnyNetwork {
  public:
   using Variant =
       std::variant<StaticTreeNetwork, KArySplayNetwork, CentroidSplayNetwork,
-                   BinarySplayNetwork, ShardedNetwork,
-                   std::unique_ptr<Network>>;
+                   BinarySplayNetwork, ShardedNetwork>;
 
-  /// Converting constructor from any alternative (concrete network by
-  /// value, or unique_ptr<Network> for the virtual escape hatch).
+  /// Converting constructor from any alternative (a concrete network by
+  /// value).
   template <typename T,
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<T>, AnyNetwork> &&
                 std::is_constructible_v<Variant, T&&>>>
-  AnyNetwork(T&& net) : v_(std::forward<T>(net)) {  // NOLINT(runtime/explicit)
-    if (auto* p = std::get_if<std::unique_ptr<Network>>(&v_))
-      if (*p == nullptr)
-        throw TreeError("AnyNetwork: null Network adapter");
-  }
+  AnyNetwork(T&& net) : v_(std::forward<T>(net)) {}  // NOLINT(runtime/explicit)
 
   /// One-shot dispatch to the concrete type — what run_trace uses to hoist
-  /// the variant branch out of the serve loop. The unique_ptr<Network>
-  /// alternative is unwrapped to a Network& so callers see a servable
-  /// object either way.
+  /// the variant branch out of the serve loop.
   template <typename F>
   decltype(auto) visit(F&& f) {
-    return std::visit(
-        [&](auto& alt) -> decltype(auto) {
-          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(alt)>,
-                                       std::unique_ptr<Network>>)
-            return std::forward<F>(f)(*alt);
-          else
-            return std::forward<F>(f)(alt);
-        },
-        v_);
+    return std::visit(std::forward<F>(f), v_);
   }
   template <typename F>
   decltype(auto) visit(F&& f) const {
-    return std::visit(
-        [&](const auto& alt) -> decltype(auto) {
-          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(alt)>,
-                                       std::unique_ptr<Network>>)
-            return std::forward<F>(f)(*alt);
-          else
-            return std::forward<F>(f)(alt);
-        },
-        v_);
+    return std::visit(std::forward<F>(f), v_);
   }
 
   ServeResult serve(NodeId u, NodeId v) {

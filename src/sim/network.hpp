@@ -4,29 +4,16 @@
 //
 // These are plain value types — serve() is a direct (devirtualized) call.
 // Closed-set dispatch across them goes through the std::variant-based
-// AnyNetwork (any_network.hpp); the virtual `Network` interface below
-// survives only as a thin adapter at the factory boundary for topologies
-// outside the variant (sweep cases may still hand over any subclass via
-// AnyNetwork's unique_ptr<Network> alternative).
+// AnyNetwork (any_network.hpp).
 #pragma once
 
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/binary_splaynet.hpp"
 #include "core/splaynet.hpp"
 
 namespace san {
-
-/// Open-extension escape hatch (see file comment). Every in-tree topology
-/// is served devirtualized through AnyNetwork instead.
-class Network {
- public:
-  virtual ~Network() = default;
-  virtual ServeResult serve(NodeId u, NodeId v) = 0;
-  virtual int size() const = 0;
-  virtual std::string name() const = 0;
-};
 
 /// Shared costing for never-adjusting topologies: pure pre-adjustment
 /// routing, zero rotations. Both StaticTreeNetwork::serve and

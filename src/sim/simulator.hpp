@@ -147,9 +147,9 @@ namespace detail {
 /// Resolves the tree a LocalityScheduler should key against for a given
 /// network type: the underlying KAryTree where one exists, or the
 /// BinarySplayNet itself (it satisfies the scheduler's scalar lca()/root()
-/// fallback). Networks with no single schedulable tree (ShardedNetwork —
-/// use run_trace_sharded — and the virtual Network escape hatch) fail
-/// kHasScheduleTree and get a runtime error instead.
+/// fallback). A network with no single schedulable tree (ShardedNetwork —
+/// use run_trace_sharded) fails kHasScheduleTree and gets a runtime error
+/// instead.
 template <typename Net>
 constexpr bool kHasScheduleTree =
     requires(Net& n) { n.tree().root(); } ||
@@ -183,14 +183,13 @@ decltype(auto) schedule_tree(Net& net) {
 /// Replays a request stream over `net`, mutating it, pulling one chunk at
 /// a time — O(kStreamChunkRequests) memory regardless of the stream
 /// length. Monomorphic per network type: works on any object with a
-/// `ServeResult serve(NodeId, NodeId)` member (all concrete networks,
-/// ShardedNetwork, and the virtual Network escape hatch alike).
+/// `ServeResult serve(NodeId, NodeId)` member (all concrete networks and
+/// ShardedNetwork alike).
 ///
 /// `sched` selects the intra-chunk serve order (sim/schedule.hpp). The
 /// default FIFO path is the pre-scheduler loop, untouched; kLocality
 /// reorders within windows of each chunk and throws for network types with
-/// no schedulable tree (ShardedNetwork — use run_trace_sharded — and the
-/// virtual escape hatch).
+/// no schedulable tree (ShardedNetwork — use run_trace_sharded).
 template <typename Net>
 SimResult run_trace_stream(Net& net, RequestStream& stream,
                            const ScheduleConfig& sched = {}) {

@@ -14,9 +14,8 @@ namespace san {
 
 struct SweepCase {
   /// Builds a fresh network instance; invoked on a worker thread, so the
-  /// factory must not share mutable state with other cases. Returns the
-  /// variant directly for the in-tree topologies (served devirtualized);
-  /// out-of-variant topologies ride the unique_ptr<Network> escape hatch.
+  /// factory must not share mutable state with other cases. Returns one
+  /// of AnyNetwork's alternatives, served devirtualized.
   std::function<AnyNetwork()> make_network;
   /// Trace to replay; referenced, not copied — must outlive the sweep.
   const Trace* trace = nullptr;

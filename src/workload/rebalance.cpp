@@ -42,16 +42,6 @@ const char* rebalance_trigger_name(RebalanceTrigger trigger) {
   return "?";
 }
 
-const char* demand_tracker_name(DemandTracker tracker) {
-  switch (tracker) {
-    case DemandTracker::kExact:
-      return "exact";
-    case DemandTracker::kSketch:
-      return "sketch";
-  }
-  return "?";
-}
-
 RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
   if (cfg_.window_decay < 0.0 || cfg_.window_decay >= 1.0)
     throw TreeError("RebalanceState: window_decay must be in [0, 1)");
@@ -63,15 +53,7 @@ RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
     throw TreeError("RebalanceState: replicas must be >= 0");
   if (cfg_.max_shards < 1 || cfg_.min_shards < 1)
     throw TreeError("RebalanceState: shard-count bounds must be >= 1");
-  if (cfg_.tracker == DemandTracker::kSketch) {
-    if (cfg_.sketch_top_k < 1)
-      throw TreeError("RebalanceState: sketch_top_k must be >= 1");
-    hot_ = std::make_unique<SpaceSaving>(cfg_.sketch_top_k);
-    cm_ = std::make_unique<CountMinSketch>(cfg_.sketch_cm_width,
-                                           cfg_.sketch_cm_depth);
-  } else {
-    slots_.assign(16, kEmptySlot);
-  }
+  slots_.assign(16, kEmptySlot);
 }
 
 void RebalanceState::observe(const Request& r, const ShardMap& map) {
@@ -80,23 +62,18 @@ void RebalanceState::observe(const Request& r, const ShardMap& map) {
   // rejected request must leave the window untouched.
   const bool cross = map.shard_of(r.src) != map.shard_of(r.dst);
   const std::uint64_t key = pair_key(r.src, r.dst);
-  if (hot_) {
-    hot_->observe(key, 1.0);
-    cm_->observe(key, 1.0);
-  } else {
-    // Keep room for one more entry at load <= 1/2.
-    if (2 * (entries_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
-    const std::size_t slot = find_slot(key);
-    if (slots_[slot] == kEmptySlot) {
-      slots_[slot] = static_cast<std::uint32_t>(entries_.size());
-      const auto [u, v] = std::minmax(r.src, r.dst);
-      entries_.push_back({u, v, 0.0});
-      touched_.push_back(0);
-    }
-    const std::size_t i = slots_[slot];
-    entries_[i].weight += 1.0;
-    touched_[i] = 1;
+  // Keep room for one more entry at load <= 1/2.
+  if (2 * (entries_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
+  const std::size_t slot = find_slot(key);
+  if (slots_[slot] == kEmptySlot) {
+    slots_[slot] = static_cast<std::uint32_t>(entries_.size());
+    const auto [u, v] = std::minmax(r.src, r.dst);
+    entries_.push_back({u, v, 0.0});
+    touched_.push_back(0);
   }
+  const std::size_t i = slots_[slot];
+  entries_[i].weight += 1.0;
+  touched_[i] = 1;
   requests_ += 1.0;
   if (cross) cross_ += 1.0;
 }
@@ -118,31 +95,12 @@ void RebalanceState::rehash(std::size_t slots) {
 }
 
 double RebalanceState::pair_weight(NodeId u, NodeId v) const {
-  const std::uint64_t key = pair_key(u, v);
-  if (hot_) {
-    // Tracked heavy pairs answer from the summary; the long tail falls
-    // back to the count-min point estimate (never an underestimate).
-    // Estimates below the retention floor are decayed-out noise — the
-    // exact window would have pruned them, so report 0 like it does.
-    if (hot_->contains(key)) return hot_->count(key);
-    const double est = cm_->estimate(key);
-    return est < kWindowFloorWeight ? 0.0 : est;
-  }
-  const std::uint32_t i = slots_[find_slot(key)];
+  const std::uint32_t i = slots_[find_slot(pair_key(u, v))];
   return i == kEmptySlot ? 0.0 : entries_[i].weight;
 }
 
 RebalanceState::Entries RebalanceState::ordered_entries() {
   fresh_.clear();
-  if (hot_) {
-    // The space-saving summary IS the window under kSketch: the planner
-    // works off the top-k heavy pairs, already in (count desc, key asc)
-    // order, which is planner order.
-    for (const SpaceSaving::Entry& e : hot_->entries())
-      fresh_.push_back({static_cast<NodeId>(e.key >> 32),
-                        static_cast<NodeId>(e.key & 0xffffffffu), e.count});
-    return fresh_;
-  }
   // Hot pairs first; full (u, v) tie-break so the order — and with it every
   // greedy decision — is a function of the window's contents alone.
   const auto before = [](const PairEntry& a, const PairEntry& b) {
@@ -176,12 +134,6 @@ RebalanceState::Entries RebalanceState::ordered_entries() {
 void RebalanceState::decay() {
   requests_ *= cfg_.window_decay;
   cross_ *= cfg_.window_decay;
-  if (hot_) {
-    hot_->scale(cfg_.window_decay);
-    hot_->prune_below(kWindowFloorWeight);
-    cm_->scale(cfg_.window_decay);
-    return;
-  }
   // One factor for every weight keeps the window in planner order (up to
   // rounding ties, which the next ordered_entries() sorts with the touched
   // entries).

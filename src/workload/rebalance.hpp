@@ -28,11 +28,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "stats/sketch.hpp"
 #include "workload/partition.hpp"
 #include "workload/request.hpp"
 
@@ -74,19 +72,8 @@ enum class RebalanceTrigger {
                    ///< reacting within one epoch to phase changes.
 };
 
-/// How the window's pair-demand histogram is stored.
-enum class DemandTracker {
-  kExact,   ///< one flat entry per distinct pair, kept in planner order
-            ///< between epochs (state grows with the observed pair
-            ///< universe up to window_capacity)
-  kSketch,  ///< SpaceSaving top-k + CountMin estimates (stats/sketch.hpp):
-            ///< state fixed by sketch_top_k / sketch_cm_width, independent
-            ///< of n and m — the n >= 10^6 streaming configuration
-};
-
 const char* rebalance_policy_name(RebalancePolicy policy);
 const char* rebalance_trigger_name(RebalanceTrigger trigger);
-const char* demand_tracker_name(DemandTracker tracker);
 
 struct RebalanceConfig {
   RebalancePolicy policy = RebalancePolicy::kNone;
@@ -119,19 +106,11 @@ struct RebalanceConfig {
   /// parallelism and the shallow trees sharding exists to provide.
   double capacity_factor = 1.5;
   /// Soft cap on distinct pairs kept in the window (aged-out entries are
-  /// pruned at epoch boundaries first, lightest pairs next).
+  /// pruned at epoch boundaries first, lightest pairs next). This is the
+  /// window's memory bound, independent of n and m: each epoch's prune
+  /// leaves at most this many pairs, and an epoch adds at most
+  /// epoch_requests more.
   std::size_t window_capacity = 1 << 16;
-  /// Window storage backend; kSketch bounds memory independently of n.
-  DemandTracker tracker = DemandTracker::kExact;
-  /// kSketch: heavy-pair entries tracked by the space-saving summary (the
-  /// planner's working set — plays the role window_capacity plays for the
-  /// exact window).
-  std::size_t sketch_top_k = 4096;
-  /// kSketch: count-min width (rounded up to a power of two) and depth.
-  /// Point-estimate error is ~ window_weight / width per row; the default
-  /// 2^16 x 4 costs 2 MiB of doubles.
-  std::size_t sketch_cm_width = 1 << 16;
-  int sketch_cm_depth = 4;
 
   // ---- tablet-style shard lifecycle (split / merge / replicate) -------
   // Lifecycle planning rides on the same per-shard window loads the
@@ -207,9 +186,9 @@ struct RebalancePlan {
   }
 };
 
-/// The sliding window plus the planners that read it. Under kExact the
-/// window is one flat entry vector kept in planner order (weight desc, then
-/// u, v) between epochs, indexed by uint32 open-addressing slots. observe()
+/// The sliding window plus the planners that read it. The window is one
+/// flat entry vector kept in planner order (weight desc, then u, v) between
+/// epochs, indexed by uint32 open-addressing slots. observe()
 /// bumps or appends an entry and flags it touched; epoch() sorts only the
 /// T touched entries and merges them into the untouched run (O(N + T log T)
 /// for N pairs), which decay() keeps in order by scaling every weight alike
@@ -258,11 +237,11 @@ class RebalanceState {
   void plan_lifecycle(const ShardMap& map, Entries entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
-  /// The window in planner order: the sketch's heavy pairs, or the exact
-  /// window after its touched entries are merged back into order.
+  /// The window in planner order, after its touched entries are merged
+  /// back into order.
   Entries ordered_entries();
-  /// Ages the window. Under kExact it must be in planner order, as
-  /// ordered_entries() leaves it, so that every prune cut is a tail.
+  /// Ages the window. It must be in planner order, as ordered_entries()
+  /// leaves it, so that every prune cut is a tail.
   void decay();
   /// Index slot holding `key`'s entry, or the empty slot it would take.
   std::size_t find_slot(std::uint64_t key) const;
@@ -270,21 +249,16 @@ class RebalanceState {
   void rehash(std::size_t slots);
 
   RebalanceConfig cfg_;
-  /// kExact: the window, in planner order except for touched entries.
+  /// The window, in planner order except for touched entries.
   std::vector<PairEntry> entries_;
-  /// kExact: 1 for entries observed since the last epoch (parallel to
-  /// entries_); their weights moved, so their positions are stale.
+  /// 1 for entries observed since the last epoch (parallel to entries_);
+  /// their weights moved, so their positions are stale.
   std::vector<std::uint8_t> touched_;
-  /// kExact: open-addressing index into entries_; UINT32_MAX marks a hole.
+  /// Open-addressing index into entries_; UINT32_MAX marks a hole.
   std::vector<std::uint32_t> slots_;
   /// epoch() scratch, reused across epochs: the entries set aside for the
-  /// merge (kExact) or the summary's heavy pairs, which are the whole
-  /// window (kSketch).
+  /// merge.
   std::vector<PairEntry> fresh_;
-  /// kSketch: fixed-size summaries standing in for entries_. hot_ feeds
-  /// the planner's entry list; cm_ answers pair_weight() point queries.
-  std::unique_ptr<SpaceSaving> hot_;
-  std::unique_ptr<CountMinSketch> cm_;
   /// Previous epoch's top drift_top_k pair keys, sorted (drift detector).
   std::vector<std::uint64_t> prev_top_;
   double requests_ = 0.0;

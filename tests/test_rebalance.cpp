@@ -153,32 +153,27 @@ TEST(Rebalance, CapacityPressureEvictsLightestFirst) {
 // reaches the window: a recorded pair with an out-of-range endpoint would
 // make every later epoch() throw before decay() could age it out.
 TEST(Rebalance, ObserveRejectsOutOfRangeIdsWithoutRecording) {
-  for (DemandTracker tracker :
-       {DemandTracker::kExact, DemandTracker::kSketch}) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.trigger = RebalanceTrigger::kEveryEpoch;
-    cfg.tracker = tracker;
-    RebalanceState state(cfg);
-    ShardMap map(8, 2);
-    const std::string what = demand_tracker_name(tracker);
+  RebalanceConfig cfg;
+  cfg.policy = RebalancePolicy::kHotPair;
+  cfg.trigger = RebalanceTrigger::kEveryEpoch;
+  RebalanceState state(cfg);
+  ShardMap map(8, 2);
 
-    for (int i = 0; i < 4; ++i) state.observe({1, 5}, map);
-    const double weight = state.pair_weight(1, 9);
-    const double requests = state.window_requests();
-    const double cross = state.window_cross();
-    EXPECT_THROW(state.observe({1, 9}, map), TreeError) << what;
-    EXPECT_THROW(state.observe({9, 1}, map), TreeError) << what;
-    EXPECT_THROW(state.observe({0, 3}, map), TreeError) << what;
-    EXPECT_EQ(state.pair_weight(1, 9), weight) << what;
-    EXPECT_EQ(state.window_requests(), requests) << what;
-    EXPECT_EQ(state.window_cross(), cross) << what;
+  for (int i = 0; i < 4; ++i) state.observe({1, 5}, map);
+  const double weight = state.pair_weight(1, 9);
+  const double requests = state.window_requests();
+  const double cross = state.window_cross();
+  EXPECT_THROW(state.observe({1, 9}, map), TreeError);
+  EXPECT_THROW(state.observe({9, 1}, map), TreeError);
+  EXPECT_THROW(state.observe({0, 3}, map), TreeError);
+  EXPECT_EQ(state.pair_weight(1, 9), weight);
+  EXPECT_EQ(state.window_requests(), requests);
+  EXPECT_EQ(state.window_cross(), cross);
 
-    for (int e = 0; e < 3; ++e) {
-      EXPECT_NO_THROW(state.epoch(map, RebalanceCostHints{})) << what;
-    }
-    EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 0.5) << what;
+  for (int e = 0; e < 3; ++e) {
+    EXPECT_NO_THROW(state.epoch(map, RebalanceCostHints{}));
   }
+  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 0.5);
 }
 
 // The documented window rules, restated over a std::map: +1 per observe,
@@ -311,72 +306,30 @@ TEST(Rebalance, DecayRoundingTiesKeepPlannerOrder) {
   EXPECT_DOUBLE_EQ(state.epoch(map, RebalanceCostHints{}).drift, 1.0);
 }
 
-TEST(Rebalance, SketchWindowObservesAndAgesLikeTheExactOne) {
-  RebalanceConfig cfg;
-  cfg.policy = RebalancePolicy::kHotPair;
-  cfg.trigger = RebalanceTrigger::kEveryEpoch;
-  cfg.window_decay = 0.5;
-  cfg.tracker = DemandTracker::kSketch;
-  RebalanceState state(cfg);
-  ShardMap map(8, 2, ShardPartition::kContiguous);
-
-  for (int i = 0; i < 8; ++i) state.observe({1, 5}, map);
-  for (int i = 0; i < 4; ++i) state.observe({2, 3}, map);
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 8.0);
-  EXPECT_DOUBLE_EQ(state.pair_weight(2, 3), 4.0);
-  state.epoch(map, RebalanceCostHints{});
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 4.0);
-  EXPECT_DOUBLE_EQ(state.pair_weight(2, 3), 2.0);
-  // Ages to the retention floor exactly like the exact window: 8 * 0.5^e
-  // survives while >= 1/1024, i.e. 13 epochs total.
-  for (int e = 0; e < 12; ++e) state.epoch(map, RebalanceCostHints{});
-  EXPECT_GT(state.pair_weight(1, 5), 0.0);
-  state.epoch(map, RebalanceCostHints{});
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 0.0);
-}
-
-TEST(RebalanceDifferential, SketchTrackerMatchesExactWhenCapacityIsAmple) {
-  // With the space-saving summary sized past the distinct-pair count the
-  // sketch window is lossless: same weights, same sorted order, hence the
-  // same plans, migrations and costs bit for bit.
-  const Trace t = gen_workload(WorkloadKind::kPhaseElephants, 200, 25000, 12);
-  auto run_with = [&](DemandTracker tracker) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.epoch_requests = 2500;
-    cfg.tracker = tracker;
-    ShardedNetwork net = ShardedNetwork::balanced(3, t.n, 4);
-    return run_trace_sharded(net, t, {.sequential = true, .rebalance = &cfg});
-  };
-  const SimResult exact = run_with(DemandTracker::kExact);
-  const SimResult sketch = run_with(DemandTracker::kSketch);
-  expect_same(exact, sketch, "exact vs ample sketch");
-}
-
-TEST(RebalanceDifferential, TightSketchStaysWithinTwoPercentOfExact) {
-  // The acceptance bound at unit scale: a deliberately tight summary
-  // (top-k far below the distinct-pair count, narrow count-min) may plan
-  // slightly different migrations, but the grand cost it reaches must stay
-  // within 2% of the exact tracker's on the drifting workload.
+TEST(RebalanceDifferential, TightWindowStaysWithinTwoPercentOfDefault) {
+  // The capacity cap at unit scale: a window capped far below the
+  // drifting workload's distinct-pair count prunes its lightest pairs at
+  // every epoch and may plan slightly different migrations, but the grand
+  // cost it reaches must stay within 2% of the default window's.
   const Trace t = gen_workload(WorkloadKind::kRotatingHot, 400, 40000, 5);
-  auto run_with = [&](DemandTracker tracker) {
+  auto run_with = [&](std::size_t window_capacity) {
     RebalanceConfig cfg;
     cfg.policy = RebalancePolicy::kHotPair;
     cfg.epoch_requests = 4000;
-    cfg.tracker = tracker;
-    cfg.sketch_top_k = 128;
-    cfg.sketch_cm_width = 1 << 10;
+    cfg.window_capacity = window_capacity;
     ShardedNetwork net = ShardedNetwork::balanced(3, t.n, 4);
     return run_trace_sharded(net, t, {.sequential = true, .rebalance = &cfg});
   };
-  const SimResult exact = run_with(DemandTracker::kExact);
-  const SimResult sketch = run_with(DemandTracker::kSketch);
-  const double ratio = static_cast<double>(sketch.grand_total_cost()) /
-                       static_cast<double>(exact.grand_total_cost());
-  EXPECT_GT(ratio, 0.98) << sketch.grand_total_cost() << " vs "
-                         << exact.grand_total_cost();
-  EXPECT_LT(ratio, 1.02) << sketch.grand_total_cost() << " vs "
-                         << exact.grand_total_cost();
+  const SimResult wide = run_with(RebalanceConfig{}.window_capacity);
+  const SimResult tight = run_with(128);
+  // The cap bites on this trace: the tight window plans other migrations.
+  EXPECT_NE(tight.migrations, wide.migrations);
+  const double ratio = static_cast<double>(tight.grand_total_cost()) /
+                       static_cast<double>(wide.grand_total_cost());
+  EXPECT_GT(ratio, 0.98) << tight.grand_total_cost() << " vs "
+                         << wide.grand_total_cost();
+  EXPECT_LT(ratio, 1.02) << tight.grand_total_cost() << " vs "
+                         << wide.grand_total_cost();
 }
 
 TEST(Rebalance, HotPairPlanColocatesTheHotPair) {

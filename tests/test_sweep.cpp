@@ -1,9 +1,6 @@
 // Parallel sweep runner: positional results, determinism vs the serial
-// path, error propagation, and the virtual escape hatch at the factory
-// boundary.
+// path and error propagation.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "sim/sweep.hpp"
 #include "static_trees/full_tree.hpp"
@@ -58,31 +55,6 @@ TEST(Sweep, MixedTopologies) {
   EXPECT_GT(results[3].rotation_count, 0);
   EXPECT_GT(results[3].cross_shard, 0);  // uniform traffic crosses shards
   for (int i = 0; i < 3; ++i) EXPECT_EQ(results[i].cross_shard, 0) << i;
-}
-
-// The variant's unique_ptr<Network> alternative: a topology the closed set
-// does not know still sweeps through the thin virtual adapter.
-TEST(Sweep, VirtualEscapeHatch) {
-  class ConstantNetwork final : public Network {
-   public:
-    ServeResult serve(NodeId, NodeId) override {
-      ServeResult r;
-      r.routing_cost = 7;
-      return r;
-    }
-    int size() const override { return 10; }
-    std::string name() const override { return "constant"; }
-  };
-  Trace trace = gen_uniform(10, 100, 1);
-  std::vector<SweepCase> cases = {
-      {[]() -> AnyNetwork { return std::make_unique<ConstantNetwork>(); },
-       &trace}};
-  auto results = run_sweep(cases, 1);
-  EXPECT_EQ(results[0].routing_cost, 700);
-  EXPECT_EQ(results[0].rotation_count, 0);
-  EXPECT_THROW(
-      AnyNetwork(std::unique_ptr<Network>()),  // null adapter rejected
-      TreeError);
 }
 
 TEST(Sweep, RejectsIncompleteCases) {
