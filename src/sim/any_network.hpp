@@ -1,12 +1,11 @@
 // AnyNetwork: closed-set, virtual-free dispatch over every topology the
 // simulator serves.
 //
-// The per-request `virtual serve()` hierarchy used to cost an indirect
-// call (and block inlining) on every request of every replay. AnyNetwork
-// replaces it with a std::variant: run_trace visits the variant ONCE and
-// then runs a monomorphic serve loop on the concrete type, so the hot
-// path compiles down to direct calls into the tree engines. A new
-// topology joins the serving paths by becoming an alternative here.
+// A std::variant, not a virtual interface: run_trace visits the variant
+// ONCE and then runs a monomorphic serve loop on the concrete type, so the
+// hot path compiles down to direct calls into the tree engines, with no
+// indirect call (and no lost inlining) per request. A new topology joins
+// the serving paths by becoming an alternative here.
 #pragma once
 
 #include <string>

@@ -188,13 +188,12 @@ struct RebalancePlan {
 
 /// The sliding window plus the planners that read it. The window is one
 /// flat entry vector kept in planner order (weight desc, then u, v) between
-/// epochs, indexed by uint32 open-addressing slots. observe()
-/// bumps or appends an entry and flags it touched; epoch() sorts only the
-/// T touched entries and merges them into the untouched run (O(N + T log T)
-/// for N pairs), which decay() keeps in order by scaling every weight alike
-/// and cutting aged-out entries from the tail. An untouched entry whose
-/// decayed weight rounds to its predecessor's is sorted with the touched
-/// ones.
+/// epochs, indexed by uint32 open-addressing slots. observe() bumps or
+/// appends an entry and flags it touched; epoch() sorts only the T touched
+/// entries and merges them into the untouched run (O(N + T log T) for N
+/// pairs), which decay() keeps in order by scaling every weight alike and
+/// cutting aged-out entries from the tail. An untouched entry whose decayed
+/// weight rounds to its predecessor's is sorted with the touched ones.
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
@@ -237,8 +236,8 @@ class RebalanceState {
   void plan_lifecycle(const ShardMap& map, Entries entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
-  /// The window in planner order, after its touched entries are merged
-  /// back into order.
+  /// The window in planner order, its touched entries merged back into
+  /// the untouched run.
   Entries ordered_entries();
   /// Ages the window. It must be in planner order, as ordered_entries()
   /// leaves it, so that every prune cut is a tail.
