@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "io/checksum.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_stats.hpp"
 #include "workload/zipf.hpp"
@@ -51,6 +53,52 @@ TEST(Workloads, Deterministic) {
     Trace c = gen_workload(kind, 50, 2000, 43);
     EXPECT_NE(a.requests, c.requests) << workload_name(kind);
   }
+}
+
+// CRC32 of a trace's (src, dst) sequence, each id as four little-endian
+// bytes.
+std::uint32_t trace_crc(const Trace& t) {
+  std::vector<unsigned char> bytes;
+  bytes.reserve(8 * t.size());
+  for (const Request& r : t.requests)
+    for (NodeId id : {r.src, r.dst})
+      for (int shift = 0; shift < 32; shift += 8)
+        bytes.push_back(static_cast<unsigned char>(
+            static_cast<std::uint32_t>(id) >> shift));
+  return crc32(bytes.data(), bytes.size());
+}
+
+// Pins every generator's request stream byte for byte. GoldenCosts sees
+// traces only at n = 32 and only through the costs they induce, which
+// draws Zipf ranks from at most 128 entries; the three large cases draw
+// from 10^5-entry CDFs, the scale perfbench generates at. Any change to a
+// generator's draws, their order or the Zipf sampler's ranks shows up
+// here.
+TEST(Workloads, TraceStreamIsPinned) {
+  struct KindPin {
+    WorkloadKind kind;
+    std::uint32_t crc;
+  };
+  const KindPin kinds[] = {
+      {WorkloadKind::kUniform, 0x54dab9dau},
+      {WorkloadKind::kTemporal025, 0x72802ff4u},
+      {WorkloadKind::kTemporal05, 0xd8bb7a31u},
+      {WorkloadKind::kTemporal075, 0x51fb83c3u},
+      {WorkloadKind::kTemporal09, 0xa94cfb9eu},
+      {WorkloadKind::kHpc, 0x054712a9u},
+      {WorkloadKind::kProjector, 0x5fd37532u},
+      {WorkloadKind::kFacebook, 0x18ed5d6fu},
+      {WorkloadKind::kPhaseElephants, 0xe0bdfcd7u},
+      {WorkloadKind::kRotatingHot, 0x509e6c78u},
+      {WorkloadKind::kSequentialScan, 0x78564361u},
+      {WorkloadKind::kBitReversal, 0x634d60e9u},
+  };
+  for (const KindPin& p : kinds)
+    EXPECT_EQ(trace_crc(gen_workload(p.kind, 64, 5000, 7)), p.crc)
+        << workload_name(p.kind);
+  EXPECT_EQ(trace_crc(gen_projector(25000, 200000, 7)), 0x9a9b2e5du);
+  EXPECT_EQ(trace_crc(gen_facebook(100000, 200000, 7)), 0x68afff4du);
+  EXPECT_EQ(trace_crc(gen_phase_elephants(100000, 200000, 16, 7)), 0x4de1c677u);
 }
 
 TEST(Workloads, PaperNodeCounts) {
