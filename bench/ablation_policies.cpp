@@ -1,4 +1,4 @@
-// Ablation of the rotation-engine design choices DESIGN.md calls out:
+// Ablation of three design choices of the rotation engine:
 //   1. case preference (the paper's k-splay case 1/2 distinction plus the
 //      disjointness constraint behind the access-lemma argument) — turning
 //      it off must visibly degrade balance;

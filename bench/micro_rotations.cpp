@@ -1,7 +1,9 @@
 // Microbenchmarks: latency of the rotation primitives and of a full serve,
-// as a function of arity. Not a paper table — engineering data for the
-// DESIGN.md ablation discussion (rotation cost grows with k while depth
-// shrinks; the product is what the macro benches measure end to end).
+// as a function of arity, and of one Zipf draw at the trace generators'
+// shapes. Not a paper table — engineering data: rotation cost grows with k
+// while depth shrinks, and the product is what the macro benches measure
+// end to end; the Zipf draw is the per-request cost of generating (or
+// streaming) the projector, phase-elephant and Facebook traces.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -10,6 +12,7 @@
 #include "core/shape.hpp"
 #include "core/splaynet.hpp"
 #include "workload/generators.hpp"
+#include "workload/zipf.hpp"
 
 namespace {
 
@@ -68,5 +71,19 @@ void BM_StaticDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaticDistance)->DenseRange(2, 10, 2);
+
+// Arguments: support size n and 100 * alpha. The three cases are the
+// projector support at n = 1024 (4096 ranks, alpha 1.8), phase elephants
+// at n = 10^5 (alpha 1.6) and a Facebook stream at n = 10^6 (alpha 1.3).
+void BM_ZipfDraw(benchmark::State& state) {
+  const san::ZipfSampler zipf(static_cast<int>(state.range(0)),
+                              static_cast<double>(state.range(1)) / 100.0);
+  std::mt19937_64 rng(5);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf(rng));
+}
+BENCHMARK(BM_ZipfDraw)
+    ->Args({4096, 180})
+    ->Args({100000, 160})
+    ->Args({1000000, 130});
 
 }  // namespace

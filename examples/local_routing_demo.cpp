@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                                3)
             << " hops\n";
   std::cout << "(detours can appear after rotations when an id key has "
-               "drifted; the bounce rule\n recovers locally — see "
-               "DESIGN.md)\n";
+               "drifted; the bounce rule\n recovers locally: a packet never "
+               "goes back down the child it came up from)\n";
   return 0;
 }

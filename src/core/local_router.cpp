@@ -13,7 +13,7 @@ int local_route_into(const KAryTree& tree, NodeId src, NodeId dst,
   // boundaries, not node indices, so after rotations the id key of an
   // ancestor may sit inside a descendant interval; the bounce rule ("if I
   // would forward back to where the packet came from, go up instead") keeps
-  // forwarding purely local and loop-free in that case — see DESIGN.md.
+  // forwarding local and loop-free then; the hop cap below backs that up.
   NodeId came_from_child = kNoNode;
   const RoutingKey target = id_key(dst);
   while (true) {

@@ -1,11 +1,13 @@
 // Implementation-independent random primitives.
 //
-// The determinism contract (traces, golden costs, arrival schedules are
-// bit-identical across toolchains) forbids std::*_distribution: the
-// standard specifies the distributions' statistics but not their
-// algorithms, so libstdc++ and libc++ produce different sequences from the
-// same engine. Everything that must replay bit-identically derives its
-// variates from raw mt19937_64 words through the helpers below instead.
+// The standard fixes std::*_distribution's statistics but not their
+// algorithms, so libstdc++ and libc++ draw different sequences from one
+// engine. Arrival schedules, Zipf ranks, chaos plans and backoff jitter use
+// the helpers below and replay bit-identically under any standard library.
+// The trace generators' coins and uniform node ids and core/shape.cpp's
+// random shapes still use std::uniform_{real,int}_distribution, so traces,
+// shapes and the goldens and pins derived from them hold under libstdc++
+// only, which both CI compilers link.
 #pragma once
 
 #include <cstdint>

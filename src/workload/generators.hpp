@@ -4,12 +4,11 @@
 // The synthetic families (uniform, temporal-locality) follow the paper's
 // description directly. The three real datacenter traces are not
 // redistributable, so each is replaced by a synthetic generator matched to
-// the published characteristics the paper's conclusions rest on (see
-// DESIGN.md, "Substitutions"):
-//   * HPC (DOE mini-apps [11])  -> 3-D stencil exchange + collectives,
-//     bursty message trains => high temporal locality, structured sparsity;
+// the published characteristics the paper's conclusions rest on:
+//   * HPC (DOE mini-apps [11])  -> 3-D stencil exchange + collectives in
+//     bulk-synchronous sweeps => low temporal locality, structured sparsity;
 //   * ProjecToR (Microsoft [14]) -> sparse "elephant" pair support with
-//     Zipf weights and medium burstiness;
+//     Zipf weights, requests drawn independently => low temporal locality;
 //   * Facebook (datacenter [21]) -> independent Zipf endpoint popularity,
 //     wide support, low temporal locality, large n.
 #pragma once
@@ -34,12 +33,13 @@ Trace gen_temporal(int n, std::size_t m, double p, std::uint64_t seed);
 /// with periodic rank-0 collectives and a little background noise.
 Trace gen_hpc(int n, std::size_t m, std::uint64_t seed);
 
-/// ProjecToR-like workload: a sparse support of ~4n "elephant" pairs with
-/// Zipf(1.2) weights, served in short bursts.
+/// ProjecToR-like workload: a sparse support of 4n uniformly drawn
+/// "elephant" pairs with Zipf(1.8) weights, each request drawn
+/// independently (4% are fresh uniform "mice" pairs).
 Trace gen_projector(int n, std::size_t m, std::uint64_t seed);
 
 /// Facebook-like workload: source and destination drawn independently from
-/// a shuffled Zipf(1.05) popularity distribution; no repetition bonus.
+/// a shuffled Zipf(1.30) popularity distribution; no repetition bonus.
 Trace gen_facebook(int n, std::size_t m, std::uint64_t seed);
 
 // --- drifting workloads (not from the paper) ---------------------------

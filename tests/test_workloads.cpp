@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -129,11 +131,12 @@ TEST(Workloads, UniformHasNearFullEntropy) {
 }
 
 TEST(Workloads, LocalityOrderingAcrossFamilies) {
-  // The property stack the substitution argument rests on (DESIGN.md and
-  // the paper's Section 5.1): HPC has LOW temporal locality (bulk-
-  // synchronous sweeps, a pair recurs once per iteration) but the most
-  // structured demand matrix; ProjecToR is bursty (elephant flows) and
-  // sparse; Facebook has low locality and wide heavy-tailed support.
+  // The property stack the substitution argument rests on (the header of
+  // workload/generators.hpp and the paper's Section 5.1): HPC has LOW
+  // temporal locality (bulk-synchronous sweeps, a pair recurs once per
+  // iteration) but the most structured demand matrix; ProjecToR is sparse
+  // and skewed (elephant flows); Facebook has low locality and wide
+  // heavy-tailed support.
   const std::size_t m = 50000;
   TraceStats hpc = compute_stats(gen_hpc(100, m, 3));
   TraceStats proj = compute_stats(gen_projector(100, m, 3));
@@ -162,7 +165,7 @@ TEST(Workloads, LocalityOrderingAcrossFamilies) {
 TEST(Workloads, FacebookEndpointsAreSkewed) {
   Trace t = gen_facebook(1000, 100000, 4);
   TraceStats s = compute_stats(t);
-  // Zipf(1.05) over 1000 ranks: entropy well below uniform log2(1000)=9.97.
+  // Zipf(1.30) over 1000 ranks: entropy well below uniform log2(1000)=9.97.
   EXPECT_LT(s.src_entropy, 9.0);
   EXPECT_GT(s.src_entropy, 4.0);
 }
@@ -187,6 +190,58 @@ TEST(Workloads, ZipfSamplerIsSkewedAndInRange) {
   }
   EXPECT_GT(counts[1], counts[10] * 5 / 2);  // ~ 10^1.2 = 15.8x in theory
   EXPECT_GT(counts[10], counts[100]);
+}
+
+// The guide table answers exactly what a binary search on the CDF does:
+// on random variates, on every bucket edge j / n and every CDF value (each
+// with its neighbours one ulp either side, where rounding could misplace a
+// bucket), and on uniform_open's extremes.
+TEST(Workloads, ZipfRankMatchesLowerBound) {
+  std::mt19937_64 rng(19);
+  for (int n : {1, 2, 3, 100, 4096, 100000, 1000000})
+    for (double alpha : {1.05, 1.3, 1.6, 1.8}) {
+      const ZipfSampler zipf(n, alpha);
+      const std::vector<double>& cdf = zipf.cdf();
+      std::size_t checked = 0, mismatches = 0;
+      auto check = [&](double u) {
+        const auto at = std::lower_bound(cdf.begin(), cdf.end(), u);
+        ++checked;
+        if (zipf.rank(u) != static_cast<int>(at - cdf.begin()) + 1)
+          ++mismatches;
+      };
+      auto check_around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 1.0));
+      };
+      for (int d = 0; d < 1000000; ++d) check(uniform_open(rng));
+      for (int j = 0; j <= n; ++j)
+        check_around(static_cast<double>(j) / static_cast<double>(n));
+      // The last bucket at n = 10^6, alpha = 1.8 holds ~10^5 ranks, and a
+      // CDF value inside it costs a scan from the bucket's start, so every
+      // value would cost ~10^10 steps there; take every 101st instead.
+      const std::size_t stride = n >= 1000000 ? 101 : 1;
+      for (std::size_t i = 0; i < cdf.size(); i += stride) check_around(cdf[i]);
+      check(0x1.0p-53);
+      check(1.0);
+      EXPECT_EQ(mismatches, 0u)
+          << "n=" << n << " alpha=" << alpha << " of " << checked;
+    }
+}
+
+TEST(Workloads, ZipfSamplerRejectsDegenerateArguments) {
+  EXPECT_THROW(ZipfSampler(0, 1.2), TreeError);
+  EXPECT_THROW(ZipfSampler(-3, 1.2), TreeError);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double alpha : {std::numeric_limits<double>::quiet_NaN(), inf, -inf})
+    EXPECT_THROW(ZipfSampler(100, alpha), TreeError) << alpha;
+  // 10^-400 underflows to 0, so a weight is 1 / 0 == inf, and inf / inf
+  // would fill the CDF with NaN.
+  EXPECT_THROW(ZipfSampler(10, -400.0), TreeError);
+  // The smallest support: one rank that takes every variate.
+  const ZipfSampler one(1, 1.2);
+  EXPECT_EQ(one.rank(0x1.0p-53), 1);
+  EXPECT_EQ(one.rank(1.0), 1);
 }
 
 TEST(Workloads, RejectDegenerateParameters) {
