@@ -6,12 +6,12 @@
 //   * a sorted array of at most k-1 routing keys (RoutingKey),
 //   * up to k children, one per routing interval.
 //
-// Interval convention: child i of a node with
-// routing keys r_1 < ... < r_m owns identifiers in the half-open interval
-// [r_i, r_{i+1}) with sentinels r_0 = kKeyMin, r_{m+1} = kKeyMax. A node's
-// own identifier must lie inside the range assigned to it by its parent;
-// lookups test the local identifier before descending, so the identifier may
-// lie inside any child interval without violating the search property.
+// Interval convention: child i of a node with routing keys r_1 < ... < r_m
+// owns identifiers in the half-open interval [r_i, r_{i+1}) with sentinels
+// r_0 = kKeyMin, r_{m+1} = kKeyMax. A node's own identifier must lie inside
+// the range assigned to it by its parent; lookups test the local identifier
+// before descending, so the identifier may lie inside any child interval
+// without violating the search property.
 #pragma once
 
 #include <cstdint>
