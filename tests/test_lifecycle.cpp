@@ -637,6 +637,52 @@ TEST(Lifecycle, FrontendSingleShardRecoveryBitMatchesBatchReplay) {
   expect_trees_equal(net, batch_net, "frontend S=1 recovery");
 }
 
+TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
+  // S = 1, FIFO, saturation arrivals, with epoch barriers and planned
+  // replicas: the frontend's barrier must plan, replicate and recover
+  // exactly like the batch pipeline's. The first kill lands before the
+  // first barrier (snapshot restore + tail replay), the second after the
+  // replica attached (promotion).
+  const int n = 64, k = 3;
+  const Trace trace = gen_workload(WorkloadKind::kTemporal05, n, 6000, 5);
+  const auto arrivals =
+      gen_arrival_times(ArrivalKind::kSaturation, 0.0, trace.size(), 1);
+  RebalanceConfig cfg;
+  cfg.epoch_requests = 1000;
+  cfg.replicas = 1;
+  FaultPlan plan;
+  plan.kills = {{500, 0}, {2500, 0}};
+
+  ShardedNetwork batch_net = ShardedNetwork::balanced(k, n, 1);
+  ShardedRunOptions bopt;
+  bopt.sequential = true;
+  bopt.rebalance = &cfg;
+  bopt.faults = &plan;
+  const SimResult want = run_trace_sharded(batch_net, trace, bopt);
+
+  ShardedNetwork net = ShardedNetwork::balanced(k, n, 1);
+  FrontendOptions opt;
+  opt.rebalance = &cfg;
+  opt.faults = &plan;
+  ServeFrontend frontend(net, opt);
+  const FrontendResult got = frontend.run(trace, arrivals);
+
+  expect_same_costs(got.sim, want, "frontend S=1 barrier");
+  EXPECT_GT(want.rebalance_epochs, 0);
+  EXPECT_EQ(got.sim.rebalance_epochs, want.rebalance_epochs);
+  EXPECT_GT(want.replica_reads, 0);
+  EXPECT_EQ(got.sim.replica_reads, want.replica_reads);
+  EXPECT_EQ(want.faults_injected, 2);
+  EXPECT_EQ(got.sim.faults_injected, want.faults_injected);
+  EXPECT_EQ(want.replica_promotions, 1);
+  EXPECT_EQ(got.sim.replica_promotions, want.replica_promotions);
+  EXPECT_GT(want.recovery_replayed, 0);
+  EXPECT_EQ(got.sim.recovery_replayed, want.recovery_replayed);
+  EXPECT_EQ(got.sim.recovery_cost, want.recovery_cost);
+  EXPECT_EQ(got.sim.final_shards, want.final_shards);
+  expect_trees_equal(net, batch_net, "frontend S=1 barrier");
+}
+
 TEST(Lifecycle, FrontendMultiShardSurvivesKillsAndPromotions) {
   // S > 1 is not bit-reproducible; the contract is completion — every
   // request served, recovery counters set, shards valid at the end.
