@@ -69,9 +69,11 @@ void run_row(const RowSpec& spec, Table& out) {
   const double c_avg = c_res.avg_request_cost();
   std::vector<std::string> row = {workload_name(spec.kind)};
   row.push_back(fixed_cell(c_avg));
-  row.push_back("x" + fixed_cell(s_res.avg_request_cost() / c_avg));
-  row.push_back("x" + fixed_cell(f_res.avg_request_cost() / c_avg));
-  row.push_back("x" + fixed_cell(o_res.avg_request_cost() / c_avg));
+  for (const SimResult* r : {&s_res, &f_res, &o_res}) {
+    std::string cell = "x";
+    cell += fixed_cell(r->avg_request_cost() / c_avg);
+    row.push_back(cell);
+  }
   row.push_back("n=" + std::to_string(n));
   out.add_row(row);
 

@@ -139,7 +139,9 @@ TEST_P(CentroidNetTest, IntraSubtreeServeMatchesSplayNetSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, CentroidNetTest, ::testing::Range(2, 9),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(CentroidNet, RejectsTooFewNodes) {

@@ -111,8 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{3, 4}, std::tuple{3, 6}, std::tuple{4, 5},
                       std::tuple{4, 6}, std::tuple{5, 6}),
     [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "k";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 TEST(DpExhaustive, UniformDemandSmall) {

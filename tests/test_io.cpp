@@ -351,7 +351,10 @@ TEST(TreeIo, DotExportMentionsEveryNodeAndEdge) {
   EXPECT_NE(dot.find("digraph g {"), std::string::npos);
   int edges = 0;
   for (NodeId id = 1; id <= 13; ++id) {
-    EXPECT_NE(dot.find("n" + std::to_string(id) + " ["), std::string::npos);
+    std::string label = "n";
+    label += std::to_string(id);
+    label += " [";
+    EXPECT_NE(dot.find(label), std::string::npos);
     for (NodeId c : t.node(id).children)
       if (c != kNoNode) ++edges;
   }

@@ -67,7 +67,9 @@ TEST_P(LocalRouterTest, DeliversAfterRotationStorm) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, LocalRouterTest, ::testing::Values(2, 3, 5, 8),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(LocalRouter, SelfDelivery) {

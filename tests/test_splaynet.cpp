@@ -115,7 +115,9 @@ TEST_P(SplayNetPropertyTest, HigherLocalityLowersCost) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, SplayNetPropertyTest, ::testing::Range(2, 11),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(SplayNet, RejectsInvalidInitialTopology) {
