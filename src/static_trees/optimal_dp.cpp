@@ -46,7 +46,6 @@
 #include "static_trees/optimal_dp.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -305,21 +304,11 @@ struct Rebuilder {
   }
 };
 
-bool use_reference() {
-  static const bool v = [] {
-    const char* e = std::getenv("SAN_DP_REFERENCE");
-    return e != nullptr && e[0] == '1';
-  }();
-  return v;
-}
-
 }  // namespace
 
 OptimalTreeResult optimal_routing_based_tree(int k, const DemandMatrix& D,
                                              int threads) {
   if (k < 2) throw TreeError("optimal_routing_based_tree: k must be >= 2");
-  if (use_reference())
-    return optimal_routing_based_tree_reference(k, D, threads);
   const int n = D.n();
   FlatTables T(k, n);
   D.prewarm();  // the lazy prefix build is not thread-safe
@@ -332,8 +321,6 @@ OptimalTreeResult optimal_routing_based_tree(int k, const DemandMatrix& D,
 
 Cost optimal_routing_based_cost(int k, const DemandMatrix& D, int threads) {
   if (k < 2) throw TreeError("optimal_routing_based_cost: k must be >= 2");
-  if (use_reference())
-    return optimal_routing_based_tree_reference(k, D, threads).total_distance;
   const int n = D.n();
   FlatTables T(k, n);
   D.prewarm();

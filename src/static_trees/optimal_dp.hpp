@@ -25,9 +25,8 @@
 //
 //  * optimal_routing_based_tree_reference — the original per-length
 //    vector-of-vectors implementation, kept as the differential oracle
-//    (tests/test_dp_exhaustive.cpp, bench/dp_differential.cpp). Setting
-//    the environment variable SAN_DP_REFERENCE=1 routes the public entry
-//    points through it at runtime.
+//    (tests/test_dp_exhaustive.cpp, bench/dp_differential.cpp), called
+//    directly and never by the public entry points.
 //
 // A note on what the rewrite deliberately does NOT do: Knuth/Yao
 // quadrangle-inequality root pruning (restricting the root scan of [i, j]
@@ -68,8 +67,7 @@ Cost optimal_routing_based_cost(int k, const DemandMatrix& D,
                                 int threads = 0);
 
 /// The pre-rewrite implementation, kept as the differential oracle; see
-/// the file comment. Also reachable through the public entry points with
-/// SAN_DP_REFERENCE=1 in the environment.
+/// the file comment.
 OptimalTreeResult optimal_routing_based_tree_reference(int k,
                                                        const DemandMatrix& D,
                                                        int threads = 0);

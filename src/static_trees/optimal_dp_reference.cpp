@@ -7,8 +7,7 @@
 // tests/test_dp_exhaustive.cpp runs the rewritten engine against this
 // oracle on hundreds of random demand matrices and asserts identical cost
 // AND an identical reconstructed tree; bench/dp_differential.cpp repeats
-// the check in Release as a CI smoke gate. Setting SAN_DP_REFERENCE=1 in
-// the environment routes optimal_routing_based_tree() here at runtime.
+// the check in Release as a CI smoke gate.
 #include "static_trees/optimal_dp.hpp"
 
 #include <algorithm>
