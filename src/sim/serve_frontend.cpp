@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "workload/rebalance.hpp"
+#include "sim/control_plane.hpp"
 
 namespace san {
 namespace {
@@ -153,7 +153,7 @@ class ShardInbox {
 
 /// Worker-owned accumulators. Written only by the owning worker thread
 /// (a slot keeps one WorkerState across worker-kill respawns and shard
-/// reassignments, so counters only ever accumulate); read by the
+/// renumbering, so counters only ever accumulate); read by the
 /// dispatcher at quiesce barriers (ordered by the acquire load of
 /// `completed` against the workers' release increments) and after join.
 /// The trailing histograms make the struct large enough that neighbouring
@@ -162,14 +162,10 @@ struct WorkerState {
   Cost routing = 0;
   Cost rotations = 0;
   Cost edges = 0;
-  /// Measured cross/intra split feeding the rebalancer's cost model
-  /// (ascents + top legs vs local serves), same convention as the batch
-  /// pipeline's ChunkSplit.
-  Cost ascent_cost = 0;
-  Cost intra_cost = 0;
-  std::size_t intra_requests = 0;
-  std::size_t cross_requests = 0;  ///< completed second legs
-  Cost replica_reads = 0;          ///< intra serves answered by the replica
+  /// Measured cross/intra split feeding the control plane's cost model;
+  /// cross_requests counts completed second legs.
+  CostSplit split;
+  Cost replica_reads = 0;  ///< intra serves answered by the replica
   std::size_t handovers = 0;
   std::size_t forwards = 0;
   Cost reordered = 0;  ///< batch slots permuted by the locality schedule
@@ -229,14 +225,7 @@ FrontendResult ServeFrontend::run(const Trace& trace,
   TraceStream stream(trace);
   FixedArrivalSchedule schedule(arrivals);
   FrontendResult res = run_stream(stream, schedule);
-  // With an unchanged map the dispatch-time counters already are the final
-  // intra fraction; a migrated (or split/merged — shard ids rewritten
-  // wholesale) map needs the full-trace re-scan, which the single-pass
-  // engine cannot perform.
-  if (res.sim.migrations != 0 || res.sim.shard_splits != 0 ||
-      res.sim.shard_merges != 0)
-    res.sim.post_intra_fraction =
-        compute_shard_stats(trace, net_.map()).intra_fraction();
+  rescan_post_intra(res.sim, trace, net_.map());
   return res;
 }
 
@@ -246,9 +235,9 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   const std::size_t total = stream.size();
   const bool lifecycle =
       opt_.rebalance != nullptr && opt_.rebalance->lifecycle_enabled();
-  // Worker slots are preallocated to the lifecycle ceiling so the fleet
-  // can grow without reallocating any array a live worker reads: splits
-  // claim a fresh (or previously retired) slot, merges retire one.
+  // Worker slots are preallocated to the lifecycle ceiling (the planner
+  // never splits past max_shards) so the fleet can grow without
+  // reallocating any array a live worker reads.
   const int max_workers =
       lifecycle ? std::max(S0, opt_.rebalance->max_shards) : S0;
   const bool degrade = opt_.queue_policy != QueuePolicy::kBlock;
@@ -258,33 +247,24 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
               : 0;  // kBlock keeps the lossless unbounded mailbox
 
   FrontendResult res;
+  ControlPlane plane(net_, opt_.rebalance, opt_.faults, res.sim);
 
+  // Worker slot w serves shard w. The fleet changes shape only at quiesce
+  // barriers, where every worker is parked in pop_batch, and the change is
+  // published through the inbox mutexes (any item a worker pops was pushed
+  // after it). `route_epoch` counts those changes: workers re-resolve
+  // their tree pointer when it moves (splits and merges reallocate the
+  // shard vector, so a cached pointer can dangle across a barrier).
   const auto n_slots = static_cast<std::size_t>(max_workers);
   std::vector<std::unique_ptr<ShardInbox>> inboxes(n_slots);  // mutexes
                                                               // don't move
   std::vector<WorkerState> workers(n_slots);
   std::vector<std::thread> threads(n_slots);
-  // The shard-route table: shard id -> worker slot (`route`) and its
-  // inverse (`owned`, -1 = slot free/retired). Mutated by the dispatcher
-  // only at quiesce barriers — the pipeline is empty, every worker is
-  // parked in pop_batch — and published through the inbox mutexes (any
-  // item a worker pops was pushed after the mutation). `route_epoch` is
-  // the version counter: workers re-resolve their shard id and tree
-  // pointer when it moves (splits/merges reallocate the shard vector, so
-  // a cached reference can dangle across a barrier).
-  std::vector<int> route(n_slots, -1);
-  std::vector<int> owned(n_slots, -1);
   std::atomic<std::uint64_t> route_epoch{0};
   // Per-shard circuit breakers (degradation modes only; see file comment).
   std::vector<std::atomic<int>> breaker_state(n_slots);
   std::vector<std::atomic<int>> breaker_failures(n_slots);
   std::atomic<std::size_t> completed{0};
-  for (int s = 0; s < S0; ++s) {
-    inboxes[static_cast<std::size_t>(s)] =
-        std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
-    route[static_cast<std::size_t>(s)] = s;
-    owned[static_cast<std::size_t>(s)] = s;
-  }
 
   const Clock::time_point start = Clock::now();
   auto now_ns = [&start] {
@@ -299,13 +279,13 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     WorkerState& ws = workers[static_cast<std::size_t>(w)];
     ShardInbox& inbox = *inboxes[static_cast<std::size_t>(w)];
     // Resolved lazily at the first popped batch (sentinel epoch): an idle
-    // worker that reads the route table or the shard vector at startup
-    // has no happens-before edge to a later barrier's split/merge realloc
-    // — it completed nothing, so the quiesce never observed it. Every
-    // read below is sandwiched between an inbox pop and this worker's
-    // own `completed` release, which the barrier acquires.
-    int my_shard = -1;
-    KArySplayNet* shard = nullptr;
+    // worker that reads the shard vector at startup has no happens-before
+    // edge to a later barrier's split/merge realloc — it completed
+    // nothing, so the quiesce never observed it. Every read below is
+    // sandwiched between an inbox pop and this worker's own `completed`
+    // release, which the barrier acquires.
+    const int my_shard = w;
+    const KArySplayNet* shard = nullptr;
     std::uint64_t seen_epoch = ~std::uint64_t{0};
     std::uint64_t rng =
         opt_.backoff_seed ^
@@ -333,8 +313,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     // deterministic backoff, and exhaustion feeds the breaker. Returns
     // false when the leg was shed (caller completes it via shed_item).
     auto deliver = [&](int target, const QueueItem& leg) -> bool {
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(route[
-          static_cast<std::size_t>(target)])];
+      ShardInbox& box = *inboxes[static_cast<std::size_t>(target)];
       if (!degrade) {
         box.push_mail(leg);
         return true;
@@ -389,15 +368,15 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
           }
           return;
         }
-        const ServeResult sr = shard->access(map.local_of(item.src));
-        if (KArySplayNet* rep = net_.replica_mut(my_shard))
-          rep->access(map.local_of(item.src));
+        const ServeResult sr =
+            net_.serve_local(my_shard, map.local_of(item.src), kNoNode);
         ws.routing += sr.routing_cost + item.pending_top;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.ascent_cost += sr.routing_cost +
-                          static_cast<Cost>(sr.rotations) + item.pending_top;
-        ++ws.cross_requests;
+        ws.split.cross_cost += sr.routing_cost +
+                               static_cast<Cost>(sr.rotations) +
+                               item.pending_top;
+        ++ws.split.cross_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
         return;
@@ -421,34 +400,27 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       ws.queue_wait.record(now_ns() - item.arrival_ns);
       const int b = map.shard_of(item.dst);
       if (b == my_shard) {
-        // A replicated shard answers intra requests from its lockstep
-        // replica (bit-identical results — the pair never diverges) and
-        // mirrors the splay into the primary; cost is charged once.
-        ServeResult sr;
-        if (KArySplayNet* rep = net_.replica_mut(my_shard)) {
-          sr = rep->serve(map.local_of(item.src), map.local_of(item.dst));
-          shard->serve(map.local_of(item.src), map.local_of(item.dst));
-          ++ws.replica_reads;
-        } else {
-          sr = shard->serve(map.local_of(item.src), map.local_of(item.dst));
-        }
+        const ServeResult sr = net_.serve_local(
+            my_shard, map.local_of(item.src), map.local_of(item.dst));
+        if (net_.has_replica(my_shard)) ++ws.replica_reads;
         ws.routing += sr.routing_cost;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.intra_cost += sr.routing_cost + static_cast<Cost>(sr.rotations);
-        ++ws.intra_requests;
+        ws.split.intra_cost +=
+            sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ++ws.split.intra_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
       } else {
         // First leg: ascend u to this shard's root, hand the request
         // over to v's shard with the top-tree route priced in.
-        const ServeResult sr = shard->access(map.local_of(item.src));
-        if (KArySplayNet* rep = net_.replica_mut(my_shard))
-          rep->access(map.local_of(item.src));
+        const ServeResult sr =
+            net_.serve_local(my_shard, map.local_of(item.src), kNoNode);
         ws.routing += sr.routing_cost;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.ascent_cost += sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ws.split.cross_cost +=
+            sr.routing_cost + static_cast<Cost>(sr.rotations);
         ++ws.handovers;
         QueueItem leg;
         leg.src = item.dst;
@@ -474,7 +446,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       return {u, map.local_of(item.dst)};
     };
     LocalityScheduler scheduler(opt_.schedule);
-    const bool reorder = opt_.schedule.reorders();
     for (;;) {
       batch.clear();
       if (inbox.pop_batch(batch,
@@ -488,75 +459,41 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       const std::uint64_t e = route_epoch.load(std::memory_order_acquire);
       if (e != seen_epoch) {  // fleet changed shape at a barrier
         seen_epoch = e;
-        my_shard = owned[static_cast<std::size_t>(w)];
         shard = &net_.shard(my_shard);
       }
-      if (!reorder) {
-        for (const QueueItem& item : batch) process_item(item);
-      } else {
-        scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
-                      process_item);
-      }
+      scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
+                    process_item);
     }
   };
 
-  auto spawn_worker = [&](int w, int shard_id) {
+  // A slot's inbox outlives its worker: a respawn (worker kill) or a later
+  // split on a slot a merge retired reopens it.
+  auto spawn_worker = [&](int w) {
     auto& slot = inboxes[static_cast<std::size_t>(w)];
     if (slot == nullptr)
       slot = std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
     else
-      slot->reopen();  // reclaimed after an earlier merge retired it
-    owned[static_cast<std::size_t>(w)] = shard_id;
-    route[static_cast<std::size_t>(shard_id)] = w;
+      slot->reopen();
     threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
   };
   auto retire_worker = [&](int w) {
     inboxes[static_cast<std::size_t>(w)]->close();
     threads[static_cast<std::size_t>(w)].join();
-    owned[static_cast<std::size_t>(w)] = -1;
   };
-  auto free_slot = [&]() -> int {
-    for (int w = 0; w < max_workers; ++w)
-      if (owned[static_cast<std::size_t>(w)] == -1 &&
-          !threads[static_cast<std::size_t>(w)].joinable())
-        return w;
-    return -1;
-  };
-  auto publish_epoch = [&] {
-    route_epoch.fetch_add(1, std::memory_order_release);
-    ++res.route_epochs;
-  };
-
-  for (int s = 0; s < S0; ++s)
-    threads[static_cast<std::size_t>(s)] = std::thread(worker_loop, s);
+  for (int s = 0; s < S0; ++s) spawn_worker(s);
 
   // ---- open-loop dispatcher (caller thread) ---------------------------
-  const bool adaptive =
-      opt_.rebalance != nullptr &&
-      ((opt_.rebalance->enabled() && S0 > 1) || lifecycle);
-  RebalanceState state(adaptive ? *opt_.rebalance : RebalanceConfig{});
-  const std::size_t epoch =
-      adaptive ? opt_.rebalance->epoch_requests : total + 1;
-  const RebalanceCostHints base_hints = net_.cost_hints();
-  const double decay = adaptive ? opt_.rebalance->window_decay : 1.0;
-  // Exponentially aged measured costs (same scheme as run_trace_sharded):
-  // deltas of the workers' cumulative counters between barriers.
-  double cross_cost_w = 0.0, intra_cost_w = 0.0;
-  double cross_reqs_w = 0.0, intra_reqs_w = 0.0;
-  Cost prev_ascent = 0, prev_intra_cost = 0;
-  std::size_t prev_cross = 0, prev_intra = 0;
-
   auto quiesce = [&](std::size_t dispatched) {
     while (completed.load(std::memory_order_acquire) < dispatched)
       std::this_thread::yield();
   };
 
-  // Queue-pressure windows: (worker slot, original capacity) pairs,
-  // restored at the next quiesce barrier.
+  // Queue-pressure windows: (shard, original capacity) pairs, restored at
+  // the next quiesce barrier, before any split or merge renumbers shards.
   std::vector<std::pair<int, std::size_t>> pressured;
   auto restore_pressure = [&] {
-    for (const auto& [w, cap] : pressured)
-      inboxes[static_cast<std::size_t>(w)]->set_capacity(cap);
+    for (const auto& [s, cap] : pressured)
+      inboxes[static_cast<std::size_t>(s)]->set_capacity(cap);
     pressured.clear();
   };
   // Barriers reset the breakers: the fleet just proved it can drain, so
@@ -573,33 +510,21 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   };
 
   // ---- scripted fault injection (sim/fault.hpp) -----------------------
-  // While events are pending the dispatcher keeps a fleet snapshot plus
-  // the tail of requests admitted since it; resume points are run start,
+  // While events are pending the dispatcher keeps the requests admitted
+  // since the plane's last fleet snapshot; resume points are run start,
   // post-recovery and post-epoch-barrier instants, so the tail never spans
   // a map change. A shard kill quiesces the (drained, handovers included)
-  // pipeline, then recovers: replica promotion when the shard is
-  // replicated, else snapshot restore + dispatch-order tail replay.
-  std::vector<FaultEvent> events;
-  if (opt_.faults != nullptr && opt_.faults->enabled())
-    events = opt_.faults->kills;
-  std::size_t next_event = 0;
-  std::vector<std::string> snaps;   // [shard] tree image snapshot
-  std::vector<Request> fault_tail;  // admitted since the snapshots
+  // pipeline, then the plane recovers the shard: promotion, or restore
+  // plus a dispatch-order (FIFO) replay of the tail. At S = 1 under FIFO
+  // admission that replay is bit-identical to the lost state; at S > 1 it
+  // is dispatch-order-consistent (the racy mailbox interleaving that
+  // produced the lost state was never recorded).
+  std::vector<Request> fault_tail;
   auto snapshot_all = [&] {
-    if (next_event >= events.size()) return;
-    const int live = net_.num_shards();
-    snaps.resize(static_cast<std::size_t>(live));
-    for (int s = 0; s < live; ++s)
-      snaps[static_cast<std::size_t>(s)] = net_.snapshot_shard(s);
+    plane.snapshot_all();
     fault_tail.clear();
   };
   auto fire_event = [&](const FaultEvent& ev, std::size_t disp) {
-    const int live = net_.num_shards();
-    if (ev.shard < 0 || ev.shard >= live)
-      throw TreeError("FaultPlan: " + std::string(fault_kind_name(ev.kind)) +
-                      " shard " + std::to_string(ev.shard) +
-                      " out of range (live S=" + std::to_string(live) + ")");
-    ++next_event;  // before snapshot_all so the final event skips it
     switch (ev.kind) {
       case FaultKind::kShardKill: {
         // Open the recovery breaker first so in-flight cross legs shed
@@ -610,43 +535,13 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
               kBreakerRecovery, std::memory_order_release);
         quiesce(disp);
         restore_pressure();
-        const Clock::time_point t0 = Clock::now();
-        ++res.sim.faults_injected;
-        if (net_.has_replica(ev.shard)) {
-          net_.promote_replica(ev.shard);  // lockstep copy == lost state
-          ++res.sim.replica_promotions;
-        } else {
-          net_.restore_shard(ev.shard,
-                             snaps[static_cast<std::size_t>(ev.shard)]);
-          // Replay the killed shard's projection of the tail in dispatch
-          // order. At S = 1 under FIFO admission this is bit-identical to
-          // the lost state; at S > 1 it is dispatch-order-consistent (the
-          // racy mailbox interleaving that produced the lost state was
-          // never recorded). Costs land in the recovery counters, not the
-          // serve counters.
-          PartitionedTrace pt = partition_trace(fault_tail, net_.map());
-          std::vector<ShardOp>& ops =
-              pt.ops[static_cast<std::size_t>(ev.shard)];
-          KArySplayNet& sh = net_.shard(ev.shard);
-          for (const ShardOp& op : ops) {
-            const ServeResult sr =
-                op.is_ascent() ? sh.access(op.src) : sh.serve(op.src, op.dst);
-            res.sim.recovery_cost +=
-                sr.routing_cost + static_cast<Cost>(sr.rotations);
-          }
-          res.sim.recovery_replayed += static_cast<Cost>(ops.size());
-        }
+        plane.recover(ev.shard, fault_tail, ScheduleConfig{});
         if (degrade) {
           breaker_state[static_cast<std::size_t>(ev.shard)].store(
               kBreakerClosed, std::memory_order_release);
           breaker_failures[static_cast<std::size_t>(ev.shard)].store(
               0, std::memory_order_relaxed);
         }
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        res.sim.recovery_total_ms += ms;
-        res.sim.recovery_max_ms = std::max(res.sim.recovery_max_ms, ms);
         snapshot_all();
         break;
       }
@@ -657,17 +552,9 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         quiesce(disp);
         restore_pressure();
         const Clock::time_point t0 = Clock::now();
-        ++res.sim.worker_kills;
-        const int w = route[static_cast<std::size_t>(ev.shard)];
-        inboxes[static_cast<std::size_t>(w)]->close();
-        threads[static_cast<std::size_t>(w)].join();
-        inboxes[static_cast<std::size_t>(w)]->reopen();
-        threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        res.sim.recovery_total_ms += ms;
-        res.sim.recovery_max_ms = std::max(res.sim.recovery_max_ms, ms);
+        retire_worker(ev.shard);
+        spawn_worker(ev.shard);
+        plane.note_recovery(t0);
         snapshot_all();
         break;
       }
@@ -676,115 +563,35 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         // the admission policy has to cope until the next barrier
         // restores it. The crash tail keeps accumulating (no tree or map
         // change to re-anchor against).
-        const int w = route[static_cast<std::size_t>(ev.shard)];
-        pressured.emplace_back(
-            w, inboxes[static_cast<std::size_t>(w)]->capacity());
-        inboxes[static_cast<std::size_t>(w)]->set_capacity(
-            std::max<std::size_t>(1, opt_.queue_capacity / 8));
-        ++res.sim.queue_pressure_events;
+        ShardInbox& box = *inboxes[static_cast<std::size_t>(ev.shard)];
+        pressured.emplace_back(ev.shard, box.capacity());
+        box.set_capacity(std::max<std::size_t>(1, opt_.queue_capacity / 8));
         break;
       }
     }
   };
   snapshot_all();
 
-  // Lifecycle at the barrier, mirroring the batch pipeline: plan ids
-  // refer to the pre-lifecycle map, so replicas are reconciled first; the
-  // split/merge (which renumbers shards and drops their replicas) applies
-  // last, then the worker fleet is reshaped to match. Returns true when
-  // the fleet or map changed shape.
-  auto apply_lifecycle = [&](const RebalancePlan& plan) -> bool {
-    bool changed = false;
-    if (opt_.rebalance->replicas > 0) {
-      for (int s = 0; s < net_.num_shards(); ++s) {
-        const bool want = std::binary_search(plan.replicate.begin(),
-                                             plan.replicate.end(), s);
-        if (want && !net_.has_replica(s))
-          net_.add_replica(s);
-        else if (!want && net_.has_replica(s))
-          net_.drop_replica(s);
-      }
-    }
-    // Migrations applied above may have reshaped the very shard the plan
-    // targets, so the split precondition is re-checked against the live
-    // map. The slot check cannot fail while the planner respects
-    // max_shards, but a fleet that somehow ran out of slots skips the
-    // split rather than corrupting the route table.
-    if (plan.split_shard >= 0 &&
-        net_.map().shard_size(plan.split_shard) >= 2 && free_slot() >= 0) {
-      const LifecycleResult lr = net_.split_shard(plan.split_shard);
-      ++res.sim.shard_splits;
-      res.sim.lifecycle_cost += lr.total_cost();
-      // The new shard takes the next id; give it a worker of its own.
-      spawn_worker(free_slot(), net_.num_shards() - 1);
-      changed = true;
-    } else if (plan.merge_from >= 0) {
-      const LifecycleResult lr =
-          net_.merge_shards(plan.merge_into, plan.merge_from);
-      ++res.sim.shard_merges;
-      res.sim.lifecycle_cost += lr.total_cost();
-      // Retire the vacated worker, then renumber: every shard id above
-      // merge_from shifted down by one.
-      retire_worker(route[static_cast<std::size_t>(plan.merge_from)]);
-      for (int w = 0; w < max_workers; ++w) {
-        int& o = owned[static_cast<std::size_t>(w)];
-        if (o > plan.merge_from) --o;
-      }
-      for (int w = 0; w < max_workers; ++w)
-        if (owned[static_cast<std::size_t>(w)] >= 0)
-          route[static_cast<std::size_t>(
-              owned[static_cast<std::size_t>(w)])] = w;
-      changed = true;
-    }
-    return changed;
-  };
-
-  // The epoch barrier: drain the pipeline, measure, plan, apply —
-  // migrations and, when configured, the full shard lifecycle. The
+  // The epoch barrier: drain the pipeline, then let the plane measure,
+  // plan and apply — migrations and, when configured, the full shard
+  // lifecycle — and reshape the worker fleet to match: a split's new
+  // shard gets a worker, a merge retires the last slot (shard ids above
+  // the vacated one shifted down, and worker w serves shard w). The
   // dispatcher keeps the arrival clock running, so this pause is charged
   // to every request that arrives during it.
   auto epoch_barrier = [&](std::size_t dispatched) {
     quiesce(dispatched);
     restore_pressure();
     reset_breakers();
-    Cost ascent = 0, intra_c = 0;
-    std::size_t crossn = 0, intran = 0;
-    for (const WorkerState& ws : workers) {
-      ascent += ws.ascent_cost;
-      intra_c += ws.intra_cost;
-      crossn += ws.cross_requests;
-      intran += ws.intra_requests;
+    CostSplit served;
+    for (const WorkerState& ws : workers) served += ws.split;
+    const BarrierOutcome out = plane.barrier(served, 0);
+    if (out.split_to >= 0) spawn_worker(out.split_to);
+    if (out.merged_from >= 0) retire_worker(net_.num_shards());
+    if (out.changed) {
+      route_epoch.fetch_add(1, std::memory_order_release);
+      ++res.route_epochs;
     }
-    cross_cost_w =
-        cross_cost_w * decay + static_cast<double>(ascent - prev_ascent);
-    intra_cost_w =
-        intra_cost_w * decay + static_cast<double>(intra_c - prev_intra_cost);
-    cross_reqs_w =
-        cross_reqs_w * decay + static_cast<double>(crossn - prev_cross);
-    intra_reqs_w =
-        intra_reqs_w * decay + static_cast<double>(intran - prev_intra);
-    prev_ascent = ascent;
-    prev_intra_cost = intra_c;
-    prev_cross = crossn;
-    prev_intra = intran;
-    RebalanceCostHints hints = base_hints;
-    if (cross_reqs_w > 0.0 && intra_reqs_w > 0.0)
-      hints.cross_penalty = std::max(
-          0.0, cross_cost_w / cross_reqs_w - intra_cost_w / intra_reqs_w);
-    RebalancePlan plan = state.epoch(net_.map(), hints);
-    bool changed = false;
-    if (plan.triggered) {
-      ++res.sim.rebalance_epochs;
-      if (!plan.migrations.empty()) {
-        const MigrationResult applied =
-            net_.apply_migrations(std::move(plan.migrations));
-        res.sim.migrations += applied.migrated;
-        res.sim.migration_cost += applied.total_cost();
-        changed = true;
-      }
-    }
-    if (lifecycle && apply_lifecycle(plan)) changed = true;
-    if (changed) publish_epoch();
   };
 
   // ---- admission control ----------------------------------------------
@@ -810,9 +617,9 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     const std::size_t got = stream.fill(chunk);
     if (got == 0) break;
     for (std::size_t i = 0; i < got; ++i) {
-      while (next_event < events.size() &&
-             events[next_event].at_request == offered)
-        fire_event(events[next_event], dispatched);
+      while (plane.next_fault() != nullptr &&
+             plane.next_fault()->at_request == offered)
+        fire_event(plane.take_fault(), dispatched);
       // Pace to the arrival schedule: sleep for coarse gaps, spin out the
       // last stretch (sleep_until wakes late by scheduler quanta, which
       // would throttle multi-million-req/s schedules).
@@ -860,8 +667,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       item.dst = r.dst;
       item.arrival_ns = due;
       item.deadline_ns = deadline_ns;
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(
-          route[static_cast<std::size_t>(a)])];
+      ShardInbox& box = *inboxes[static_cast<std::size_t>(a)];
       if (opt_.queue_policy == QueuePolicy::kShed) {
         if (!box.try_push_main(item)) {
           ++res.sim.queue_full_blocks;
@@ -874,10 +680,10 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       }
       if (net_.map().shard_of(r.dst) != a) ++cross_dispatched;
       ++dispatched;
-      if (next_event < events.size()) fault_tail.push_back(r);
-      if (adaptive) {
-        state.observe(r, net_.map());
-        if (dispatched % epoch == 0 && dispatched < total) {
+      if (plane.next_fault() != nullptr) fault_tail.push_back(r);
+      if (plane.adaptive()) {
+        plane.observe(r);
+        if (dispatched % plane.epoch_requests() == 0 && dispatched < total) {
           epoch_barrier(dispatched);
           // The barrier may have rewritten the map or fleet: re-anchor
           // the crash tail so a later replay never spans it.

@@ -7,32 +7,31 @@
 //
 // Topology of one run:
 //
-//   caller thread (dispatcher)            worker threads, one per shard
+//   caller thread (dispatcher)            worker w serves shard w
 //   ─────────────────────────             ──────────────────────────────
 //   wait until arrival[i]                 drain inbox (mailbox first,
 //   admission control: token              then main queue, ≤ B per
 //     bucket, deadline, queue             wakeup = batched admission)
-//     policy (block/shed)                 re-resolve shard through the
-//   route r_i via the shard-route         route table per batch
-//     table                   ──push──►   intra: shard.serve(u, v)
-//   observe into rebalancer               cross 1st leg: shard.access(u),
-//   every epoch: quiesce, plan,             mailbox-push to dst worker
-//     migrate, split/merge,                 (bounded retry + breaker)
-//     reshape the worker fleet            cross 2nd leg: shard.access(v)
-//                                           + top-tree legs, complete
+//     policy (block/shed)                 intra: serve_local(w, u, v)
+//   push r_i to the inbox of  ──push──►   cross 1st leg: ascend u,
+//     its source's shard                    mailbox-push to dst worker
+//   observe into rebalancer                 (bounded retry + breaker)
+//   every epoch: quiesce, then            cross 2nd leg: ascend v
+//     the control plane's barrier;          + top-tree legs, complete
+//     reshape the worker fleet
 //
-// Dynamic worker lifecycle: workers are no longer pinned to a shard at
-// construction. A shard-route table (shard id -> worker slot, versioned
-// by an epoch counter bumped at every fleet change) is consulted per
-// admitted batch and per handover, so the whole PR 9 lifecycle machinery
-// runs mid-flight under live traffic: watermark splits spawn a fresh
-// worker for the new shard, merges retire and join the vacated worker,
-// replica promotion and snapshot-restore recovery rebuild a killed
-// shard — all at the existing quiesce barrier (completed == dispatched),
-// where no request is in flight and the route can change shape safely.
-// Route/fleet mutations are published to workers through the inbox
-// mutexes (every item a worker pops was pushed after the mutation) with
-// the epoch counter as the cheap per-batch re-resolution trigger.
+// Dynamic worker lifecycle: the whole shard lifecycle runs mid-flight
+// under live traffic, at the quiesce barrier (completed == dispatched).
+// An item completes only when it is fully served or shed, so there no
+// inbox or mailbox holds anything and the fleet can change shape safely.
+// The barrier itself — plan, migrations, replicas, split/merge — and
+// crash recovery are the batch pipeline's own (sim/control_plane.hpp);
+// the frontend only reshapes its fleet to match: a split's new shard gets
+// a fresh worker, a merge retires the last slot (shard ids above the
+// vacated one shift down, and worker w keeps serving shard w). Fleet
+// changes are published to workers through the inbox mutexes (every item
+// a worker pops was pushed after the change), with an epoch counter as
+// the per-batch trigger to re-resolve the cached tree pointer.
 //
 // Cost accounting is identical to the batched pipeline (and hence to
 // per-request ShardedNetwork::serve): intra requests are exact Section 2
@@ -193,8 +192,8 @@ struct FrontendResult {
   std::size_t handovers = 0;     ///< first-leg mailbox handovers performed
   std::size_t forwards = 0;      ///< ops re-routed after losing a race
                                  ///< with a migration or a fleet change
-  std::uint64_t route_epochs = 0;  ///< shard-route-table versions published
-                                   ///< (fleet/map changes during the run)
+  std::uint64_t route_epochs = 0;  ///< barriers that changed the map or
+                                   ///< the fleet's shape during the run
 };
 
 class ServeFrontend {

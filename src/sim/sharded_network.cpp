@@ -61,25 +61,12 @@ ServeResult ShardedNetwork::serve(NodeId u, NodeId v) {
   const int a = map_.shard_of(u);
   const int b = map_.shard_of(v);
   if (a == b) {
-    // Intra-shard ops are the read path: a replicated shard answers from
-    // its lockstep copy (bit-identical by construction) and mirrors the
-    // self-adjustment into the primary, charging the cost once.
-    if (KArySplayNet* rep = replica_mut(a)) {
-      const ServeResult r = rep->serve(map_.local_of(u), map_.local_of(v));
-      shard(a).serve(map_.local_of(u), map_.local_of(v));
-      ++replica_reads_;
-      return r;
-    }
-    return shard(a).serve(map_.local_of(u), map_.local_of(v));
+    if (has_replica(a)) ++replica_reads_;
+    return serve_local(a, map_.local_of(u), map_.local_of(v));
   }
-
   ++cross_served_;
-  // Root ascents are the write/splay path: primary-first, mirrored into
-  // the replica so the pair stays staleness-free.
-  const ServeResult up = shard(a).access(map_.local_of(u));
-  if (KArySplayNet* rep = replica_mut(a)) rep->access(map_.local_of(u));
-  const ServeResult down = shard(b).access(map_.local_of(v));
-  if (KArySplayNet* rep = replica_mut(b)) rep->access(map_.local_of(v));
+  const ServeResult up = serve_local(a, map_.local_of(u), kNoNode);
+  const ServeResult down = serve_local(b, map_.local_of(v), kNoNode);
   ServeResult res;
   res.routing_cost = up.routing_cost + top_distance(a, b) + down.routing_cost;
   res.rotations = up.rotations + down.rotations;

@@ -88,6 +88,26 @@ class ShardedNetwork {
   /// Serves one request in global ids; self-adjusts the touched shard(s).
   ServeResult serve(NodeId u, NodeId v);
 
+  /// Serves one op of shard `s` in its local ids: `v == kNoNode` is a root
+  /// ascent (one half of a cross-shard request), splaying `u` to the shard
+  /// root at its pre-adjustment depth; anything else an intra-shard serve.
+  /// A replicated shard answers intra serves from its lockstep replica
+  /// (bit-identical results) and mirrors every op into the other copy, so
+  /// the pair never diverges and the cost is charged once. The one
+  /// replica-mirrored serve: serve() and both engines' drains call it.
+  ServeResult serve_local(int s, NodeId u, NodeId v) {
+    KArySplayNet& primary = shards_[static_cast<std::size_t>(s)];
+    KArySplayNet* rep = replicas_[static_cast<std::size_t>(s)].get();
+    if (rep == nullptr)
+      return v == kNoNode ? primary.access(u) : primary.serve(u, v);
+    if (v == kNoNode) {
+      rep->access(u);
+      return primary.access(u);
+    }
+    primary.serve(u, v);
+    return rep->serve(u, v);
+  }
+
   int size() const { return map_.n(); }
   int arity() const { return k_; }
   int num_shards() const { return map_.shards(); }
@@ -156,12 +176,10 @@ class ShardedNetwork {
   LifecycleResult merge_shards(int into, int from);
 
   // ---- read replicas --------------------------------------------------
-  // A replica is a lockstep state-machine copy of its primary: the drain
-  // paths mirror every op into it, so it is staleness-free by construction
-  // — intra-shard ops ("reads") are answered from the replica copy with
-  // bit-identical ServeResults, ascent ops ("writes"/splays) run
-  // primary-first, and costs are charged exactly once. A replicated shard
-  // also recovers from a crash by promotion instead of snapshot replay.
+  // A replica is a lockstep state-machine copy of its primary: serve_local
+  // mirrors every op into it, so it is staleness-free by construction. A
+  // replicated shard also recovers from a crash by promotion instead of
+  // snapshot replay.
 
   /// Attaches a replica to shard `s` (a copy of its current tree);
   /// replaces any existing one.
@@ -172,11 +190,6 @@ class ShardedNetwork {
   }
   int num_replicas() const;
   const KArySplayNet& replica(int s) const;
-  /// Mutable replica pointer for the drain paths (null when the shard is
-  /// unreplicated). The owning drain worker is the only writer.
-  KArySplayNet* replica_mut(int s) {
-    return replicas_[static_cast<std::size_t>(s)].get();
-  }
   /// Intra-shard ops answered from a replica by serve() (the drain
   /// pipelines count their own into SimResult::replica_reads).
   Cost replica_reads_served() const { return replica_reads_; }
@@ -228,8 +241,7 @@ class ShardedNetwork {
   RotationPolicy policy_;
   SplayMode mode_;
   std::vector<KArySplayNet> shards_;
-  /// [shard] -> lockstep replica, null when unreplicated. unique_ptr so
-  /// drain workers' replica pointers survive vector growth on split.
+  /// [shard] -> lockstep replica, null when unreplicated.
   std::vector<std::unique_ptr<KArySplayNet>> replicas_;
   std::vector<Cost> top_dist_;  ///< S x S static route lengths, row-major
   Cost cross_served_ = 0;

@@ -9,7 +9,9 @@
 // it splits the trace into per-shard queues and drains the shards
 // concurrently on the Executor, with a sequential mode that is
 // bit-identical by construction (shards share no state, and per-shard op
-// order alone determines cost).
+// order alone determines cost). Its epoch barriers and crash recoveries
+// are the ControlPlane's (sim/control_plane.hpp), which the open-loop
+// frontend shares.
 #pragma once
 
 #include <cstdint>
@@ -273,21 +275,22 @@ struct ShardedRunOptions {
                             ///< shards on the caller — the bit-identical
                             ///< determinism reference
   /// Non-null + enabled() turns on rebalance epochs: the trace is served
-  /// in epoch_requests-sized chunks; after each chunk the drain barrier
-  /// doubles as a rebalance point (observe window, evaluate trigger, apply
-  /// the planned batch, resume). Null or disabled reproduces the static
-  /// pipeline bit for bit.
+  /// in epoch_requests-sized chunks, each observed into the window during
+  /// its own drain, and every chunk but the last ends in the control
+  /// plane's barrier (plan, migrate, reconcile replicas, split or merge).
+  /// Null or disabled reproduces the static pipeline bit for bit.
   const RebalanceConfig* rebalance = nullptr;
   /// Intra-shard serve order within each drained queue (sim/schedule.hpp).
   /// Reordering is per-shard and per-chunk, so the sequential/concurrent
   /// bit-identity guarantee is preserved: shards share nothing and each
   /// shard's scheduled order is deterministic.
   ScheduleConfig schedule{};
-  /// Non-null + enabled() injects scripted shard kills (sim/fault.hpp):
-  /// the drain splits its chunks at the kill indices, snapshots every
-  /// shard (a checksummed binary tree image) at each resume point while
-  /// kills are pending, and recovers a killed shard by replica promotion
-  /// or snapshot restore + trace-tail replay. Deterministic and mode-independent; under the
+  /// Non-null + enabled() injects scripted faults (sim/fault.hpp): the
+  /// drain splits its chunks at the event indices, snapshots every shard
+  /// (a checksummed binary tree image) at each resume point while events
+  /// are pending, and recovers a killed shard by replica promotion or
+  /// snapshot restore + trace-tail replay. Every event's shard is checked
+  /// against the live fleet. Deterministic and mode-independent; under the
   /// FIFO schedule the serve counters bit-match the unfaulted run
   /// (locality windows legitimately re-seat at the crash boundary).
   const FaultPlan* faults = nullptr;

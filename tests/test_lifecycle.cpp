@@ -287,6 +287,23 @@ TEST(Lifecycle, FaultPlanParsesAndValidates) {
   EXPECT_THROW(run_trace_sharded(net, trace, opt), TreeError);
 }
 
+TEST(Lifecycle, BatchRejectsOutOfRangeFaultShards) {
+  // Every event kind is range-checked against the live fleet, not only
+  // shard kills: the batch pipeline must not silently count a worker kill
+  // or a queue-pressure event aimed at a shard it does not have.
+  const Trace trace = gen_workload(WorkloadKind::kUniform, 32, 200, 1);
+  for (FaultKind kind : {FaultKind::kShardKill, FaultKind::kWorkerKill,
+                         FaultKind::kQueuePressure}) {
+    ShardedNetwork net = ShardedNetwork::balanced(2, 32, 4);
+    FaultPlan plan;
+    plan.kills = {{50, 4, kind}};
+    ShardedRunOptions opt;
+    opt.faults = &plan;
+    EXPECT_THROW(run_trace_sharded(net, trace, opt), TreeError)
+        << fault_kind_name(kind);
+  }
+}
+
 // ---- replicas ----------------------------------------------------------
 
 TEST(Lifecycle, ReplicaReadsNeverChangeGoldenCosts) {
