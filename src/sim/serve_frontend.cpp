@@ -588,10 +588,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     const BarrierOutcome out = plane.barrier(served, 0);
     if (out.split_to >= 0) spawn_worker(out.split_to);
     if (out.merged_from >= 0) retire_worker(net_.num_shards());
-    if (out.changed) {
-      route_epoch.fetch_add(1, std::memory_order_release);
-      ++res.route_epochs;
-    }
+    if (out.changed) route_epoch.fetch_add(1, std::memory_order_release);
   };
 
   // ---- admission control ----------------------------------------------
