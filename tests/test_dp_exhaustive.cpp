@@ -196,6 +196,42 @@ TEST(DpDifferential, ThreadedEngineMatchesReference) {
   }
 }
 
+TEST(DpDifferential, TiledEngineMatchesReferenceAcrossTiles) {
+  // Sizes around the engine's 32-wide tiles: one partial tile, one exact
+  // tile, a one-cell edge tile, and enough tiles (3 to 5 per side) that
+  // the between-tiles products run, with and without a partial last tile.
+  constexpr int kTile = 32;
+  for (int n : {kTile - 1, kTile, kTile + 1, 3 * kTile, 3 * kTile + 5,
+                5 * kTile - 3}) {
+    for (int k : {2, 3, 4, 5, 10}) {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(n) * 131 +
+                          static_cast<std::uint64_t>(k));
+      const DemandMatrix d = random_demand(n, rng);
+      const OptimalTreeResult ref =
+          optimal_routing_based_tree_reference(k, d, 1);
+      for (int threads : {1, 4}) {
+        const OptimalTreeResult fast =
+            optimal_routing_based_tree(k, d, threads);
+        ASSERT_EQ(fast.total_distance, ref.total_distance)
+            << "n=" << n << " k=" << k << " threads=" << threads;
+        EXPECT_EQ(optimal_routing_based_cost(k, d, threads),
+                  ref.total_distance)
+            << "n=" << n << " k=" << k << " threads=" << threads;
+        for (NodeId u = 1; u <= n; ++u) {
+          ASSERT_EQ(fast.tree.parent(u), ref.tree.parent(u))
+              << "n=" << n << " k=" << k << " threads=" << threads
+              << " node=" << u;
+          if (fast.tree.parent(u) != kNoNode) {
+            ASSERT_EQ(fast.tree.slot_in_parent(u), ref.tree.slot_in_parent(u))
+                << "n=" << n << " k=" << k << " threads=" << threads
+                << " node=" << u;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Why the engine has no Knuth/quadrangle-inequality pruning. The classic
 // window root(i, j-1) <= root(i, j) <= root(i+1, j) is only valid when the
