@@ -1,4 +1,4 @@
-// Release-mode differential gate: the flat DP engine against the
+// Release-mode differential gate: the tiled DP engine against the
 // pre-rewrite reference oracle on randomized demand matrices. The tier-1
 // test wall runs the same comparison under ASan/UBSan in debug-friendly
 // sizes (tests/test_dp_exhaustive.cpp); this binary repeats it with
@@ -6,8 +6,12 @@
 // min-plus kernels — and exits nonzero on any cost or tree mismatch, so
 // CI cannot go green with a silently diverging optimizer build.
 //
-//   dp_differential            # 200 instances, n up to 96
-//   dp_differential --smoke    # 48 instances, n up to 40 (CI push gate)
+//   dp_differential            # 200 instances, n up to 165
+//   dp_differential --smoke    # 48 instances, n up to 101 (CI push gate)
+//
+// The first instance always takes the largest n: with the engine's
+// 32-wide tiles, 101 is three full tiles and a partial fourth, so even
+// the smoke run reaches the between-tiles products and a partial edge.
 #include <iostream>
 #include <random>
 #include <string>
@@ -21,14 +25,17 @@ int main(int argc, char** argv) {
   bench::init_bench_cli(argc, argv);
 
   const int instances = bench::scaled(48, 200, 400);
-  const int max_n = bench::scaled(40, 96, 128);
+  const int max_n = bench::scaled(101, 165, 229);
   const int ks[] = {2, 3, 5, 10};
 
   long checked = 0;
   for (int trial = 0; trial < instances; ++trial) {
     const int k = ks[trial % 4];
     std::mt19937_64 rng(0x5EEDu + static_cast<std::uint64_t>(trial));
-    const int n = 2 + static_cast<int>(rng() % static_cast<unsigned>(max_n - 1));
+    const int n =
+        trial == 0
+            ? max_n
+            : 2 + static_cast<int>(rng() % static_cast<unsigned>(max_n - 1));
     DemandMatrix d(n);
     const int pairs = 1 + static_cast<int>(rng() % (4u * n));
     for (int p = 0; p < pairs; ++p) {
@@ -66,7 +73,7 @@ int main(int argc, char** argv) {
     ++checked;
   }
   std::cout << "dp_differential: " << checked
-            << " instances, flat engine == reference (cost, tree)\n";
+            << " instances, tiled engine == reference (cost, tree)\n";
   bench::write_json_result(
       "{\n  \"bench\": \"dp_differential\",\n  \"instances\": " +
       std::to_string(checked) + ",\n  \"result\": \"identical\"\n}\n");

@@ -102,10 +102,11 @@ struct Options {
 // Hindsight optimality gap: cost of the Theorem 2 optimal static tree for
 // the trace's own demand matrix, via the cost-only DP entry (no tree is
 // materialized). Feasible well past the old n = 256 ceiling since the
-// flat engine rewrite, but the DP's table footprint is O(n^2 k) — cap it
-// so an interactive run cannot silently allocate gigabytes (k = 2 at
-// n = 4096 is ~390 MB total and ~8 s; k = 10 at the same n would be
-// ~1.7 GB of tables alone and is rejected).
+// DP engine rewrites, but the DP's table footprint is O(n^2 k): 2k-4
+// packed tables (one at k = 2) of n(n+1)/2 cells. Cap it so an
+// interactive run cannot silently allocate gigabytes (k = 2 at n = 4096
+// is 67 MB of tables beside the 268 MB demand matrix; k = 10 at the same
+// n is 1.07 GB of tables, just under the cap).
 constexpr int kMaxOptimalGapNodes = 4096;
 constexpr std::size_t kMaxOptimalGapTableBytes = 1'200'000'000;
 
@@ -114,7 +115,7 @@ Cost optimal_cost_for(const Trace& trace, int k) {
     throw TreeError("--optimal-gap supports n <= " +
                     std::to_string(kMaxOptimalGapNodes) + " (got n = " +
                     std::to_string(trace.n) + ")");
-  const std::size_t tables = static_cast<std::size_t>(std::max(2, 3 * k - 5));
+  const std::size_t tables = static_cast<std::size_t>(std::max(1, 2 * k - 4));
   const std::size_t cells =
       static_cast<std::size_t>(trace.n) * (trace.n + 1) / 2;
   if (tables * cells * sizeof(Cost) > kMaxOptimalGapTableBytes)

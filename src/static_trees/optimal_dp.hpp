@@ -11,17 +11,17 @@
 //
 // Two implementations share this interface:
 //
-//  * optimal_routing_based_tree / optimal_routing_based_cost — the flat
-//    cache-blocked engine. Packed-triangular diagonal tables kept in both
-//    row-major and transposed (column-major) mirrors so every inner scan
-//    is a contiguous branchless min-plus sweep the compiler vectorizes;
-//    the structurally dead t = k layer is dropped (dp2 is only ever read
-//    at indices <= k-1 and tails at t-1 <= k-2, see optimal_dp.cpp); the
-//    O(n^2 k) argmin/choice tables are gone entirely — reconstruction
-//    re-derives each visited cell's argmin from the retained cost tables
-//    with the original scan order, so the produced tree is bit-identical
-//    to the reference. Length-diagonals are independent and dispatched as
-//    work-gated rounds on the persistent Executor pool.
+//  * optimal_routing_based_tree / optimal_routing_based_cost — the tiled
+//    engine. Each cost table is stored once, packed upper-triangular
+//    row-major; the (i, j) triangle is cut into square tiles, one
+//    Executor round per tile-diagonal, and the bulk of every tile is a
+//    register-blocked min-plus product of finished tiles that the
+//    compiler vectorizes. The structurally dead t = k layer is dropped
+//    (dp2 is only ever read at indices <= k-1 and tails at t-1 <= k-2,
+//    see optimal_dp.cpp); the O(n^2 k) argmin/choice tables are gone
+//    entirely — reconstruction re-derives each visited cell's argmin from
+//    the retained cost tables with the original scan order, so the
+//    produced tree is bit-identical to the reference.
 //
 //  * optimal_routing_based_tree_reference — the original per-length
 //    vector-of-vectors implementation, kept as the differential oracle
@@ -59,10 +59,11 @@ OptimalTreeResult optimal_routing_based_tree(int k, const DemandMatrix& D,
 /// Cost of the optimal tree without materializing it: skips the
 /// reconstruction pass (the forward tables are identical — the recurrence
 /// reads every shorter prefix/suffix cell, so its live state is
-/// inherently O(n^2 k); what this entry point saves over the reference is
-/// the choice tables and the dead layer, roughly 2.4x at k = 10 and 8.9x
-/// at k = 2 per cell). Used by the optimality-gap reporting paths where
-/// only the ratio matters.
+/// inherently O(n^2 k); what both entries save over the reference is the
+/// choice tables, the dead layer and the square storage: 2k-4 packed
+/// tables (one at k = 2) of 8 bytes per cell, roughly 3.7x less than the
+/// reference at k = 10 and 18x less at k = 2). Used by the optimality-gap
+/// reporting paths where only the ratio matters.
 Cost optimal_routing_based_cost(int k, const DemandMatrix& D,
                                 int threads = 0);
 

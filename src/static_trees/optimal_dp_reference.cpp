@@ -1,6 +1,6 @@
 // Reference implementation of the Theorem 2 DP — the pre-rewrite code,
-// kept verbatim as the differential oracle for the flat cache-blocked
-// engine in optimal_dp.cpp. Slower (per-length vector-of-vectors tables,
+// kept verbatim as the differential oracle for the tiled engine in
+// optimal_dp.cpp. Slower (per-length vector-of-vectors tables,
 // sentinel-guarded inner loops, O(n^2 k) choice tables) but maximally
 // literal: every accessor matches the recurrence as written in the paper.
 //

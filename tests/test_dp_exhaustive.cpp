@@ -132,7 +132,7 @@ TEST(DpExhaustive, UniformDemandSmall) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential wall: the flat cache-blocked engine against the pre-rewrite
+// Differential wall: the tiled engine against the pre-rewrite
 // reference oracle (optimal_dp_reference.cpp). The engine re-derives
 // reconstruction argmins with the reference's exact scan order, so the
 // comparison is stronger than the cost: parent array and child slots must
@@ -180,7 +180,7 @@ TEST(DpDifferential, FlatEngineMatchesReferenceOracle) {
 }
 
 TEST(DpDifferential, ThreadedEngineMatchesReference) {
-  // The wavefront dispatch must not change any cost cell: pure min
+  // The tile-diagonal dispatch must not change any cost cell: pure min
   // computations are order-independent, but this is the test that keeps
   // it that way.
   for (std::uint64_t seed : {3u, 17u}) {
