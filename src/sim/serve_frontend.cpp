@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -26,8 +28,8 @@ constexpr int kBreakerClosed = 0;
 constexpr int kBreakerOpen = 1;
 constexpr int kBreakerRecovery = 2;
 
-/// One queued operation, in global ids (local ids are resolved on
-/// admission so queued items survive migrations).
+/// One queued operation, in global ids (the worker resolves local ids
+/// when it serves the item).
 struct QueueItem {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;          ///< kNoNode marks a handover second leg
@@ -167,17 +169,28 @@ struct WorkerState {
   CostSplit split;
   Cost replica_reads = 0;  ///< intra serves answered by the replica
   std::size_t handovers = 0;
-  std::size_t forwards = 0;
   Cost reordered = 0;  ///< batch slots permuted by the locality schedule
   Cost deadline_expired = 0;  ///< shed at dequeue, pre-mutation
-  Cost cross_shed = 0;        ///< handover/forward legs shed by the
-                              ///< breaker or retry exhaustion
+  Cost cross_shed = 0;        ///< handover legs shed by the breaker or
+                              ///< retry exhaustion
   Cost breaker_trips = 0;
   std::uint64_t probe_clock = 0;  ///< half-open probe cadence counter
   LatencyHistogram sojourn;
   LatencyHistogram queue_wait;
   LatencyHistogram shed;  ///< age at drop of dequeue/handover sheds
 };
+
+/// A queued op whose endpoint the map places on another shard. The map
+/// changes only in ControlPlane::barrier, which runs after quiesce has
+/// drained every inbox and mailbox, so this is a broken invariant, not a
+/// race to recover from: serving it would mutate the wrong tree.
+[[noreturn]] void foreign_op(int shard, NodeId node) {
+  std::fprintf(stderr,
+               "ServeFrontend: a queued op for node %d reached shard %d, "
+               "which does not own it\n",
+               static_cast<int>(node), shard);
+  std::abort();
+}
 
 }  // namespace
 
@@ -354,20 +367,10 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     batch.reserve(static_cast<std::size_t>(opt_.admission_batch));
     auto process_item = [&](const QueueItem& item) {
       const ShardMap& map = net_.map();
+      if (map.shard_of(item.src) != my_shard) foreign_op(my_shard, item.src);
       if (item.is_handover()) {
         // Second leg of a cross-shard request: ascend v, charge the
         // accumulated top-tree legs, complete.
-        const int home = map.shard_of(item.src);
-        if (home != my_shard) {  // lost a race with a migration: forward
-          QueueItem fwd = item;
-          fwd.pending_top += net_.top_distance(my_shard, home);
-          ++ws.forwards;
-          if (!deliver(home, fwd)) {
-            ++ws.cross_shed;
-            shed_item(fwd);
-          }
-          return;
-        }
         const ServeResult sr =
             net_.serve_local(my_shard, map.local_of(item.src), kNoNode);
         ws.routing += sr.routing_cost + item.pending_top;
@@ -379,15 +382,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         ++ws.split.cross_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
-        return;
-      }
-      const int a = map.shard_of(item.src);
-      if (a != my_shard) {  // fresh item whose source migrated away
-        ++ws.forwards;
-        if (!deliver(a, item)) {
-          ++ws.cross_shed;
-          shed_item(item);
-        }
         return;
       }
       // Deadline shed at dequeue, before any tree mutation: a request
@@ -433,13 +427,12 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       }
     };
     // Resolves a queued item into this worker's shard-local id space for
-    // the locality scheduler. Items for other shards (forwards) and
-    // handovers/first legs key as root ascents or foreign ops; fleet and
-    // map changes only land at quiesce barriers, so the map is stable per
-    // batch.
+    // the locality scheduler; handovers and first legs key as root
+    // ascents. Fleet and map changes only land at quiesce barriers, so
+    // the map is stable per batch and every item's source is local
+    // (process_item checks it).
     auto resolve = [&](const QueueItem& item) -> ScheduleEndpoints {
       const ShardMap& map = net_.map();
-      if (map.shard_of(item.src) != my_shard) return {kNoNode, kNoNode};
       const NodeId u = map.local_of(item.src);
       if (item.is_handover() || map.shard_of(item.dst) != my_shard)
         return {u, kNoNode};  // root ascent (second or first leg)
@@ -709,7 +702,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     res.sim.edge_changes += ws.edges;
     res.sim.replica_reads += ws.replica_reads;
     res.handovers += ws.handovers;
-    res.forwards += ws.forwards;
     res.sim.reordered_requests += ws.reordered;
     res.sim.deadline_expired += ws.deadline_expired;
     res.sim.cross_shed += ws.cross_shed;

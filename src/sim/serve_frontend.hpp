@@ -190,8 +190,10 @@ struct FrontendResult {
                                  ///< (0 for saturation)
   double achieved_rate = 0.0;    ///< served requests / elapsed
   std::size_t handovers = 0;     ///< first-leg mailbox handovers performed
-  std::size_t forwards = 0;      ///< ops re-routed after losing a race
-                                 ///< with a migration or a fleet change
+  std::size_t forwards = 0;      ///< always 0: the map changes only at
+                                 ///< quiesce barriers, so no queued op
+                                 ///< ever needs re-routing (kept for the
+                                 ///< benchmark's sim.frontend.forwards)
   std::uint64_t route_epochs = 0;  ///< barriers that changed the map or
                                    ///< the fleet's shape during the run
 };
