@@ -53,8 +53,10 @@ struct ScheduleConfig {
 };
 
 /// Endpoints of one schedulable operation, resolved into the id space of the
-/// tree being scheduled. `v == kNoNode` marks a root ascent (sharded first
-/// leg / access): it is keyed and warmed against the current root.
+/// tree being scheduled. `u == kNoNode` marks an operation foreign to this
+/// tree: it keeps its arrival position's sort key floor and is served
+/// as-is. `v == kNoNode` marks a root ascent (sharded first leg /
+/// access): it is keyed and warmed against the current root.
 struct ScheduleEndpoints {
   NodeId u = kNoNode;
   NodeId v = kNoNode;
@@ -111,6 +113,7 @@ class LocalityScheduler {
     const NodeId root = tree.root();
     for (size_t i = 0; i < m; ++i) {
       const ScheduleEndpoints ep = resolve(ops[i]);
+      if (ep.u == kNoNode) continue;  // foreign op: key 0, stable floor
       const NodeId v = ep.v == kNoNode ? root : ep.v;
       keys_[i] = (static_cast<std::uint64_t>(
                       static_cast<std::uint32_t>(tree.lca(ep.u, v)))
@@ -150,6 +153,7 @@ class LocalityScheduler {
       const NodeId root = tree.root();
       for (Op& op : ops) {
         const ScheduleEndpoints ep = resolve(op);
+        if (ep.u == kNoNode) continue;
         tree.prefetch_route(ep.u, ep.v == kNoNode ? root : ep.v);
       }
     }

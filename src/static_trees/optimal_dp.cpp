@@ -93,11 +93,11 @@ constexpr int kBlockRows = kLanes >= 8 ? 4 : 2;
 static_assert(kTile % kBlockCols == 0 && kTile % kBlockRows == 0);
 
 // Packed row-major cost tables. Row i (1 <= i <= n+1) holds columns
-// i-kPad (the pads) through `width`; row n+1 holds only pads and scratch.
+// i-kPad (the pads) through the last column of the last tile; row n+1
+// holds only pads and scratch.
 struct Tables {
   int k, n;
   int tiles;  // ceil(n / kTile)
-  int width;  // tiles * kTile
   std::vector<std::ptrdiff_t> row;  // row[i]: index of (i, 0)
   std::vector<Cost> d1;             // dp[1] == dp2[1]
   // dp[t] for t = 2..k-2 (the tails of the t >= 2 products).
@@ -110,10 +110,10 @@ struct Tables {
       : k(k_in),
         n(n_in),
         tiles((n_in + kTile - 1) / kTile),
-        width(tiles * kTile),
         row(static_cast<size_t>(n_in) + 2, 0),
         dt(static_cast<size_t>(k_in)),
         q2(static_cast<size_t>(k_in)) {
+    const int width = tiles * kTile;
     std::ptrdiff_t base = 0;
     for (int i = 1; i <= n + 1; ++i) {
       row[static_cast<size_t>(i)] = base - (i - kPad);

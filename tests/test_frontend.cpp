@@ -128,7 +128,7 @@ TEST(Frontend, PoissonOpenLoopReportsLatencies) {
 
 // Online rebalancing through the quiesce barrier: a drifting workload
 // must fire epochs and migrate nodes mid-run, with every request still
-// served exactly once (none forwarded, none lost).
+// served exactly once.
 TEST(Frontend, RebalancesOnlineUnderDrift) {
   const int n = 96;
   const std::size_t m = 24000;
@@ -145,7 +145,6 @@ TEST(Frontend, RebalancesOnlineUnderDrift) {
   EXPECT_GT(r.sim.rebalance_epochs, 0);
   EXPECT_GT(r.sim.migrations, 0);
   EXPECT_GT(r.sim.migration_cost, 0);
-  EXPECT_EQ(r.forwards, 0u);
   // post_intra_fraction was recomputed under the final (migrated) map.
   EXPECT_GT(r.sim.post_intra_fraction, 0.0);
   EXPECT_LE(r.sim.post_intra_fraction, 1.0);
