@@ -10,10 +10,10 @@
 // Part 2 — recovery sweep: three scripted kills per run (early, middle,
 // late; different shards) against a 250 ms per-recovery SLO. The
 // snapshot-restore rows rebuild the dead shard from its last barrier
-// snapshot plus a trace-tail replay; the promotion rows keep every shard
-// replicated so failover is a pointer swap plus top-tree rewire. Reported:
-// replayed ops, recovery wall-clock (total and worst single), and the SLO
-// verdict the CLI would print.
+// snapshot plus a replay of the ops it served since; the promotion rows
+// keep every shard replicated so failover is a pointer swap plus top-tree
+// rewire. Reported: replayed ops, recovery wall-clock (total and worst
+// single), and the SLO verdict the CLI would print.
 //
 // The checked-in BENCH_lifecycle_scaling.json records this machine's
 // numbers at n = 10^5 (the ISSUE 9 acceptance scale), S up to 16.
@@ -116,7 +116,7 @@ RecoveryRow run_recovery_row(const Trace& trace, int k, int S,
   cfg.policy = RebalancePolicy::kNone;
   cfg.epoch_requests = epoch;
   // Promotion rows keep every shard replicated so each kill fails over;
-  // restore rows have no replicas, forcing snapshot + tail replay.
+  // restore rows have no replicas, forcing snapshot + served-op replay.
   cfg.replicas = promote ? S : 0;
 
   ShardedNetwork net =

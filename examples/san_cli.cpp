@@ -463,8 +463,7 @@ int main(int argc, char** argv) {
 
       std::unique_ptr<RequestStream> stream;
       if (!o.trace_v2_path.empty())
-        stream = std::make_unique<TraceV2Reader>(
-            o.trace_v2_path, TraceV2Reader::Backend::kMmap);
+        stream = std::make_unique<TraceV2Reader>(o.trace_v2_path);
       else
         stream = std::make_unique<StreamingWorkload>(
             parse_workload(o.workload), o.n, o.requests, o.seed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -180,29 +181,7 @@ TraceV2Reader::TraceV2Reader(std::istream& in) : in_(&in) {
   maybe_verify_footer();  // m == 0: the footer is all there is to check
 }
 
-TraceV2Reader::TraceV2Reader(const std::string& path, Backend backend) {
-  if (backend == Backend::kIstream) {
-    file_.open(path, std::ios::binary | std::ios::ate);
-    if (!file_) throw TreeError("TraceV2Reader: cannot open " + path);
-    const std::uint64_t len = static_cast<std::uint64_t>(file_.tellg());
-    file_.seekg(0);
-    in_ = &file_;
-    unsigned char hdr[kTraceV2HeaderBytes];
-    in_->read(reinterpret_cast<char*>(hdr), sizeof(hdr));
-    if (in_->gcount() != static_cast<std::streamsize>(sizeof(hdr)))
-      throw TreeError("trace v2: truncated header");
-    parse_header(hdr);
-    // The file size is knowable here, so check it against the header the
-    // same way the mmap backend does.
-    if (len != kTraceV2HeaderBytes + m_ * kTraceV2RecordBytes +
-                   (has_footer_ ? kTraceV2FooterBytes : 0))
-      throw TreeError("trace v2: file size does not match the header (" +
-                      std::to_string(len) + " bytes for m=" +
-                      std::to_string(m_) + ")");
-    maybe_verify_footer();
-    return;
-  }
-
+TraceV2Reader::TraceV2Reader(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw TreeError("TraceV2Reader: cannot open " + path);
   struct stat st{};
@@ -294,9 +273,8 @@ std::size_t TraceV2Reader::fill(std::span<Request> out) {
   return want;
 }
 
-Trace read_trace_v2_file(const std::string& path,
-                         TraceV2Reader::Backend backend) {
-  TraceV2Reader reader(path, backend);
+Trace read_trace_v2_file(const std::string& path) {
+  TraceV2Reader reader(path);
   return materialize_stream(reader);
 }
 

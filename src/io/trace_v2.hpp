@@ -19,8 +19,9 @@
 // and decoded byte-wise, no type punning). TraceV2Reader implements
 // workload/streaming.hpp's RequestStream, so a file replays through
 // run_trace_stream / run_trace_sharded_stream / ServeFrontend without ever
-// holding more than one chunk of requests; the mmap backend additionally
-// avoids read syscalls and lets the page cache back the replay directly.
+// holding more than one chunk of requests. A file path is memory-mapped,
+// which avoids read syscalls and lets the page cache back the replay
+// directly; a borrowed std::istream is read in buffered chunks.
 // Readers validate the header hard (magic, version bits, node range,
 // record-count-vs-file-size coherence where the size is knowable) and
 // every record (ids in [1, n], no self-loops): a corrupt or hostile file
@@ -37,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <iosfwd>
 #include <string>
 
@@ -91,16 +91,11 @@ void write_stream_v2_file(const std::string& path, RequestStream& stream);
 /// Chunked v2 reader; a RequestStream over the file.
 class TraceV2Reader final : public RequestStream {
  public:
-  enum class Backend {
-    kIstream,  ///< buffered reads from any std::istream
-    kMmap,     ///< read-only file mapping (POSIX); zero-copy decode
-  };
-
   /// Borrowed-stream reader (header parsed and validated immediately).
   /// The stream must outlive the reader.
   explicit TraceV2Reader(std::istream& in);
-  /// File reader with the chosen backend.
-  TraceV2Reader(const std::string& path, Backend backend);
+  /// File reader over a read-only mapping (POSIX); zero-copy decode.
+  explicit TraceV2Reader(const std::string& path);
 
   TraceV2Reader(const TraceV2Reader&) = delete;
   TraceV2Reader& operator=(const TraceV2Reader&) = delete;
@@ -125,16 +120,13 @@ class TraceV2Reader final : public RequestStream {
   bool footer_checked_ = false;
   Crc32 crc_;  ///< folded over header + records as they stream through
 
-  std::istream* in_ = nullptr;  ///< borrowed or &file_
-  std::ifstream file_;
+  std::istream* in_ = nullptr;  ///< borrowed stream
 
-  const unsigned char* map_ = nullptr;  ///< mmap backend
+  const unsigned char* map_ = nullptr;  ///< file mapping
   std::size_t map_len_ = 0;
 };
 
 /// Materializes a whole v2 file (testing / small-scale convenience).
-Trace read_trace_v2_file(const std::string& path,
-                         TraceV2Reader::Backend backend =
-                             TraceV2Reader::Backend::kIstream);
+Trace read_trace_v2_file(const std::string& path);
 
 }  // namespace san

@@ -47,6 +47,8 @@ ControlPlane::ControlPlane(ShardedNetwork& net,
   if (faults != nullptr && faults->enabled()) {
     faults->validate();
     events_ = faults->kills;
+    for (std::size_t i = 0; i < events_.size(); ++i)
+      if (events_[i].kind == FaultKind::kShardKill) kills_end_ = i + 1;
   }
 }
 
@@ -134,15 +136,14 @@ FaultEvent ControlPlane::take_fault() {
 }
 
 void ControlPlane::snapshot_all() {
-  if (next_fault() == nullptr) return;
+  if (!kill_pending()) return;
   const int S = net_.num_shards();
   snaps_.resize(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s)
     snaps_[static_cast<std::size_t>(s)] = net_.snapshot_shard(s);
 }
 
-void ControlPlane::recover(int s, std::span<const Request> tail,
-                           const ScheduleConfig& sched) {
+void ControlPlane::recover(int s, std::span<ShardOp> served) {
   const Clock::time_point t0 = Clock::now();
   ++res_.faults_injected;
   if (net_.has_replica(s)) {
@@ -150,14 +151,17 @@ void ControlPlane::recover(int s, std::span<const Request> tail,
     net_.promote_replica(s);
     ++res_.replica_promotions;
   } else {
-    // Same queue, same initial tree, same schedule: the replay reaches the
-    // state the shard held when it died.
+    // Same initial tree, same ops in the same order: the replay reaches
+    // the state the shard held when it died, which the simulated crash
+    // left readable to check against.
+    const std::string lost = net_.snapshot_shard(s);
     net_.restore_shard(s, snaps_[static_cast<std::size_t>(s)]);
-    PartitionedTrace pt = partition_trace(tail, net_.map());
-    std::vector<ShardOp>& ops = pt.ops[static_cast<std::size_t>(s)];
-    const ShardDrain replay = drain_shard(net_, s, ops, sched);
-    res_.recovery_replayed += static_cast<Cost>(ops.size());
+    const ShardDrain replay = drain_shard(net_, s, served, ScheduleConfig{});
+    res_.recovery_replayed += static_cast<Cost>(served.size());
     res_.recovery_cost += replay.sim.total_cost();
+    if (net_.snapshot_shard(s) != lost)
+      throw TreeError("ControlPlane::recover: shard " + std::to_string(s) +
+                      " replayed to a different tree");
   }
   note_recovery(t0);
 }

@@ -9,8 +9,13 @@
 //             reconcile replicas, then split else merge
 //   fault     pop the next scripted event (range-checked against the live
 //             fleet), snapshot the fleet at resume points, and recover a
-//             killed shard by replica promotion or snapshot restore plus a
-//             tail replay through drain_shard
+//             killed shard by replica promotion or by a snapshot restore
+//             plus a replay of the ops it served since, in served order
+//
+// Every served op splays, so only the served order rebuilds the lost tree
+// (the state-machine rule). The batch pipeline hands recover() the killed
+// shard's queue from the sub-drain that just ran, already permuted into
+// served order; the frontend hands it the log the shard's worker kept.
 //
 // Every counter it moves lands in the SimResult the engine passes in.
 #pragma once
@@ -105,15 +110,21 @@ class ControlPlane {
   /// kill is counted by recover().
   FaultEvent take_fault();
 
-  /// Snapshots every shard at a resume point; a no-op once every event
-  /// has fired.
+  /// A shard kill is still to fire. Only then do resume points matter:
+  /// snapshot_all() snapshots and the frontend's workers log what they
+  /// serve.
+  bool kill_pending() const { return next_ < kills_end_; }
+  /// Snapshots every shard at a resume point; a no-op once no shard kill
+  /// is pending.
   void snapshot_all();
   /// Recovers killed shard `s`: promotion when it is replicated, else the
-  /// last snapshot plus a replay of `s`'s projection of `tail` (the
-  /// requests served since that snapshot) under `sched`. Replay cost goes
-  /// to the recovery counters, not the serve counters.
-  void recover(int s, std::span<const Request> tail,
-               const ScheduleConfig& sched);
+  /// last snapshot plus a FIFO replay of `served`, the ops (in `s`'s local
+  /// ids, ascents as {u, kNoNode}) that `s` served since that snapshot, in
+  /// the order it served them. The crash is simulated, so the lost tree is
+  /// still readable: the replay must rebuild it exactly, or this throws
+  /// TreeError. Replay cost goes to the recovery counters, not the serve
+  /// counters.
+  void recover(int s, std::span<ShardOp> served);
   /// Books the wall time since `t0` as one recovery.
   void note_recovery(Clock::time_point t0);
 
@@ -129,6 +140,7 @@ class ControlPlane {
   double cross_reqs_ = 0.0, intra_reqs_ = 0.0;
   std::vector<FaultEvent> events_;
   std::size_t next_ = 0;
+  std::size_t kills_end_ = 0;  ///< one past the last shard kill's index
   std::vector<std::string> snaps_;  ///< [shard] tree image snapshot
 };
 

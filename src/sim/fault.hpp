@@ -6,19 +6,19 @@
 // time — a failure scenario replays bit-exactly: the batch pipeline
 // (sim/simulator.hpp) splits its drain chunks at the kill points, so the
 // pre-crash state, the tree-image snapshot the recovery restores, and the
-// trace tail it replays are identical on every run, sequential or
-// concurrent. The open-loop frontend (sim/serve_frontend.hpp) fires the
-// same script at its dispatch counter and recovers at a quiesce barrier;
-// its recovered state is dispatch-order-consistent rather than bit-exact
-// (real-time interleaving is not replayable — see the frontend's file
-// comment).
+// ops it replays are identical on every run, sequential or concurrent.
+// The open-loop frontend (sim/serve_frontend.hpp) fires the same script at
+// its dispatch counter and recovers at a quiesce barrier. Both engines
+// replay the ops the killed shard served, in the order it served them, so
+// every restore rebuilds the lost tree exactly (ControlPlane::recover
+// checks it).
 //
 // Three event kinds, mirroring what actually fails in a tablet server:
 //   * kShardKill     — the shard loses its in-memory tree; recovery is
 //     two-tier: a replicated shard fails over by promotion (the lockstep
 //     copy already holds the exact pre-crash state), an unreplicated one
 //     is rebuilt from its last snapshot (a checksummed tree image, see
-//     ShardedNetwork::snapshot_shard) plus a replay of the trace tail
+//     ShardedNetwork::snapshot_shard) plus a replay of the ops the shard
 //     served since it. Replay costs are accounted separately
 //     from serve costs (SimResult::recovery_cost), the same convention
 //     migration_cost uses, so a faulted run's golden serve counters match

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -27,6 +28,8 @@ using Clock = std::chrono::steady_clock;
 constexpr int kBreakerClosed = 0;
 constexpr int kBreakerOpen = 1;
 constexpr int kBreakerRecovery = 2;
+/// Seeds the per-worker deterministic backoff between handover retries.
+constexpr std::uint64_t kBackoffSeed = 0x5EED;
 
 /// One queued operation, in global ids (the worker resolves local ids
 /// when it serves the item).
@@ -137,11 +140,6 @@ class ShardInbox {
     not_full_.notify_all();
   }
 
-  std::size_t capacity() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-  }
-
  private:
   std::mutex mu_;
   std::condition_variable not_empty_;
@@ -155,11 +153,10 @@ class ShardInbox {
 
 /// Worker-owned accumulators. Written only by the owning worker thread
 /// (a slot keeps one WorkerState across worker-kill respawns and shard
-/// renumbering, so counters only ever accumulate); read by the
-/// dispatcher at quiesce barriers (ordered by the acquire load of
-/// `completed` against the workers' release increments) and after join.
-/// The trailing histograms make the struct large enough that neighbouring
-/// workers' hot counters do not share a cache line.
+/// renumbering, so counters only ever accumulate); read, and the served
+/// log cleared, by the dispatcher at quiesce barriers (ordered by the
+/// acquire load of `completed` against the workers' release increments)
+/// and after join.
 struct WorkerState {
   Cost routing = 0;
   Cost rotations = 0;
@@ -178,6 +175,26 @@ struct WorkerState {
   LatencyHistogram sojourn;
   LatencyHistogram queue_wait;
   LatencyHistogram shed;  ///< age at drop of dequeue/handover sheds
+  /// While a shard kill is pending: every op served since the last resume
+  /// point, in local ids and served order (the crash-recovery replay).
+  std::vector<ShardOp> served;
+};
+
+/// Worker w's slot, allocated when the worker first spawns. It outlives
+/// its worker: a respawn (worker kill) or a later split on a slot a merge
+/// retired reopens the inbox, and the counters reach the aggregation.
+/// Heap-allocated, so a worker's references survive the slot vector
+/// growing at a split barrier.
+struct Slot {
+  Slot(std::size_t capacity, std::size_t mail_capacity)
+      : inbox(capacity, mail_capacity) {}
+
+  ShardInbox inbox;
+  WorkerState state;
+  /// Circuit breaker (degradation modes only; see the header comment).
+  std::atomic<int> breaker{kBreakerClosed};
+  std::atomic<int> breaker_failures{0};
+  std::thread thread;
 };
 
 /// A queued op whose endpoint the map places on another shard. The map
@@ -246,13 +263,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
                                          ArrivalSchedule& schedule) {
   const int S0 = net_.num_shards();
   const std::size_t total = stream.size();
-  const bool lifecycle =
-      opt_.rebalance != nullptr && opt_.rebalance->lifecycle_enabled();
-  // Worker slots are preallocated to the lifecycle ceiling (the planner
-  // never splits past max_shards) so the fleet can grow without
-  // reallocating any array a live worker reads.
-  const int max_workers =
-      lifecycle ? std::max(S0, opt_.rebalance->max_shards) : S0;
   const bool degrade = opt_.queue_policy != QueuePolicy::kBlock;
   const std::size_t mail_cap =
       degrade ? (opt_.mailbox_capacity != 0 ? opt_.mailbox_capacity
@@ -262,22 +272,17 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   FrontendResult res;
   ControlPlane plane(net_, opt_.rebalance, opt_.faults, res.sim);
 
-  // Worker slot w serves shard w. The fleet changes shape only at quiesce
+  // Slot w serves shard w. The fleet changes shape only at quiesce
   // barriers, where every worker is parked in pop_batch, and the change is
   // published through the inbox mutexes (any item a worker pops was pushed
-  // after it). `route_epoch` counts those changes: workers re-resolve
-  // their tree pointer when it moves (splits and merges reallocate the
-  // shard vector, so a cached pointer can dangle across a barrier).
-  const auto n_slots = static_cast<std::size_t>(max_workers);
-  std::vector<std::unique_ptr<ShardInbox>> inboxes(n_slots);  // mutexes
-                                                              // don't move
-  std::vector<WorkerState> workers(n_slots);
-  std::vector<std::thread> threads(n_slots);
-  std::atomic<std::uint64_t> route_epoch{0};
-  // Per-shard circuit breakers (degradation modes only; see file comment).
-  std::vector<std::atomic<int>> breaker_state(n_slots);
-  std::vector<std::atomic<int>> breaker_failures(n_slots);
+  // after it), so a worker reads its shard's tree once per popped batch.
+  // Only the dispatcher grows `slots`; a worker reads another's slot only
+  // to hand a leg over, which happens before that request completes.
+  std::vector<std::unique_ptr<Slot>> slots;
   std::atomic<std::size_t> completed{0};
+  // Set at resume points while a shard kill is pending; workers log what
+  // they serve only then.
+  bool log_served = false;
 
   const Clock::time_point start = Clock::now();
   auto now_ns = [&start] {
@@ -288,25 +293,14 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   };
 
   // ---- dynamic worker fleet -------------------------------------------
-  auto worker_loop = [&](int w) {
-    WorkerState& ws = workers[static_cast<std::size_t>(w)];
-    ShardInbox& inbox = *inboxes[static_cast<std::size_t>(w)];
-    // Resolved lazily at the first popped batch (sentinel epoch): an idle
-    // worker that reads the shard vector at startup has no happens-before
-    // edge to a later barrier's split/merge realloc — it completed
-    // nothing, so the quiesce never observed it. Every read below is
-    // sandwiched between an inbox pop and this worker's own `completed`
-    // release, which the barrier acquires.
-    const int my_shard = w;
-    const KArySplayNet* shard = nullptr;
-    std::uint64_t seen_epoch = ~std::uint64_t{0};
+  auto worker_loop = [&](int w, Slot& slot) {
+    WorkerState& ws = slot.state;
     std::uint64_t rng =
-        opt_.backoff_seed ^
-        (kSplitmix64Gamma * (static_cast<std::uint64_t>(w) + 1));
+        kBackoffSeed ^ (kSplitmix64Gamma * (static_cast<std::uint64_t>(w) + 1));
     // Deterministic backoff between handover retries: exponential base
     // plus seeded splitmix64 jitter, microseconds-scale so retry
     // exhaustion resolves well under any realistic deadline. The schedule
-    // is a pure function of (backoff_seed, worker slot).
+    // is a pure function of the worker slot.
     auto backoff = [&](int attempt) {
       const std::uint64_t base = 2'000ull << std::min(attempt, 10);
       std::this_thread::sleep_for(std::chrono::nanoseconds(
@@ -326,59 +320,62 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     // deterministic backoff, and exhaustion feeds the breaker. Returns
     // false when the leg was shed (caller completes it via shed_item).
     auto deliver = [&](int target, const QueueItem& leg) -> bool {
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(target)];
+      Slot& to = *slots[static_cast<std::size_t>(target)];
       if (!degrade) {
-        box.push_mail(leg);
+        to.inbox.push_mail(leg);
         return true;
       }
-      std::atomic<int>& st = breaker_state[static_cast<std::size_t>(target)];
-      std::atomic<int>& failures =
-          breaker_failures[static_cast<std::size_t>(target)];
-      const int state = st.load(std::memory_order_acquire);
+      const int state = to.breaker.load(std::memory_order_acquire);
       if (state == kBreakerRecovery) return false;
       if (state == kBreakerOpen) {
         // Half-open: every 16th leg probes the mailbox; one success
         // closes the breaker again.
         if (++ws.probe_clock % 16 != 0) return false;
-        if (box.push_mail(leg)) {
-          st.store(kBreakerClosed, std::memory_order_release);
-          failures.store(0, std::memory_order_relaxed);
+        if (to.inbox.push_mail(leg)) {
+          to.breaker.store(kBreakerClosed, std::memory_order_release);
+          to.breaker_failures.store(0, std::memory_order_relaxed);
           return true;
         }
         return false;
       }
       for (int attempt = 0;; ++attempt) {
-        if (box.push_mail(leg)) {
-          failures.store(0, std::memory_order_relaxed);
+        if (to.inbox.push_mail(leg)) {
+          to.breaker_failures.store(0, std::memory_order_relaxed);
           return true;
         }
         if (attempt >= opt_.handover_retries) break;
         backoff(attempt);
       }
-      if (failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      if (to.breaker_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
           opt_.breaker_threshold) {
         int expect = kBreakerClosed;
-        if (st.compare_exchange_strong(expect, kBreakerOpen))
+        if (to.breaker.compare_exchange_strong(expect, kBreakerOpen))
           ++ws.breaker_trips;
       }
       return false;
+    };
+    // Serves one op on shard w in local ids (v == kNoNode ascends u to the
+    // root), logs it while a shard kill is pending, books the serve
+    // counters and returns its routing + rotations.
+    auto serve = [&](NodeId u, NodeId v) -> Cost {
+      const ServeResult sr = net_.serve_local(w, u, v);
+      if (log_served) ws.served.push_back({u, v});
+      ws.routing += sr.routing_cost;
+      ws.rotations += sr.rotations;
+      ws.edges += sr.edge_changes;
+      return sr.routing_cost + static_cast<Cost>(sr.rotations);
     };
     std::vector<QueueItem> batch;
     batch.reserve(static_cast<std::size_t>(opt_.admission_batch));
     auto process_item = [&](const QueueItem& item) {
       const ShardMap& map = net_.map();
-      if (map.shard_of(item.src) != my_shard) foreign_op(my_shard, item.src);
+      if (map.shard_of(item.src) != w) foreign_op(w, item.src);
+      const NodeId u = map.local_of(item.src);
       if (item.is_handover()) {
         // Second leg of a cross-shard request: ascend v, charge the
         // accumulated top-tree legs, complete.
-        const ServeResult sr =
-            net_.serve_local(my_shard, map.local_of(item.src), kNoNode);
-        ws.routing += sr.routing_cost + item.pending_top;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.cross_cost += sr.routing_cost +
-                               static_cast<Cost>(sr.rotations) +
-                               item.pending_top;
+        ws.routing += item.pending_top;
+        ws.split.cross_cost += serve(u, kNoNode) + item.pending_top;
         ++ws.split.cross_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
@@ -393,33 +390,21 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       }
       ws.queue_wait.record(now_ns() - item.arrival_ns);
       const int b = map.shard_of(item.dst);
-      if (b == my_shard) {
-        const ServeResult sr = net_.serve_local(
-            my_shard, map.local_of(item.src), map.local_of(item.dst));
-        if (net_.has_replica(my_shard)) ++ws.replica_reads;
-        ws.routing += sr.routing_cost;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.intra_cost +=
-            sr.routing_cost + static_cast<Cost>(sr.rotations);
+      if (b == w) {
+        ws.split.intra_cost += serve(u, map.local_of(item.dst));
+        if (net_.has_replica(w)) ++ws.replica_reads;
         ++ws.split.intra_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
       } else {
         // First leg: ascend u to this shard's root, hand the request
         // over to v's shard with the top-tree route priced in.
-        const ServeResult sr =
-            net_.serve_local(my_shard, map.local_of(item.src), kNoNode);
-        ws.routing += sr.routing_cost;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.cross_cost +=
-            sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ws.split.cross_cost += serve(u, kNoNode);
         ++ws.handovers;
         QueueItem leg;
         leg.src = item.dst;
         leg.arrival_ns = item.arrival_ns;
-        leg.pending_top = net_.top_distance(my_shard, b);
+        leg.pending_top = net_.top_distance(w, b);
         if (!deliver(b, leg)) {
           ++ws.cross_shed;
           shed_item(leg);
@@ -434,45 +419,49 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     auto resolve = [&](const QueueItem& item) -> ScheduleEndpoints {
       const ShardMap& map = net_.map();
       const NodeId u = map.local_of(item.src);
-      if (item.is_handover() || map.shard_of(item.dst) != my_shard)
+      if (item.is_handover() || map.shard_of(item.dst) != w)
         return {u, kNoNode};  // root ascent (second or first leg)
       return {u, map.local_of(item.dst)};
     };
     LocalityScheduler scheduler(opt_.schedule);
     for (;;) {
       batch.clear();
-      if (inbox.pop_batch(batch,
-                          static_cast<std::size_t>(opt_.admission_batch)) ==
-          0) {
+      if (slot.inbox.pop_batch(
+              batch, static_cast<std::size_t>(opt_.admission_batch)) == 0) {
         // Closed and drained. += so counters survive worker-kill respawns
         // on this slot.
         ws.reordered += scheduler.reordered();
         return;
       }
-      const std::uint64_t e = route_epoch.load(std::memory_order_acquire);
-      if (e != seen_epoch) {  // fleet changed shape at a barrier
-        seen_epoch = e;
-        shard = &net_.shard(my_shard);
-      }
-      scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
-                    process_item);
+      scheduler.run(net_.shard(w).tree(), std::span<QueueItem>(batch),
+                    resolve, process_item);
     }
   };
 
-  // A slot's inbox outlives its worker: a respawn (worker kill) or a later
-  // split on a slot a merge retired reopens it.
   auto spawn_worker = [&](int w) {
-    auto& slot = inboxes[static_cast<std::size_t>(w)];
-    if (slot == nullptr)
-      slot = std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
+    const auto i = static_cast<std::size_t>(w);
+    if (i == slots.size())
+      slots.push_back(std::make_unique<Slot>(opt_.queue_capacity, mail_cap));
     else
-      slot->reopen();
-    threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
+      slots[i]->inbox.reopen();
+    slots[i]->thread = std::thread(worker_loop, w, std::ref(*slots[i]));
   };
   auto retire_worker = [&](int w) {
-    inboxes[static_cast<std::size_t>(w)]->close();
-    threads[static_cast<std::size_t>(w)].join();
+    Slot& slot = *slots[static_cast<std::size_t>(w)];
+    slot.inbox.close();
+    slot.thread.join();
   };
+  // Joins every worker before the locals it uses go, also when the
+  // dispatcher throws (a fault script or recovery error).
+  auto join_all = [&] {
+    for (const auto& slot : slots) slot->inbox.close();
+    for (const auto& slot : slots)
+      if (slot->thread.joinable()) slot->thread.join();
+  };
+  struct JoinOnExit {
+    decltype(join_all)& join;
+    ~JoinOnExit() { join(); }
+  } join_on_exit{join_all};
   for (int s = 0; s < S0; ++s) spawn_worker(s);
 
   // ---- open-loop dispatcher (caller thread) ---------------------------
@@ -481,61 +470,46 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       std::this_thread::yield();
   };
 
-  // Queue-pressure windows: (shard, original capacity) pairs, restored at
-  // the next quiesce barrier, before any split or merge renumbers shards.
-  std::vector<std::pair<int, std::size_t>> pressured;
+  // Queue-pressure windows end at the next quiesce barrier, before any
+  // split or merge renumbers shards.
+  std::vector<int> pressured;
   auto restore_pressure = [&] {
-    for (const auto& [s, cap] : pressured)
-      inboxes[static_cast<std::size_t>(s)]->set_capacity(cap);
+    for (int s : pressured)
+      slots[static_cast<std::size_t>(s)]->inbox.set_capacity(
+          opt_.queue_capacity);
     pressured.clear();
   };
-  // Barriers reset the breakers: the fleet just proved it can drain, so
-  // congestion-tripped breakers half-open wholesale (and merge renumbering
-  // would stale per-shard state anyway).
-  auto reset_breakers = [&] {
-    if (!degrade) return;
-    for (int i = 0; i < max_workers; ++i) {
-      breaker_state[static_cast<std::size_t>(i)].store(
-          kBreakerClosed, std::memory_order_release);
-      breaker_failures[static_cast<std::size_t>(i)].store(
-          0, std::memory_order_relaxed);
-    }
+  auto close_breaker = [&](Slot& slot) {
+    slot.breaker.store(kBreakerClosed, std::memory_order_release);
+    slot.breaker_failures.store(0, std::memory_order_relaxed);
   };
 
   // ---- scripted fault injection (sim/fault.hpp) -----------------------
-  // While events are pending the dispatcher keeps the requests admitted
-  // since the plane's last fleet snapshot; resume points are run start,
-  // post-recovery and post-epoch-barrier instants, so the tail never spans
-  // a map change. A shard kill quiesces the (drained, handovers included)
-  // pipeline, then the plane recovers the shard: promotion, or restore
-  // plus a dispatch-order (FIFO) replay of the tail. At S = 1 under FIFO
-  // admission that replay is bit-identical to the lost state; at S > 1 it
-  // is dispatch-order-consistent (the racy mailbox interleaving that
-  // produced the lost state was never recorded).
-  std::vector<Request> fault_tail;
-  auto snapshot_all = [&] {
+  // Resume points are run start and the instants after a recovery, a
+  // worker kill or an epoch barrier, all quiesced. Each one snapshots the
+  // fleet and clears the workers' served logs while a shard kill is
+  // pending, so a log never spans a map change. A shard kill quiesces the
+  // (drained, handovers included) pipeline, then the plane recovers the
+  // shard: promotion, or restore plus a replay of the log its worker kept.
+  auto resume = [&] {
     plane.snapshot_all();
-    fault_tail.clear();
+    log_served = plane.kill_pending();
+    for (const auto& slot : slots) slot->state.served.clear();
   };
   auto fire_event = [&](const FaultEvent& ev, std::size_t disp) {
+    Slot& slot = *slots[static_cast<std::size_t>(ev.shard)];
     switch (ev.kind) {
       case FaultKind::kShardKill: {
         // Open the recovery breaker first so in-flight cross legs shed
         // instead of serving into the doomed shard (degradation modes;
         // kBlock stays lossless and drains them).
         if (degrade)
-          breaker_state[static_cast<std::size_t>(ev.shard)].store(
-              kBreakerRecovery, std::memory_order_release);
+          slot.breaker.store(kBreakerRecovery, std::memory_order_release);
         quiesce(disp);
         restore_pressure();
-        plane.recover(ev.shard, fault_tail, ScheduleConfig{});
-        if (degrade) {
-          breaker_state[static_cast<std::size_t>(ev.shard)].store(
-              kBreakerClosed, std::memory_order_release);
-          breaker_failures[static_cast<std::size_t>(ev.shard)].store(
-              0, std::memory_order_relaxed);
-        }
-        snapshot_all();
+        plane.recover(ev.shard, slot.state.served);
+        if (degrade) close_breaker(slot);
+        resume();
         break;
       }
       case FaultKind::kWorkerKill: {
@@ -548,40 +522,42 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         retire_worker(ev.shard);
         spawn_worker(ev.shard);
         plane.note_recovery(t0);
-        snapshot_all();
+        resume();
         break;
       }
-      case FaultKind::kQueuePressure: {
+      case FaultKind::kQueuePressure:
         // No barrier: the shard's inbox bound collapses mid-flight and
         // the admission policy has to cope until the next barrier
-        // restores it. The crash tail keeps accumulating (no tree or map
+        // restores it. The served logs keep growing (no tree or map
         // change to re-anchor against).
-        ShardInbox& box = *inboxes[static_cast<std::size_t>(ev.shard)];
-        pressured.emplace_back(ev.shard, box.capacity());
-        box.set_capacity(std::max<std::size_t>(1, opt_.queue_capacity / 8));
+        pressured.push_back(ev.shard);
+        slot.inbox.set_capacity(
+            std::max<std::size_t>(1, opt_.queue_capacity / 8));
         break;
-      }
     }
   };
-  snapshot_all();
+  resume();
 
   // The epoch barrier: drain the pipeline, then let the plane measure,
   // plan and apply — migrations and, when configured, the full shard
   // lifecycle — and reshape the worker fleet to match: a split's new
   // shard gets a worker, a merge retires the last slot (shard ids above
-  // the vacated one shifted down, and worker w serves shard w). The
-  // dispatcher keeps the arrival clock running, so this pause is charged
-  // to every request that arrives during it.
+  // the vacated one shifted down, and worker w serves shard w). Breakers
+  // reset: the fleet just proved it can drain, so congestion-tripped
+  // breakers half-open wholesale. The dispatcher keeps the arrival clock
+  // running, so this pause is charged to every request that arrives
+  // during it.
   auto epoch_barrier = [&](std::size_t dispatched) {
     quiesce(dispatched);
     restore_pressure();
-    reset_breakers();
+    if (degrade)
+      for (const auto& slot : slots) close_breaker(*slot);
     CostSplit served;
-    for (const WorkerState& ws : workers) served += ws.split;
+    for (const auto& slot : slots) served += slot->state.split;
     const BarrierOutcome out = plane.barrier(served, 0);
     if (out.split_to >= 0) spawn_worker(out.split_to);
     if (out.merged_from >= 0) retire_worker(net_.num_shards());
-    if (out.changed) route_epoch.fetch_add(1, std::memory_order_release);
+    if (out.changed) ++res.route_epochs;
   };
 
   // ---- admission control ----------------------------------------------
@@ -657,7 +633,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       item.dst = r.dst;
       item.arrival_ns = due;
       item.deadline_ns = deadline_ns;
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(a)];
+      ShardInbox& box = slots[static_cast<std::size_t>(a)]->inbox;
       if (opt_.queue_policy == QueuePolicy::kShed) {
         if (!box.try_push_main(item)) {
           ++res.sim.queue_full_blocks;
@@ -670,14 +646,13 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       }
       if (net_.map().shard_of(r.dst) != a) ++cross_dispatched;
       ++dispatched;
-      if (plane.next_fault() != nullptr) fault_tail.push_back(r);
       if (plane.adaptive()) {
         plane.observe(r);
         if (dispatched % plane.epoch_requests() == 0 && dispatched < total) {
           epoch_barrier(dispatched);
           // The barrier may have rewritten the map or fleet: re-anchor
-          // the crash tail so a later replay never spans it.
-          snapshot_all();
+          // the served logs so a later replay never spans it.
+          resume();
         }
       }
     }
@@ -690,13 +665,11 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
 
   quiesce(dispatched);
   res.elapsed_seconds = static_cast<double>(now_ns()) / 1e9;
-  for (auto& inbox : inboxes)
-    if (inbox != nullptr) inbox->close();
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
+  join_all();
 
   // ---- aggregation ----------------------------------------------------
-  for (const WorkerState& ws : workers) {
+  for (const auto& slot : slots) {
+    const WorkerState& ws = slot->state;
     res.sim.routing_cost += ws.routing;
     res.sim.rotation_count += ws.rotations;
     res.sim.edge_changes += ws.edges;
@@ -716,7 +689,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   res.sim.final_shards = net_.num_shards();
   res.sim.cross_shard = static_cast<Cost>(cross_dispatched);
   net_.note_cross_served(static_cast<Cost>(cross_dispatched));
-  res.route_epochs = route_epoch.load(std::memory_order_relaxed);
   res.achieved_rate =
       res.elapsed_seconds > 0.0
           ? static_cast<double>(res.sojourn.count()) / res.elapsed_seconds

@@ -30,8 +30,8 @@
 // a fresh worker, a merge retires the last slot (shard ids above the
 // vacated one shift down, and worker w keeps serving shard w). Fleet
 // changes are published to workers through the inbox mutexes (every item
-// a worker pops was pushed after the change), with an epoch counter as
-// the per-batch trigger to re-resolve the cached tree pointer.
+// a worker pops was pushed after the change), so a worker reads its
+// shard's tree once per popped batch.
 //
 // Cost accounting is identical to the batched pipeline (and hence to
 // per-request ShardedNetwork::serve): intra requests are exact Section 2
@@ -130,11 +130,8 @@ struct FrontendOptions {
   /// instead.
   std::size_t mailbox_capacity = 0;
   /// Bounded retries of a full handover push before the leg is shed
-  /// (kShed/kDeadline only).
+  /// (kShed/kDeadline only), with deterministic per-worker backoff.
   int handover_retries = 3;
-  /// Seeds the per-worker deterministic backoff schedule between handover
-  /// retries.
-  std::uint64_t backoff_seed = 0x5EED;
   /// Consecutive handover-retry exhaustions against one shard that trip
   /// its circuit breaker (which then sheds cross legs outright and
   /// half-opens on a probe cadence). Must be >= 1.
@@ -151,10 +148,9 @@ struct FrontendOptions {
   /// event fires when the dispatch counter reaches its at_request.
   /// kShardKill quiesces the pipeline, then recovers the shard — replica
   /// promotion when one exists, else a checksummed snapshot restore plus
-  /// a dispatch-order replay of the killed shard's ops since the
-  /// snapshot. At S = 1 under FIFO the rebuild is bit-identical to the
-  /// lost state; at S > 1 it is dispatch-order-consistent (the racy
-  /// mailbox interleaving that produced the lost state is not recorded).
+  /// a replay of the ops the shard's worker served since the snapshot, in
+  /// the order it served them (each worker logs them while a kill is
+  /// pending). The rebuild is bit-identical to the lost state at every S.
   /// kWorkerKill retires and respawns the shard's worker thread (data
   /// intact); kQueuePressure collapses the shard's inbox bound until the
   /// next barrier. Recovery wall time lands in
@@ -195,7 +191,7 @@ struct FrontendResult {
                                  ///< ever needs re-routing (kept for the
                                  ///< benchmark's sim.frontend.forwards)
   std::uint64_t route_epochs = 0;  ///< barriers that changed the map or
-                                   ///< the fleet's shape during the run
+                                   ///< the fleet's shape (dispatcher count)
 };
 
 class ServeFrontend {

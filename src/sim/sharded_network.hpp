@@ -209,8 +209,8 @@ class ShardedNetwork {
   /// then match the shard's arity and current node count. A rejected
   /// snapshot throws TreeError and leaves the shard as it was. A replica
   /// of `s` is refreshed to the restored state. The caller replays the
-  /// trace tail served since the snapshot to reach the exact pre-crash
-  /// state.
+  /// ops the shard served since the snapshot, in served order, to reach
+  /// the exact pre-crash state.
   void restore_shard(int s, const std::string& snap);
 
   /// Replica failover: primary becomes a copy of the lockstep replica

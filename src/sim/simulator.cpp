@@ -64,11 +64,12 @@ struct ObserveTask {
 
 /// Serves one contiguous slice of the trace through the batched pipeline
 /// and accumulates its costs into `res`. A non-null `observe` runs in the
-/// same round, after the drains in sequential mode.
+/// same round, after the drains in sequential mode. Leaves each shard's
+/// queue in `pt`, in the order the shard served it.
 CostSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
                       const ShardedRunOptions& opt, SimResult& res,
-                      const ObserveTask* observe) {
-  PartitionedTrace pt = partition_trace(chunk, net.map());
+                      const ObserveTask* observe, PartitionedTrace& pt) {
+  pt = partition_trace(chunk, net.map());
   const int S = net.num_shards();
 
   // One result slot and one queue per shard: workers share nothing, so the
@@ -155,12 +156,11 @@ std::size_t fill_exact(RequestStream& stream, std::span<Request> out) {
 /// resume points (chunk starts and post-fault instants, where the plane
 /// re-snapshots the fleet) the map is constant and each shard's ops form
 /// one contiguous drain, so a killed shard recovers bit-exactly from its
-/// snapshot and the sub-chunk served since it. Sub-chunk drains
-/// concatenate to the unsplit drain (additive counters, per-shard op order
-/// preserved), so sequential == concurrent still holds with faults active,
-/// and under FIFO the serve counters bit-match the unfaulted run.
-/// `observe` rides along with the first sub-chunk's drain; kills leave the
-/// map alone.
+/// snapshot and the queue it served since. Sub-chunk drains concatenate to
+/// the unsplit drain (additive counters, per-shard op order preserved), so
+/// sequential == concurrent still holds with faults active, and under FIFO
+/// the serve counters bit-match the unfaulted run. `observe` rides along
+/// with the first sub-chunk's drain; kills leave the map alone.
 CostSplit drain_faulted(ControlPlane& plane, ShardedNetwork& net,
                         std::span<const Request> chunk,
                         std::size_t served_before,
@@ -172,21 +172,29 @@ CostSplit drain_faulted(ControlPlane& plane, ShardedNetwork& net,
        ev != nullptr && ev->at_request <= served_before + chunk.size();
        ev = plane.next_fault()) {
     const std::size_t rel = ev->at_request - served_before;
-    const std::span<const Request> tail = chunk.subspan(done, rel - done);
-    if (!tail.empty()) {
-      split += drain_chunk(net, tail, opt, res, observe);
+    // Empty when no sub-drain ran since the last resume point (a kill on
+    // the chunk's first request, or a second kill at the same index): the
+    // shard served nothing since its snapshot.
+    PartitionedTrace pt;
+    if (rel > done) {
+      split += drain_chunk(net, chunk.subspan(done, rel - done), opt, res,
+                           observe, pt);
       observe = nullptr;
     }
     // The batch pipeline has no persistent workers and no queues, so a
     // worker kill or a queue-pressure event only counts.
     const FaultEvent fault = plane.take_fault();
     if (fault.kind == FaultKind::kShardKill)
-      plane.recover(fault.shard, tail, opt.schedule);
+      plane.recover(fault.shard,
+                    pt.ops.empty()
+                        ? std::span<ShardOp>()
+                        : pt.ops[static_cast<std::size_t>(fault.shard)]);
     plane.snapshot_all();
     done = rel;
   }
+  PartitionedTrace pt;
   if (done < chunk.size())
-    split += drain_chunk(net, chunk.subspan(done), opt, res, observe);
+    split += drain_chunk(net, chunk.subspan(done), opt, res, observe, pt);
   return split;
 }
 

@@ -80,7 +80,7 @@ struct SimResult {
   // golden serve costs bit-match the unfaulted run's (FIFO schedule).
   Cost faults_injected = 0;      ///< scripted shard kills that fired
   Cost replica_promotions = 0;   ///< recoveries served by replica failover
-  Cost recovery_replayed = 0;    ///< tail ops replayed into rebuilt shards
+  Cost recovery_replayed = 0;    ///< served ops replayed into restored shards
   Cost recovery_cost = 0;        ///< routing + rotations of that replay
   double recovery_total_ms = 0.0;  ///< wall-clock spent recovering, summed
   double recovery_max_ms = 0.0;    ///< slowest single recovery (SLO check)
@@ -287,9 +287,10 @@ struct ShardedRunOptions {
   ScheduleConfig schedule{};
   /// Non-null + enabled() injects scripted faults (sim/fault.hpp): the
   /// drain splits its chunks at the event indices, snapshots every shard
-  /// (a checksummed binary tree image) at each resume point while events
-  /// are pending, and recovers a killed shard by replica promotion or
-  /// snapshot restore + trace-tail replay. Every event's shard is checked
+  /// (a checksummed binary tree image) at each resume point while a shard
+  /// kill is pending, and recovers a killed shard by replica promotion or
+  /// snapshot restore + a replay of the queue it served since, in the
+  /// order it served it. Every event's shard is checked
   /// against the live fleet. Deterministic and mode-independent; under the
   /// FIFO schedule the serve counters bit-match the unfaulted run
   /// (locality windows legitimately re-seat at the crash boundary).

@@ -438,8 +438,9 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
 
     // Candidate moves: u joins v's shard or v joins u's. Score each by the
     // projected per-window saving (affinity gained minus affinity lost,
-    // priced at the cross penalty) net of the migration cost estimate.
-    double best_gain = cfg_.min_gain;
+    // priced at the cross penalty) net of the migration cost estimate; a
+    // move must gain something to be accepted.
+    double best_gain = 0.0;
     NodeId best_node = kNoNode;
     int best_target = -1;
     for (const auto& [node, target] : {std::pair{e.u, sv}, std::pair{e.v, su}}) {

@@ -91,9 +91,6 @@ struct RebalanceConfig {
   /// drift_top_k pairs was absent from the previous epoch's top set.
   double trigger_drift = 0.3;
   std::size_t drift_top_k = 32;
-  /// A move must beat the migration cost estimate by this many cost units
-  /// (projected over one window) to be accepted.
-  double min_gain = 0.0;
   /// Cost saved per request converted from cross- to intra-shard; 0 means
   /// "derive from the engine" (top-tree route + the second root ascent).
   double cross_penalty = 0.0;
@@ -180,10 +177,6 @@ struct RebalancePlan {
   /// Desired replicated-shard set (sorted ascending; ids refer to the map
   /// the plan was made against, before any split/merge of this barrier).
   std::vector<int> replicate;
-
-  bool has_lifecycle() const {
-    return split_shard >= 0 || merge_from >= 0 || !replicate.empty();
-  }
 };
 
 /// The sliding window plus the planners that read it. The window is one

@@ -246,7 +246,7 @@ TEST(Lifecycle, StreamedRecoveryMatchesMaterializedRun) {
   ShardedNetwork faulted = ShardedNetwork::balanced(k, n, S);
   const SimResult want = run_trace_sharded(clean, trace);
 
-  TraceV2Reader stream(path, TraceV2Reader::Backend::kMmap);
+  TraceV2Reader stream(path);
   ShardedRunOptions opt;
   opt.faults = &plan;
   const SimResult got = run_trace_sharded_stream(faulted, stream, opt);
@@ -414,50 +414,61 @@ TEST(Lifecycle, MergeFoldsColdShardsAndRespectsFloor) {
 TEST(Lifecycle, SeqEqualsConcWithLifecycleAndFaultsActive) {
   // The full stack at once — splits, merges, planned replicas, scripted
   // kills — must keep the concurrent drain bit-identical to the
-  // sequential reference: 3 seeds x S in {2, 4, 8}.
+  // sequential reference: 3 seeds x S in {2, 4, 8}, under FIFO and under
+  // the locality schedule, whose restores replay each killed shard's queue
+  // in the order the schedule served it.
   const int n = 128, k = 3;
-  for (std::uint64_t seed : {13u, 201u, 7777u}) {
-    for (int S : {2, 4, 8}) {
-      const Trace trace =
-          gen_workload(WorkloadKind::kPhaseElephants, n, 8000, seed);
-      RebalanceConfig cfg;
-      cfg.policy = RebalancePolicy::kWatermark;
-      cfg.trigger = RebalanceTrigger::kEveryEpoch;
-      cfg.epoch_requests = 1000;
-      cfg.split_watermark = 1.4;
-      cfg.merge_watermark = 0.4;
-      cfg.replicas = 1;
-      FaultPlan plan;
-      plan.kills = {{500, S - 1}, {3500, 0}};
+  ScheduleConfig locality;
+  locality.policy = SchedulePolicy::kLocality;
+  locality.window = 64;
+  locality.group = 8;
+  for (const ScheduleConfig& sched : {ScheduleConfig{}, locality}) {
+    for (std::uint64_t seed : {13u, 201u, 7777u}) {
+      for (int S : {2, 4, 8}) {
+        const Trace trace =
+            gen_workload(WorkloadKind::kPhaseElephants, n, 8000, seed);
+        RebalanceConfig cfg;
+        cfg.policy = RebalancePolicy::kWatermark;
+        cfg.trigger = RebalanceTrigger::kEveryEpoch;
+        cfg.epoch_requests = 1000;
+        cfg.split_watermark = 1.4;
+        cfg.merge_watermark = 0.4;
+        cfg.replicas = 1;
+        FaultPlan plan;
+        plan.kills = {{500, S - 1}, {3500, 0}};
 
-      SimResult results[2];
-      ShardedNetwork nets[2] = {ShardedNetwork::balanced(k, n, S),
-                                ShardedNetwork::balanced(k, n, S)};
-      for (int mode = 0; mode < 2; ++mode) {
-        ShardedRunOptions opt;
-        opt.sequential = mode == 0;
-        opt.rebalance = &cfg;
-        opt.faults = &plan;
-        results[mode] = run_trace_sharded(nets[mode], trace, opt);
-      }
-      const std::string what =
-          "seed=" + std::to_string(seed) + " S=" + std::to_string(S);
-      expect_same_costs(results[0], results[1], what);
-      EXPECT_EQ(results[0].shard_splits, results[1].shard_splits) << what;
-      EXPECT_EQ(results[0].shard_merges, results[1].shard_merges) << what;
-      EXPECT_EQ(results[0].lifecycle_cost, results[1].lifecycle_cost) << what;
-      EXPECT_EQ(results[0].migrations, results[1].migrations) << what;
-      EXPECT_EQ(results[0].replica_reads, results[1].replica_reads) << what;
-      EXPECT_EQ(results[0].recovery_replayed, results[1].recovery_replayed)
-          << what;
-      EXPECT_EQ(results[0].recovery_cost, results[1].recovery_cost) << what;
-      EXPECT_EQ(results[0].final_shards, results[1].final_shards) << what;
-      EXPECT_EQ(results[0].faults_injected, 2) << what;
-      expect_trees_equal(nets[0], nets[1], what);
-      for (int s = 0; s < nets[0].num_shards(); ++s) {
-        const auto err = nets[0].shard(s).tree().validate();
-        ASSERT_FALSE(err.has_value()) << what << " shard " << s << ": "
-                                      << *err;
+        SimResult results[2];
+        ShardedNetwork nets[2] = {ShardedNetwork::balanced(k, n, S),
+                                  ShardedNetwork::balanced(k, n, S)};
+        for (int mode = 0; mode < 2; ++mode) {
+          ShardedRunOptions opt;
+          opt.sequential = mode == 0;
+          opt.rebalance = &cfg;
+          opt.faults = &plan;
+          opt.schedule = sched;
+          results[mode] = run_trace_sharded(nets[mode], trace, opt);
+        }
+        const std::string what =
+            std::string(schedule_policy_name(sched.policy)) +
+            " seed=" + std::to_string(seed) + " S=" + std::to_string(S);
+        expect_same_costs(results[0], results[1], what);
+        EXPECT_EQ(results[0].shard_splits, results[1].shard_splits) << what;
+        EXPECT_EQ(results[0].shard_merges, results[1].shard_merges) << what;
+        EXPECT_EQ(results[0].lifecycle_cost, results[1].lifecycle_cost) << what;
+        EXPECT_EQ(results[0].migrations, results[1].migrations) << what;
+        EXPECT_EQ(results[0].replica_reads, results[1].replica_reads) << what;
+        EXPECT_EQ(results[0].recovery_replayed, results[1].recovery_replayed)
+            << what;
+        EXPECT_EQ(results[0].recovery_cost, results[1].recovery_cost) << what;
+        EXPECT_EQ(results[0].final_shards, results[1].final_shards) << what;
+        EXPECT_EQ(results[0].faults_injected, 2) << what;
+        EXPECT_GT(results[0].recovery_replayed, 0) << what;
+        expect_trees_equal(nets[0], nets[1], what);
+        for (int s = 0; s < nets[0].num_shards(); ++s) {
+          const auto err = nets[0].shard(s).tree().validate();
+          ASSERT_FALSE(err.has_value()) << what << " shard " << s << ": "
+                                        << *err;
+        }
       }
     }
   }
@@ -725,6 +736,52 @@ TEST(Lifecycle, FrontendMultiShardSurvivesKillsAndPromotions) {
   for (int s = 0; s < S; ++s) {
     const auto err = net.shard(s).tree().validate();
     ASSERT_FALSE(err.has_value()) << "shard " << s << ": " << *err;
+  }
+}
+
+TEST(Lifecycle, FrontendMultiShardRestoresRebuildLostTrees) {
+  // Every unreplicated restore replays the ops the killed shard's worker
+  // served, in the order it served them, and ControlPlane::recover throws
+  // unless the replay rebuilds the lost tree exactly. Uniform traffic at
+  // n = 256 is mostly cross-shard, so each shard's served order
+  // interleaves its own queue with other workers' handovers in real time:
+  // a replay in dispatch order would rebuild a different tree. Saturation
+  // arrivals under the lossless and the shedding policy, three kills per
+  // run at distinct indices.
+  const int n = 256, k = 3;
+  for (QueuePolicy policy : {QueuePolicy::kBlock, QueuePolicy::kShed}) {
+    for (int S : {3, 5, 8}) {
+      for (std::uint64_t seed : {2u, 17u, 404u, 9001u}) {
+        const Trace trace =
+            gen_workload(WorkloadKind::kUniform, n, 20000, seed);
+        const auto arrivals =
+            gen_arrival_times(ArrivalKind::kSaturation, 0.0, trace.size(), 1);
+        FaultPlan plan;
+        plan.kills = {{4000, 1}, {9000, S - 1}, {15000, S / 2}};
+        ShardedNetwork net = ShardedNetwork::balanced(k, n, S);
+        FrontendOptions opt;
+        opt.queue_policy = policy;
+        opt.faults = &plan;
+        ServeFrontend frontend(net, opt);
+        const FrontendResult res = frontend.run(trace, arrivals);
+
+        const std::string what = std::string(queue_policy_name(policy)) +
+                                 " S=" + std::to_string(S) +
+                                 " seed=" + std::to_string(seed);
+        EXPECT_EQ(res.sim.faults_injected, 3) << what;
+        EXPECT_EQ(res.sim.replica_promotions, 0) << what;
+        EXPECT_GT(res.sim.recovery_replayed, 0) << what;
+        EXPECT_EQ(res.sim.requests, trace.size()) << what;
+        EXPECT_EQ(res.sojourn.count() + res.sim.shed_requests,
+                  res.sim.requests)
+            << what;
+        for (int s = 0; s < S; ++s) {
+          const auto err = net.shard(s).tree().validate();
+          ASSERT_FALSE(err.has_value()) << what << " shard " << s << ": "
+                                        << *err;
+        }
+      }
+    }
   }
 }
 

@@ -91,13 +91,10 @@ TEST(StreamTraceV2, FileBackendsAgreeWithEachOtherAndTheSource) {
   const std::string path = ::testing::TempDir() + "/roundtrip.v2";
   write_trace_v2_file(path, t);
 
-  for (const auto backend :
-       {TraceV2Reader::Backend::kIstream, TraceV2Reader::Backend::kMmap}) {
-    TraceV2Reader reader(path, backend);
-    const Trace back = materialize_stream(reader);
-    EXPECT_EQ(back.n, t.n);
-    EXPECT_EQ(back.requests, t.requests);
-  }
+  TraceV2Reader reader(path);
+  const Trace back = materialize_stream(reader);
+  EXPECT_EQ(back.n, t.n);
+  EXPECT_EQ(back.requests, t.requests);
   EXPECT_EQ(read_trace_v2_file(path).requests, t.requests);
 }
 
@@ -217,17 +214,14 @@ TEST(StreamTraceV2, LegacyFlagFreeFilesStillReplay) {
     EXPECT_EQ(reader.n(), 148);
     EXPECT_EQ(materialize_stream(reader).requests, t.requests);
   }
-  // The file backends still apply their size oracle to legacy files.
+  // The file reader still applies its size oracle to legacy files.
   const std::string path = ::testing::TempDir() + "/legacy.v2";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(legacy.data(), static_cast<std::streamsize>(legacy.size()));
   }
-  for (const auto backend :
-       {TraceV2Reader::Backend::kIstream, TraceV2Reader::Backend::kMmap}) {
-    TraceV2Reader reader(path, backend);
-    EXPECT_EQ(materialize_stream(reader).requests, t.requests);
-  }
+  TraceV2Reader reader(path);
+  EXPECT_EQ(materialize_stream(reader).requests, t.requests);
 }
 
 TEST(StreamTraceV2, FileBackendsRejectCorruptFiles) {
@@ -241,16 +235,13 @@ TEST(StreamTraceV2, FileBackendsRejectCorruptFiles) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
-  for (const auto backend :
-       {TraceV2Reader::Backend::kIstream, TraceV2Reader::Backend::kMmap}) {
-    write_file(good.substr(0, good.size() - 3));
-    EXPECT_THROW(TraceV2Reader(path, backend), TreeError);
-    write_file(good + "zzz");
-    EXPECT_THROW(TraceV2Reader(path, backend), TreeError);
-    write_file(good.substr(0, 4));
-    EXPECT_THROW(TraceV2Reader(path, backend), TreeError);
-    EXPECT_THROW(TraceV2Reader(path + ".missing", backend), TreeError);
-  }
+  write_file(good.substr(0, good.size() - 3));
+  EXPECT_THROW(TraceV2Reader{path}, TreeError);
+  write_file(good + "zzz");
+  EXPECT_THROW(TraceV2Reader{path}, TreeError);
+  write_file(good.substr(0, 4));
+  EXPECT_THROW(TraceV2Reader{path}, TreeError);
+  EXPECT_THROW(TraceV2Reader{path + ".missing"}, TreeError);
 }
 
 TEST(StreamReplay, ChunkedUnshardedReplayMatchesMaterialized) {
