@@ -103,8 +103,8 @@ OverloadRow run_overload_point(const Trace& trace, int k, int S,
   row.queue_full_blocks = r.sim.queue_full_blocks;
   row.shed_fraction = static_cast<double>(row.shed) /
                       static_cast<double>(r.sim.requests);
-  row.p50_us = r.sim.latency.p50_us;
-  row.p99_us = r.sim.latency.p99_us;
+  row.p50_us = static_cast<double>(r.sojourn.p50()) / 1e3;
+  row.p99_us = static_cast<double>(r.sojourn.p99()) / 1e3;
   row.shed_p99_us = static_cast<double>(r.shed.p99()) / 1e3;
   return row;
 }

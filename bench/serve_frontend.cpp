@@ -74,10 +74,10 @@ Row run_point(const Trace& trace, int k, int S, const RebalanceConfig* cfg,
   row.load = load;
   row.offered = r.offered_rate;
   row.achieved = r.achieved_rate;
-  row.p50_us = r.sim.latency.p50_us;
-  row.p99_us = r.sim.latency.p99_us;
-  row.p999_us = r.sim.latency.p999_us;
-  row.max_us = r.sim.latency.max_us;
+  row.p50_us = static_cast<double>(r.sojourn.p50()) / 1e3;
+  row.p99_us = static_cast<double>(r.sojourn.p99()) / 1e3;
+  row.p999_us = static_cast<double>(r.sojourn.p999()) / 1e3;
+  row.max_us = static_cast<double>(r.sojourn.max()) / 1e3;
   row.serve_cost = r.sim.total_cost();
   row.migrations = r.sim.migrations;
   return row;

@@ -92,8 +92,8 @@ WorkloadReport run_one(const char* label, WorkloadKind kind, int n, int k,
     // Timed section covers the whole pipeline: queue partitioning plus the
     // concurrent per-shard drains.
     const auto t0 = std::chrono::steady_clock::now();
-    const SimResult res = run_trace_sharded(
-        net, trace, {.threads = bench::bench_threads(), .sequential = false});
+    const SimResult res =
+        run_trace_sharded(net, trace, {.threads = bench::bench_threads()});
     Row row;
     row.config = "S=" + std::to_string(S);
     row.shards = S;

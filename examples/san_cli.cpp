@@ -360,6 +360,16 @@ void add_fault_rows(Table& out, const SimResult& res, const FaultPlan& plan) {
                      : std::string("MISSED")});
 }
 
+void add_sojourn_rows(Table& out, const LatencyHistogram& sojourn) {
+  const auto us = [](std::uint64_t ns) {
+    return fixed_cell(static_cast<double>(ns) / 1e3);
+  };
+  out.add_row({"sojourn p50 (us)", us(sojourn.p50())});
+  out.add_row({"sojourn p99 (us)", us(sojourn.p99())});
+  out.add_row({"sojourn p999 (us)", us(sojourn.p999())});
+  out.add_row({"sojourn max (us)", us(sojourn.max())});
+}
+
 void add_overload_rows(Table& out, const FrontendResult& r,
                        QueuePolicy policy) {
   out.add_row({"queue policy", queue_policy_name(policy)});
@@ -497,7 +507,7 @@ int main(int argc, char** argv) {
         const FrontendResult r = frontend.run_stream(*stream, schedule);
         out.add_row({"requests", std::to_string(r.sim.requests)});
         if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(r.sim.schedule)});
+          out.add_row({"schedule", schedule_policy_name(sched.policy)});
           out.add_row({"reordered requests",
                        std::to_string(r.sim.reordered_requests)});
         }
@@ -505,10 +515,7 @@ int main(int argc, char** argv) {
         out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
         out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
         out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-        out.add_row({"sojourn p50 (us)", fixed_cell(r.sim.latency.p50_us)});
-        out.add_row({"sojourn p99 (us)", fixed_cell(r.sim.latency.p99_us)});
-        out.add_row({"sojourn p999 (us)", fixed_cell(r.sim.latency.p999_us)});
-        out.add_row({"sojourn max (us)", fixed_cell(r.sim.latency.max_us)});
+        add_sojourn_rows(out, r.sojourn);
         out.add_row(
             {"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
         out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
@@ -537,7 +544,7 @@ int main(int argc, char** argv) {
         const SimResult res = run_trace_sharded_stream(net, *stream, ropt);
         out.add_row({"requests", std::to_string(res.requests)});
         if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(res.schedule)});
+          out.add_row({"schedule", schedule_policy_name(sched.policy)});
           out.add_row(
               {"reordered requests", std::to_string(res.reordered_requests)});
         }
@@ -619,7 +626,7 @@ int main(int argc, char** argv) {
       out.add_row({"nodes", std::to_string(trace.n)});
       out.add_row({"requests", std::to_string(trace.size())});
       if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(r.sim.schedule)});
+        out.add_row({"schedule", schedule_policy_name(sched.policy)});
         out.add_row(
             {"reordered requests", std::to_string(r.sim.reordered_requests)});
       }
@@ -627,10 +634,7 @@ int main(int argc, char** argv) {
       out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
       out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
       out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-      out.add_row({"sojourn p50 (us)", fixed_cell(r.sim.latency.p50_us)});
-      out.add_row({"sojourn p99 (us)", fixed_cell(r.sim.latency.p99_us)});
-      out.add_row({"sojourn p999 (us)", fixed_cell(r.sim.latency.p999_us)});
-      out.add_row({"sojourn max (us)", fixed_cell(r.sim.latency.max_us)});
+      add_sojourn_rows(out, r.sojourn);
       out.add_row({"queue wait p99 (us)",
                    fixed_cell(static_cast<double>(r.queue_wait.p99()) / 1e3)});
       out.add_row({"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
@@ -682,7 +686,7 @@ int main(int argc, char** argv) {
       out.add_row({"rebalance policy", o.rebalance});
       out.add_row({"epoch requests", std::to_string(o.epoch)});
       if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(res.schedule)});
+        out.add_row({"schedule", schedule_policy_name(sched.policy)});
         out.add_row(
             {"reordered requests", std::to_string(res.reordered_requests)});
       }
@@ -747,7 +751,7 @@ int main(int argc, char** argv) {
       routing = res.routing_cost;
       rotations = res.rotation_count;
       links = res.edge_changes;
-      out.add_row({"schedule", schedule_policy_name(res.schedule)});
+      out.add_row({"schedule", schedule_policy_name(sched.policy)});
       out.add_row(
           {"reordered requests", std::to_string(res.reordered_requests)});
       out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});

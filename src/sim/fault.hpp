@@ -8,10 +8,10 @@
 // pre-crash state, the tree-image snapshot the recovery restores, and the
 // ops it replays are identical on every run, sequential or concurrent.
 // The open-loop frontend (sim/serve_frontend.hpp) fires the same script at
-// its dispatch counter and recovers at a quiesce barrier. Both engines
-// replay the ops the killed shard served, in the order it served them, so
-// every restore rebuilds the lost tree exactly (ControlPlane::recover
-// checks it).
+// its count of offered requests (admitted or shed) and recovers at a
+// quiesce barrier. Both engines replay the ops the killed shard served, in
+// the order it served them, so every restore rebuilds the lost tree
+// exactly (ControlPlane::recover checks it).
 //
 // Three event kinds, mirroring what actually fails in a tablet server:
 //   * kShardKill     — the shard loses its in-memory tree; recovery is
@@ -50,8 +50,9 @@ enum class FaultKind : std::uint8_t {
 
 const char* fault_kind_name(FaultKind kind);
 
-/// One scripted fault: fires when `at_request` requests have been
-/// served/dispatched (i.e. between request at_request-1 and at_request).
+/// One scripted fault: fires when `at_request` requests have been served
+/// (batch pipeline) or offered (frontend), i.e. between request
+/// at_request-1 and at_request, or after the last one.
 struct FaultEvent {
   std::size_t at_request = 0;
   int shard = -1;

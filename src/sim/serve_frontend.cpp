@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -30,6 +29,10 @@ constexpr int kBreakerOpen = 1;
 constexpr int kBreakerRecovery = 2;
 /// Seeds the per-worker deterministic backoff between handover retries.
 constexpr std::uint64_t kBackoffSeed = 0x5EED;
+/// Max requests a worker admits per wakeup (batched admission).
+constexpr std::size_t kAdmissionBatch = 64;
+/// Depth of the admit_rate token bucket.
+constexpr double kAdmitBurst = 64.0;
 
 /// One queued operation, in global ids (the worker resolves local ids
 /// when it serves the item).
@@ -151,13 +154,52 @@ class ShardInbox {
   bool closed_ = false;
 };
 
-/// Worker-owned accumulators. Written only by the owning worker thread
-/// (a slot keeps one WorkerState across worker-kill respawns and shard
-/// renumbering, so counters only ever accumulate); read, and the served
-/// log cleared, by the dispatcher at quiesce barriers (ordered by the
-/// acquire load of `completed` against the workers' release increments)
-/// and after join.
-struct WorkerState {
+/// A queued op whose endpoint the map places on another shard. The map
+/// changes only in ControlPlane::barrier, which runs after quiesce has
+/// drained every inbox and mailbox, so this is a broken invariant, not a
+/// race to recover from: serving it would mutate the wrong tree.
+[[noreturn]] void foreign_op(int shard, NodeId node) {
+  std::fprintf(stderr,
+               "ServeFrontend: a queued op for node %d reached shard %d, "
+               "which does not own it\n",
+               static_cast<int>(node), shard);
+  std::abort();
+}
+
+class Fleet;
+
+/// Worker w serves shard w. Allocated when the worker first spawns, it
+/// outlives its thread: a respawn (worker kill) or a later split on an
+/// index a merge retired reopens the same inbox, so the counters only ever
+/// accumulate. Heap-allocated, so a thread's `this` survives the fleet
+/// growing at a split barrier.
+///
+/// Only the worker's own thread writes its counters, histograms, probe
+/// clock and served log. The dispatcher reads them, and clears the log, at
+/// quiesce barriers (ordered by Fleet::quiesce's acquire load of
+/// `completed` against the workers' release increments) and after join.
+/// Another worker touches only the inbox and the breaker, to hand a leg
+/// over.
+class Worker {
+ public:
+  Worker(Fleet& fleet, int w);
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  void start() { thread_ = std::thread(&Worker::loop, this); }
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+  void close_breaker() {
+    breaker.store(kBreakerClosed, std::memory_order_release);
+    breaker_failures.store(0, std::memory_order_relaxed);
+  }
+
+  ShardInbox inbox;
+  /// Circuit breaker (degradation modes only; see the header comment).
+  std::atomic<int> breaker{kBreakerClosed};
+  std::atomic<int> breaker_failures{0};
+
   Cost routing = 0;
   Cost rotations = 0;
   Cost edges = 0;
@@ -171,42 +213,233 @@ struct WorkerState {
   Cost cross_shed = 0;        ///< handover legs shed by the breaker or
                               ///< retry exhaustion
   Cost breaker_trips = 0;
-  std::uint64_t probe_clock = 0;  ///< half-open probe cadence counter
   LatencyHistogram sojourn;
   LatencyHistogram queue_wait;
   LatencyHistogram shed;  ///< age at drop of dequeue/handover sheds
   /// While a shard kill is pending: every op served since the last resume
   /// point, in local ids and served order (the crash-recovery replay).
   std::vector<ShardOp> served;
+
+ private:
+  void loop();
+  void process_item(const QueueItem& item);
+  bool deliver(int target, const QueueItem& leg);
+  Cost serve(NodeId u, NodeId v);
+  void shed_item(const QueueItem& item);
+
+  Fleet& fleet_;
+  const int w_;
+  std::uint64_t rng_ = 0;          ///< backoff jitter state
+  std::uint64_t probe_clock_ = 0;  ///< half-open probe cadence counter
+  std::thread thread_;
 };
 
-/// Worker w's slot, allocated when the worker first spawns. It outlives
-/// its worker: a respawn (worker kill) or a later split on a slot a merge
-/// retired reopens the inbox, and the counters reach the aggregation.
-/// Heap-allocated, so a worker's references survive the slot vector
-/// growing at a split barrier.
-struct Slot {
-  Slot(std::size_t capacity, std::size_t mail_capacity)
-      : inbox(capacity, mail_capacity) {}
+/// The worker fleet and the run state its workers share; worker w sits at
+/// index w. Only the dispatcher changes the fleet, and only at quiesce
+/// barriers, where every worker is parked in pop_batch. The change is
+/// published through the inbox mutexes (any item a worker pops was pushed
+/// after it), so a worker reads its shard's tree once per popped batch,
+/// and reads another worker only to hand a leg over, before that request
+/// completes. The destructor joins every worker, also when the dispatcher
+/// throws (a fault script or recovery error).
+class Fleet {
+ public:
+  Fleet(ShardedNetwork& network, const FrontendOptions& options)
+      : net(network),
+        opt(options),
+        degrade(opt.queue_policy != QueuePolicy::kBlock),
+        mail_cap(!degrade                    ? 0
+                 : opt.mailbox_capacity != 0 ? opt.mailbox_capacity
+                                             : 4 * opt.queue_capacity) {}
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+  ~Fleet() { join(); }
 
-  ShardInbox inbox;
-  WorkerState state;
-  /// Circuit breaker (degradation modes only; see the header comment).
-  std::atomic<int> breaker{kBreakerClosed};
-  std::atomic<int> breaker_failures{0};
-  std::thread thread;
+  Worker& operator[](int w) const {
+    return *workers[static_cast<std::size_t>(w)];
+  }
+  std::uint64_t now_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
+  }
+  /// Starts worker w: a new one at the end of the fleet, or a fresh thread
+  /// on the reopened inbox of a killed or retired one.
+  void spawn(int w) {
+    const auto i = static_cast<std::size_t>(w);
+    if (i == workers.size())
+      workers.push_back(std::make_unique<Worker>(*this, w));
+    else
+      workers[i]->inbox.reopen();
+    workers[i]->start();
+  }
+  void retire(int w) {
+    (*this)[w].inbox.close();
+    (*this)[w].join();
+  }
+  void join() {
+    for (const auto& worker : workers) worker->inbox.close();
+    for (const auto& worker : workers) worker->join();
+  }
+  /// Waits until every dispatched request has completed or been shed, then
+  /// ends the queue-pressure windows: every inbox gets back queue_capacity,
+  /// the only bound an inbox is created with.
+  void quiesce(std::size_t dispatched) {
+    while (completed.load(std::memory_order_acquire) < dispatched)
+      std::this_thread::yield();
+    for (const auto& worker : workers)
+      worker->inbox.set_capacity(opt.queue_capacity);
+  }
+
+  ShardedNetwork& net;
+  const FrontendOptions& opt;
+  const bool degrade;
+  const std::size_t mail_cap;  ///< 0 = unbounded (kBlock stays lossless)
+  const Clock::time_point start = Clock::now();
+  std::atomic<std::size_t> completed{0};
+  /// Set at resume points while a shard kill is pending; workers log what
+  /// they serve only then.
+  bool log_served = false;
+  std::vector<std::unique_ptr<Worker>> workers;
 };
 
-/// A queued op whose endpoint the map places on another shard. The map
-/// changes only in ControlPlane::barrier, which runs after quiesce has
-/// drained every inbox and mailbox, so this is a broken invariant, not a
-/// race to recover from: serving it would mutate the wrong tree.
-[[noreturn]] void foreign_op(int shard, NodeId node) {
-  std::fprintf(stderr,
-               "ServeFrontend: a queued op for node %d reached shard %d, "
-               "which does not own it\n",
-               static_cast<int>(node), shard);
-  std::abort();
+Worker::Worker(Fleet& fleet, int w)
+    : inbox(fleet.opt.queue_capacity, fleet.mail_cap), fleet_(fleet), w_(w) {}
+
+void Worker::loop() {
+  // The backoff schedule is a pure function of the worker index, restarted
+  // with every thread.
+  rng_ = kBackoffSeed ^
+         (kSplitmix64Gamma * (static_cast<std::uint64_t>(w_) + 1));
+  // Resolves a queued item into this worker's shard-local id space for
+  // the locality scheduler; handovers and first legs key as root
+  // ascents. The map is stable per batch and every item's source is local
+  // (process_item checks it).
+  const auto resolve = [this](const QueueItem& item) -> ScheduleEndpoints {
+    const ShardMap& map = fleet_.net.map();
+    const NodeId u = map.local_of(item.src);
+    if (item.is_handover() || map.shard_of(item.dst) != w_)
+      return {u, kNoNode};  // root ascent (second or first leg)
+    return {u, map.local_of(item.dst)};
+  };
+  const auto process = [this](const QueueItem& item) { process_item(item); };
+  LocalityScheduler scheduler(fleet_.opt.schedule);
+  std::vector<QueueItem> batch;
+  batch.reserve(kAdmissionBatch);
+  while (inbox.pop_batch(batch, kAdmissionBatch) != 0) {
+    scheduler.run(fleet_.net.shard(w_).tree(), std::span<QueueItem>(batch),
+                  resolve, process);
+    batch.clear();
+  }
+  // Closed and drained. += so the count survives worker-kill respawns.
+  reordered += scheduler.reordered();
+}
+
+void Worker::process_item(const QueueItem& item) {
+  const ShardMap& map = fleet_.net.map();
+  if (map.shard_of(item.src) != w_) foreign_op(w_, item.src);
+  const NodeId u = map.local_of(item.src);
+  if (item.is_handover()) {
+    // Second leg of a cross-shard request: ascend v, charge the
+    // accumulated top-tree legs, complete.
+    routing += item.pending_top;
+    split.cross_cost += serve(u, kNoNode) + item.pending_top;
+    ++split.cross_requests;
+    sojourn.record(fleet_.now_ns() - item.arrival_ns);
+    fleet_.completed.fetch_add(1, std::memory_order_release);
+    return;
+  }
+  // Deadline shed at dequeue, before any tree mutation: a request that
+  // expired while queued never touches state.
+  if (item.deadline_ns != 0 && fleet_.now_ns() > item.deadline_ns) {
+    ++deadline_expired;
+    shed_item(item);
+    return;
+  }
+  queue_wait.record(fleet_.now_ns() - item.arrival_ns);
+  const int b = map.shard_of(item.dst);
+  if (b == w_) {
+    split.intra_cost += serve(u, map.local_of(item.dst));
+    if (fleet_.net.has_replica(w_)) ++replica_reads;
+    ++split.intra_requests;
+    sojourn.record(fleet_.now_ns() - item.arrival_ns);
+    fleet_.completed.fetch_add(1, std::memory_order_release);
+  } else {
+    // First leg: ascend u to this shard's root, hand the request over to
+    // v's shard with the top-tree route priced in.
+    split.cross_cost += serve(u, kNoNode);
+    ++handovers;
+    QueueItem leg;
+    leg.src = item.dst;
+    leg.arrival_ns = item.arrival_ns;
+    leg.pending_top = fleet_.net.top_distance(w_, b);
+    if (!deliver(b, leg)) {
+      ++cross_shed;
+      shed_item(leg);
+    }
+  }
+}
+
+/// Delivers a mailbox leg to `target`'s worker. kBlock: unbounded push,
+/// always succeeds. Degradation modes: the target's breaker may shed
+/// outright (open or mid-recovery), a full mailbox is retried with
+/// deterministic backoff, and exhaustion feeds the breaker. Returns false
+/// when the leg was shed (the caller completes it via shed_item).
+bool Worker::deliver(int target, const QueueItem& leg) {
+  Worker& to = fleet_[target];
+  if (!fleet_.degrade) {
+    to.inbox.push_mail(leg);
+    return true;
+  }
+  const int state = to.breaker.load(std::memory_order_acquire);
+  if (state == kBreakerRecovery) return false;
+  if (state == kBreakerOpen) {
+    // Half-open: every 16th leg probes the mailbox; one success closes the
+    // breaker again.
+    if (++probe_clock_ % 16 != 0 || !to.inbox.push_mail(leg)) return false;
+    to.close_breaker();
+    return true;
+  }
+  for (int attempt = 0;; ++attempt) {
+    if (to.inbox.push_mail(leg)) {
+      to.breaker_failures.store(0, std::memory_order_relaxed);
+      return true;
+    }
+    if (attempt >= fleet_.opt.handover_retries) break;
+    // Exponential base plus seeded splitmix64 jitter, microseconds-scale so
+    // retry exhaustion resolves well under any realistic deadline.
+    const std::uint64_t base = 2'000ull << std::min(attempt, 10);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        base + splitmix64_next(rng_) % (base / 2 + 1)));
+  }
+  if (to.breaker_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      fleet_.opt.breaker_threshold) {
+    int expect = kBreakerClosed;
+    if (to.breaker.compare_exchange_strong(expect, kBreakerOpen))
+      ++breaker_trips;
+  }
+  return false;
+}
+
+/// Serves one op on this worker's shard in local ids (v == kNoNode ascends
+/// u to the root), logs it while a shard kill is pending, books the serve
+/// counters and returns its routing + rotations.
+Cost Worker::serve(NodeId u, NodeId v) {
+  const ServeResult sr = fleet_.net.serve_local(w_, u, v);
+  if (fleet_.log_served) served.push_back({u, v});
+  routing += sr.routing_cost;
+  rotations += sr.rotations;
+  edges += sr.edge_changes;
+  return sr.routing_cost + static_cast<Cost>(sr.rotations);
+}
+
+/// Shed bookkeeping for an item this worker drops (deadline at dequeue,
+/// breaker, retry exhaustion): records its age and completes it, so the
+/// quiesce accounting sees every admitted request exactly once.
+void Worker::shed_item(const QueueItem& item) {
+  shed.record(fleet_.now_ns() - item.arrival_ns);
+  fleet_.completed.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace
@@ -225,22 +458,16 @@ const char* queue_policy_name(QueuePolicy policy) {
 
 ServeFrontend::ServeFrontend(ShardedNetwork& net, FrontendOptions opt)
     : net_(net), opt_(opt) {
-  if (opt_.admission_batch < 1)
-    throw TreeError("ServeFrontend: admission_batch must be >= 1");
   if (opt_.queue_capacity < 1)
     throw TreeError("ServeFrontend: queue_capacity must be >= 1");
   opt_.schedule.validate();
-  if (opt_.schedule.reorders() && opt_.admission_batch < 2)
-    throw TreeError(
-        "ServeFrontend: locality schedule needs admission_batch >= 2 "
-        "(a 1-item batch can never reorder)");
   if (opt_.queue_policy == QueuePolicy::kDeadline && opt_.deadline_ms <= 0.0)
     throw TreeError("ServeFrontend: kDeadline needs deadline_ms > 0");
   if (opt_.queue_policy != QueuePolicy::kDeadline && opt_.deadline_ms != 0.0)
     throw TreeError(
         "ServeFrontend: deadline_ms requires the kDeadline queue policy");
-  if (opt_.admit_rate < 0.0 || opt_.admit_burst < 0.0)
-    throw TreeError("ServeFrontend: admit_rate/admit_burst must be >= 0");
+  if (opt_.admit_rate < 0.0)
+    throw TreeError("ServeFrontend: admit_rate must be >= 0");
   if (opt_.handover_retries < 0)
     throw TreeError("ServeFrontend: handover_retries must be >= 0");
   if (opt_.breaker_threshold < 1)
@@ -261,309 +488,99 @@ FrontendResult ServeFrontend::run(const Trace& trace,
 
 FrontendResult ServeFrontend::run_stream(RequestStream& stream,
                                          ArrivalSchedule& schedule) {
-  const int S0 = net_.num_shards();
   const std::size_t total = stream.size();
-  const bool degrade = opt_.queue_policy != QueuePolicy::kBlock;
-  const std::size_t mail_cap =
-      degrade ? (opt_.mailbox_capacity != 0 ? opt_.mailbox_capacity
-                                            : 4 * opt_.queue_capacity)
-              : 0;  // kBlock keeps the lossless unbounded mailbox
-
   FrontendResult res;
   ControlPlane plane(net_, opt_.rebalance, opt_.faults, res.sim);
+  Fleet fleet(net_, opt_);
+  for (int s = 0; s < net_.num_shards(); ++s) fleet.spawn(s);
 
-  // Slot w serves shard w. The fleet changes shape only at quiesce
-  // barriers, where every worker is parked in pop_batch, and the change is
-  // published through the inbox mutexes (any item a worker pops was pushed
-  // after it), so a worker reads its shard's tree once per popped batch.
-  // Only the dispatcher grows `slots`; a worker reads another's slot only
-  // to hand a leg over, which happens before that request completes.
-  std::vector<std::unique_ptr<Slot>> slots;
-  std::atomic<std::size_t> completed{0};
-  // Set at resume points while a shard kill is pending; workers log what
-  // they serve only then.
-  bool log_served = false;
-
-  const Clock::time_point start = Clock::now();
-  auto now_ns = [&start] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count());
-  };
-
-  // ---- dynamic worker fleet -------------------------------------------
-  auto worker_loop = [&](int w, Slot& slot) {
-    WorkerState& ws = slot.state;
-    std::uint64_t rng =
-        kBackoffSeed ^ (kSplitmix64Gamma * (static_cast<std::uint64_t>(w) + 1));
-    // Deterministic backoff between handover retries: exponential base
-    // plus seeded splitmix64 jitter, microseconds-scale so retry
-    // exhaustion resolves well under any realistic deadline. The schedule
-    // is a pure function of the worker slot.
-    auto backoff = [&](int attempt) {
-      const std::uint64_t base = 2'000ull << std::min(attempt, 10);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          base + splitmix64_next(rng) % (base / 2 + 1)));
-    };
-    // Shed bookkeeping for an item this worker drops (deadline at
-    // dequeue, breaker, retry exhaustion): record its age and dispose of
-    // it so the quiesce accounting sees every admitted request exactly
-    // once.
-    auto shed_item = [&](const QueueItem& item) {
-      ws.shed.record(now_ns() - item.arrival_ns);
-      completed.fetch_add(1, std::memory_order_release);
-    };
-    // Delivers a mailbox leg to `target`'s worker. kBlock: unbounded push,
-    // always succeeds. Degradation modes: the target's breaker may shed
-    // outright (open or mid-recovery), a full mailbox is retried with
-    // deterministic backoff, and exhaustion feeds the breaker. Returns
-    // false when the leg was shed (caller completes it via shed_item).
-    auto deliver = [&](int target, const QueueItem& leg) -> bool {
-      Slot& to = *slots[static_cast<std::size_t>(target)];
-      if (!degrade) {
-        to.inbox.push_mail(leg);
-        return true;
-      }
-      const int state = to.breaker.load(std::memory_order_acquire);
-      if (state == kBreakerRecovery) return false;
-      if (state == kBreakerOpen) {
-        // Half-open: every 16th leg probes the mailbox; one success
-        // closes the breaker again.
-        if (++ws.probe_clock % 16 != 0) return false;
-        if (to.inbox.push_mail(leg)) {
-          to.breaker.store(kBreakerClosed, std::memory_order_release);
-          to.breaker_failures.store(0, std::memory_order_relaxed);
-          return true;
-        }
-        return false;
-      }
-      for (int attempt = 0;; ++attempt) {
-        if (to.inbox.push_mail(leg)) {
-          to.breaker_failures.store(0, std::memory_order_relaxed);
-          return true;
-        }
-        if (attempt >= opt_.handover_retries) break;
-        backoff(attempt);
-      }
-      if (to.breaker_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          opt_.breaker_threshold) {
-        int expect = kBreakerClosed;
-        if (to.breaker.compare_exchange_strong(expect, kBreakerOpen))
-          ++ws.breaker_trips;
-      }
-      return false;
-    };
-    // Serves one op on shard w in local ids (v == kNoNode ascends u to the
-    // root), logs it while a shard kill is pending, books the serve
-    // counters and returns its routing + rotations.
-    auto serve = [&](NodeId u, NodeId v) -> Cost {
-      const ServeResult sr = net_.serve_local(w, u, v);
-      if (log_served) ws.served.push_back({u, v});
-      ws.routing += sr.routing_cost;
-      ws.rotations += sr.rotations;
-      ws.edges += sr.edge_changes;
-      return sr.routing_cost + static_cast<Cost>(sr.rotations);
-    };
-    std::vector<QueueItem> batch;
-    batch.reserve(static_cast<std::size_t>(opt_.admission_batch));
-    auto process_item = [&](const QueueItem& item) {
-      const ShardMap& map = net_.map();
-      if (map.shard_of(item.src) != w) foreign_op(w, item.src);
-      const NodeId u = map.local_of(item.src);
-      if (item.is_handover()) {
-        // Second leg of a cross-shard request: ascend v, charge the
-        // accumulated top-tree legs, complete.
-        ws.routing += item.pending_top;
-        ws.split.cross_cost += serve(u, kNoNode) + item.pending_top;
-        ++ws.split.cross_requests;
-        ws.sojourn.record(now_ns() - item.arrival_ns);
-        completed.fetch_add(1, std::memory_order_release);
-        return;
-      }
-      // Deadline shed at dequeue, before any tree mutation: a request
-      // that expired while queued never touches state.
-      if (item.deadline_ns != 0 && now_ns() > item.deadline_ns) {
-        ++ws.deadline_expired;
-        shed_item(item);
-        return;
-      }
-      ws.queue_wait.record(now_ns() - item.arrival_ns);
-      const int b = map.shard_of(item.dst);
-      if (b == w) {
-        ws.split.intra_cost += serve(u, map.local_of(item.dst));
-        if (net_.has_replica(w)) ++ws.replica_reads;
-        ++ws.split.intra_requests;
-        ws.sojourn.record(now_ns() - item.arrival_ns);
-        completed.fetch_add(1, std::memory_order_release);
-      } else {
-        // First leg: ascend u to this shard's root, hand the request
-        // over to v's shard with the top-tree route priced in.
-        ws.split.cross_cost += serve(u, kNoNode);
-        ++ws.handovers;
-        QueueItem leg;
-        leg.src = item.dst;
-        leg.arrival_ns = item.arrival_ns;
-        leg.pending_top = net_.top_distance(w, b);
-        if (!deliver(b, leg)) {
-          ++ws.cross_shed;
-          shed_item(leg);
-        }
-      }
-    };
-    // Resolves a queued item into this worker's shard-local id space for
-    // the locality scheduler; handovers and first legs key as root
-    // ascents. Fleet and map changes only land at quiesce barriers, so
-    // the map is stable per batch and every item's source is local
-    // (process_item checks it).
-    auto resolve = [&](const QueueItem& item) -> ScheduleEndpoints {
-      const ShardMap& map = net_.map();
-      const NodeId u = map.local_of(item.src);
-      if (item.is_handover() || map.shard_of(item.dst) != w)
-        return {u, kNoNode};  // root ascent (second or first leg)
-      return {u, map.local_of(item.dst)};
-    };
-    LocalityScheduler scheduler(opt_.schedule);
-    for (;;) {
-      batch.clear();
-      if (slot.inbox.pop_batch(
-              batch, static_cast<std::size_t>(opt_.admission_batch)) == 0) {
-        // Closed and drained. += so counters survive worker-kill respawns
-        // on this slot.
-        ws.reordered += scheduler.reordered();
-        return;
-      }
-      scheduler.run(net_.shard(w).tree(), std::span<QueueItem>(batch),
-                    resolve, process_item);
-    }
-  };
-
-  auto spawn_worker = [&](int w) {
-    const auto i = static_cast<std::size_t>(w);
-    if (i == slots.size())
-      slots.push_back(std::make_unique<Slot>(opt_.queue_capacity, mail_cap));
-    else
-      slots[i]->inbox.reopen();
-    slots[i]->thread = std::thread(worker_loop, w, std::ref(*slots[i]));
-  };
-  auto retire_worker = [&](int w) {
-    Slot& slot = *slots[static_cast<std::size_t>(w)];
-    slot.inbox.close();
-    slot.thread.join();
-  };
-  // Joins every worker before the locals it uses go, also when the
-  // dispatcher throws (a fault script or recovery error).
-  auto join_all = [&] {
-    for (const auto& slot : slots) slot->inbox.close();
-    for (const auto& slot : slots)
-      if (slot->thread.joinable()) slot->thread.join();
-  };
-  struct JoinOnExit {
-    decltype(join_all)& join;
-    ~JoinOnExit() { join(); }
-  } join_on_exit{join_all};
-  for (int s = 0; s < S0; ++s) spawn_worker(s);
-
-  // ---- open-loop dispatcher (caller thread) ---------------------------
-  auto quiesce = [&](std::size_t dispatched) {
-    while (completed.load(std::memory_order_acquire) < dispatched)
-      std::this_thread::yield();
-  };
-
-  // Queue-pressure windows end at the next quiesce barrier, before any
-  // split or merge renumbers shards.
-  std::vector<int> pressured;
-  auto restore_pressure = [&] {
-    for (int s : pressured)
-      slots[static_cast<std::size_t>(s)]->inbox.set_capacity(
-          opt_.queue_capacity);
-    pressured.clear();
-  };
-  auto close_breaker = [&](Slot& slot) {
-    slot.breaker.store(kBreakerClosed, std::memory_order_release);
-    slot.breaker_failures.store(0, std::memory_order_relaxed);
-  };
+  std::size_t offered = 0;     // pulled from the schedule (admitted + shed)
+  std::size_t dispatched = 0;  // admitted into a queue
+  std::size_t cross_dispatched = 0;
+  std::uint64_t last_arrival_ns = 0;
 
   // ---- scripted fault injection (sim/fault.hpp) -----------------------
   // Resume points are run start and the instants after a recovery, a
   // worker kill or an epoch barrier, all quiesced. Each one snapshots the
   // fleet and clears the workers' served logs while a shard kill is
-  // pending, so a log never spans a map change. A shard kill quiesces the
-  // (drained, handovers included) pipeline, then the plane recovers the
-  // shard: promotion, or restore plus a replay of the log its worker kept.
+  // pending, so a log never spans a map change.
   auto resume = [&] {
     plane.snapshot_all();
-    log_served = plane.kill_pending();
-    for (const auto& slot : slots) slot->state.served.clear();
+    fleet.log_served = plane.kill_pending();
+    for (const auto& worker : fleet.workers) worker->served.clear();
   };
-  auto fire_event = [&](const FaultEvent& ev, std::size_t disp) {
-    Slot& slot = *slots[static_cast<std::size_t>(ev.shard)];
-    switch (ev.kind) {
-      case FaultKind::kShardKill: {
-        // Open the recovery breaker first so in-flight cross legs shed
-        // instead of serving into the doomed shard (degradation modes;
-        // kBlock stays lossless and drains them).
-        if (degrade)
-          slot.breaker.store(kBreakerRecovery, std::memory_order_release);
-        quiesce(disp);
-        restore_pressure();
-        plane.recover(ev.shard, slot.state.served);
-        if (degrade) close_breaker(slot);
-        resume();
-        break;
+  // Fires every event due once `offered` requests were offered, admitted
+  // or shed. A shard kill quiesces the (drained, handovers included)
+  // pipeline, then the plane recovers the shard: promotion, or restore
+  // plus a replay of the log its worker kept.
+  auto fire_due = [&] {
+    while (plane.next_fault() != nullptr &&
+           plane.next_fault()->at_request == offered) {
+      const FaultEvent ev = plane.take_fault();
+      Worker& worker = fleet[ev.shard];
+      switch (ev.kind) {
+        case FaultKind::kShardKill:
+          // Open the recovery breaker first so in-flight cross legs shed
+          // instead of serving into the doomed shard (degradation modes;
+          // kBlock stays lossless and drains them).
+          if (fleet.degrade)
+            worker.breaker.store(kBreakerRecovery, std::memory_order_release);
+          fleet.quiesce(dispatched);
+          plane.recover(ev.shard, worker.served);
+          if (fleet.degrade) worker.close_breaker();
+          resume();
+          break;
+        case FaultKind::kWorkerKill: {
+          // The thread dies, the shard's data survives: retire the worker
+          // at the quiesce barrier and respawn it (same inbox, same
+          // accumulated counters).
+          fleet.quiesce(dispatched);
+          const Clock::time_point t0 = Clock::now();
+          fleet.retire(ev.shard);
+          fleet.spawn(ev.shard);
+          plane.note_recovery(t0);
+          resume();
+          break;
+        }
+        case FaultKind::kQueuePressure:
+          // No barrier: the shard's inbox bound collapses mid-flight and
+          // the admission policy has to cope until the next quiesce
+          // restores it. The served logs keep growing (no tree or map
+          // change to re-anchor against).
+          worker.inbox.set_capacity(
+              std::max<std::size_t>(1, opt_.queue_capacity / 8));
+          break;
       }
-      case FaultKind::kWorkerKill: {
-        // The thread dies, the shard's data survives: retire the worker
-        // at the quiesce barrier and respawn a fresh one on the same
-        // slot (same inbox, same accumulated counters).
-        quiesce(disp);
-        restore_pressure();
-        const Clock::time_point t0 = Clock::now();
-        retire_worker(ev.shard);
-        spawn_worker(ev.shard);
-        plane.note_recovery(t0);
-        resume();
-        break;
-      }
-      case FaultKind::kQueuePressure:
-        // No barrier: the shard's inbox bound collapses mid-flight and
-        // the admission policy has to cope until the next barrier
-        // restores it. The served logs keep growing (no tree or map
-        // change to re-anchor against).
-        pressured.push_back(ev.shard);
-        slot.inbox.set_capacity(
-            std::max<std::size_t>(1, opt_.queue_capacity / 8));
-        break;
     }
   };
   resume();
 
   // The epoch barrier: drain the pipeline, then let the plane measure,
   // plan and apply — migrations and, when configured, the full shard
-  // lifecycle — and reshape the worker fleet to match: a split's new
-  // shard gets a worker, a merge retires the last slot (shard ids above
-  // the vacated one shifted down, and worker w serves shard w). Breakers
-  // reset: the fleet just proved it can drain, so congestion-tripped
-  // breakers half-open wholesale. The dispatcher keeps the arrival clock
-  // running, so this pause is charged to every request that arrives
-  // during it.
-  auto epoch_barrier = [&](std::size_t dispatched) {
-    quiesce(dispatched);
-    restore_pressure();
-    if (degrade)
-      for (const auto& slot : slots) close_breaker(*slot);
+  // lifecycle — and reshape the fleet to match: a split's new shard gets
+  // a worker, a merge retires the last one (shard ids above the vacated
+  // one shifted down, and worker w serves shard w). Breakers reset: the
+  // fleet just proved it can drain, so congestion-tripped breakers
+  // half-open wholesale. The dispatcher keeps the arrival clock running,
+  // so this pause is charged to every request that arrives during it. It
+  // ends at a resume point, so a later replay never spans it.
+  auto epoch_barrier = [&] {
+    fleet.quiesce(dispatched);
     CostSplit served;
-    for (const auto& slot : slots) served += slot->state.split;
+    for (const auto& worker : fleet.workers) {
+      if (fleet.degrade) worker->close_breaker();
+      served += worker->split;
+    }
     const BarrierOutcome out = plane.barrier(served, 0);
-    if (out.split_to >= 0) spawn_worker(out.split_to);
-    if (out.merged_from >= 0) retire_worker(net_.num_shards());
+    if (out.split_to >= 0) fleet.spawn(out.split_to);
+    if (out.merged_from >= 0) fleet.retire(net_.num_shards());
     if (out.changed) ++res.route_epochs;
+    resume();
   };
 
   // ---- admission control ----------------------------------------------
   const bool throttled = opt_.admit_rate > 0.0;
-  const double burst_cap = opt_.admit_burst > 0.0 ? opt_.admit_burst : 64.0;
-  double tokens = burst_cap;
+  double tokens = kAdmitBurst;
   std::uint64_t bucket_clock = 0;  // last intended-arrival refill instant
   const std::uint64_t deadline_budget_ns =
       opt_.queue_policy == QueuePolicy::kDeadline
@@ -571,21 +588,15 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
           : 0;
   // Admission-time sheds are recorded by the dispatcher itself.
   auto shed_admission = [&](std::uint64_t arrival_ns) {
-    res.shed.record(now_ns() - arrival_ns);
+    res.shed.record(fleet.now_ns() - arrival_ns);
   };
 
-  std::size_t offered = 0;     // pulled from the schedule (admitted + shed)
-  std::size_t dispatched = 0;  // admitted into a queue
-  std::size_t cross_dispatched = 0;
-  std::uint64_t last_arrival_ns = 0;
   std::vector<Request> chunk(std::min(total, kStreamChunkRequests));
   while (true) {
     const std::size_t got = stream.fill(chunk);
     if (got == 0) break;
     for (std::size_t i = 0; i < got; ++i) {
-      while (plane.next_fault() != nullptr &&
-             plane.next_fault()->at_request == offered)
-        fire_event(plane.take_fault(), dispatched);
+      fire_due();
       // Pace to the arrival schedule: sleep for coarse gaps, spin out the
       // last stretch (sleep_until wakes late by scheduler quanta, which
       // would throttle multi-million-req/s schedules).
@@ -593,11 +604,11 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       last_arrival_ns = due;
       if (due > 0) {
         constexpr std::uint64_t kSpinWindowNs = 50'000;
-        std::uint64_t now = now_ns();
+        std::uint64_t now = fleet.now_ns();
         if (due > now + kSpinWindowNs)
           std::this_thread::sleep_for(
               std::chrono::nanoseconds(due - now - kSpinWindowNs));
-        while (now_ns() < due) {
+        while (fleet.now_ns() < due) {
           // busy-wait: the dispatcher is the clock of the experiment
         }
       }
@@ -606,7 +617,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       // admit/shed pattern is a deterministic function of the schedule,
       // not of wall-clock jitter.
       if (throttled) {
-        tokens = std::min(burst_cap,
+        tokens = std::min(kAdmitBurst,
                           tokens + static_cast<double>(due - bucket_clock) *
                                        1e-9 * opt_.admit_rate);
         bucket_clock = due;
@@ -620,7 +631,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       std::uint64_t deadline_ns = 0;
       if (deadline_budget_ns != 0) {
         deadline_ns = due + deadline_budget_ns;
-        if (now_ns() > deadline_ns) {  // dead on arrival (backpressure)
+        if (fleet.now_ns() > deadline_ns) {  // dead on arrival (backpressure)
           ++res.sim.deadline_expired;
           shed_admission(due);
           continue;
@@ -633,7 +644,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       item.dst = r.dst;
       item.arrival_ns = due;
       item.deadline_ns = deadline_ns;
-      ShardInbox& box = slots[static_cast<std::size_t>(a)]->inbox;
+      ShardInbox& box = fleet[a].inbox;
       if (opt_.queue_policy == QueuePolicy::kShed) {
         if (!box.try_push_main(item)) {
           ++res.sim.queue_full_blocks;
@@ -648,44 +659,42 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       ++dispatched;
       if (plane.adaptive()) {
         plane.observe(r);
-        if (dispatched % plane.epoch_requests() == 0 && dispatched < total) {
-          epoch_barrier(dispatched);
-          // The barrier may have rewritten the map or fleet: re-anchor
-          // the served logs so a later replay never spans it.
-          resume();
-        }
+        if (dispatched % plane.epoch_requests() == 0 && dispatched < total)
+          epoch_barrier();
       }
     }
   }
+  // An event at the stream's length fires after the last request, as it
+  // does in the batch pipeline.
+  fire_due();
 
   res.sim.requests = offered;
   if (offered > 0 && last_arrival_ns > 0)
     res.offered_rate = static_cast<double>(offered) /
                        (static_cast<double>(last_arrival_ns) / 1e9);
 
-  quiesce(dispatched);
-  res.elapsed_seconds = static_cast<double>(now_ns()) / 1e9;
-  join_all();
+  fleet.quiesce(dispatched);
+  res.elapsed_seconds = static_cast<double>(fleet.now_ns()) / 1e9;
+  fleet.join();
 
   // ---- aggregation ----------------------------------------------------
-  for (const auto& slot : slots) {
-    const WorkerState& ws = slot->state;
-    res.sim.routing_cost += ws.routing;
-    res.sim.rotation_count += ws.rotations;
-    res.sim.edge_changes += ws.edges;
-    res.sim.replica_reads += ws.replica_reads;
-    res.handovers += ws.handovers;
-    res.sim.reordered_requests += ws.reordered;
-    res.sim.deadline_expired += ws.deadline_expired;
-    res.sim.cross_shed += ws.cross_shed;
-    res.sim.breaker_trips += ws.breaker_trips;
-    res.sojourn.merge(ws.sojourn);
-    res.queue_wait.merge(ws.queue_wait);
-    res.shed.merge(ws.shed);
+  for (const auto& worker : fleet.workers) {
+    const Worker& w = *worker;
+    res.sim.routing_cost += w.routing;
+    res.sim.rotation_count += w.rotations;
+    res.sim.edge_changes += w.edges;
+    res.sim.replica_reads += w.replica_reads;
+    res.handovers += w.handovers;
+    res.sim.reordered_requests += w.reordered;
+    res.sim.deadline_expired += w.deadline_expired;
+    res.sim.cross_shed += w.cross_shed;
+    res.sim.breaker_trips += w.breaker_trips;
+    res.sojourn.merge(w.sojourn);
+    res.queue_wait.merge(w.queue_wait);
+    res.shed.merge(w.shed);
   }
   res.sim.shed_requests = res.sim.shed_queue_full + res.sim.shed_throttled +
                           res.sim.deadline_expired + res.sim.cross_shed;
-  res.sim.schedule = opt_.schedule.policy;
   res.sim.final_shards = net_.num_shards();
   res.sim.cross_shard = static_cast<Cost>(cross_dispatched);
   net_.note_cross_served(static_cast<Cost>(cross_dispatched));
@@ -700,14 +709,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       dispatched == 0 ? 0.0
                       : 1.0 - static_cast<double>(cross_dispatched) /
                                   static_cast<double>(dispatched);
-  if (res.sojourn.count() > 0) {
-    res.sim.latency.measured = true;
-    res.sim.latency.mean_us = res.sojourn.mean() / 1e3;
-    res.sim.latency.p50_us = static_cast<double>(res.sojourn.p50()) / 1e3;
-    res.sim.latency.p99_us = static_cast<double>(res.sojourn.p99()) / 1e3;
-    res.sim.latency.p999_us = static_cast<double>(res.sojourn.p999()) / 1e3;
-    res.sim.latency.max_us = static_cast<double>(res.sojourn.max()) / 1e3;
-  }
   return res;
 }
 

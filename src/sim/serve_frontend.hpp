@@ -10,8 +10,8 @@
 //   caller thread (dispatcher)            worker w serves shard w
 //   ─────────────────────────             ──────────────────────────────
 //   wait until arrival[i]                 drain inbox (mailbox first,
-//   admission control: token              then main queue, ≤ B per
-//     bucket, deadline, queue             wakeup = batched admission)
+//   admission control: token              then main queue, at most
+//     bucket, deadline, queue             kAdmissionBatch = 64 per wakeup)
 //     policy (block/shed)                 intra: serve_local(w, u, v)
 //   push r_i to the inbox of  ──push──►   cross 1st leg: ascend u,
 //     its source's shard                    mailbox-push to dst worker
@@ -27,7 +27,7 @@
 // The barrier itself — plan, migrations, replicas, split/merge — and
 // crash recovery are the batch pipeline's own (sim/control_plane.hpp);
 // the frontend only reshapes its fleet to match: a split's new shard gets
-// a fresh worker, a merge retires the last slot (shard ids above the
+// a fresh worker, a merge retires the last worker (shard ids above the
 // vacated one shift down, and worker w keeps serving shard w). Fleet
 // changes are published to workers through the inbox mutexes (every item
 // a worker pops was pushed after the change), so a worker reads its
@@ -52,7 +52,7 @@
 // (arrival + deadline_ms): dead requests are shed at admission and again
 // at dequeue — a request that expired while queued is dropped before it
 // can touch a tree, so deadline-expired requests never mutate state. An
-// optional token bucket (admit_rate/admit_burst, refilled from the
+// optional token bucket (admit_rate, 64 tokens deep, refilled from the
 // *intended* arrival clock, so its admit/shed pattern is a deterministic
 // function of the schedule) throttles admission upstream of the queues.
 // Every drop lands in SimResult's shed counters and the shed-age
@@ -100,8 +100,6 @@ enum class QueuePolicy : std::uint8_t {
 const char* queue_policy_name(QueuePolicy policy);
 
 struct FrontendOptions {
-  /// Max requests a worker admits per wakeup (the B of batched admission).
-  int admission_batch = 64;
   /// Bound of each shard's main request queue. What happens when it fills
   /// is queue_policy's call; under kBlock the dispatcher blocks while the
   /// target queue is full (arrival timestamps keep counting, so the
@@ -118,10 +116,8 @@ struct FrontendOptions {
   /// The bucket refills from the intended-arrival clock, so which requests
   /// it sheds is a deterministic function of the arrival schedule (under a
   /// saturation schedule the clock never advances: only the initial burst
-  /// is admitted). Works under every queue policy.
+  /// of 64 is admitted). Works under every queue policy.
   double admit_rate = 0.0;
-  /// Token-bucket depth; 0 picks the default (64 tokens).
-  double admit_burst = 0.0;
   /// Handover mailbox bound under kShed/kDeadline; 0 picks the default
   /// (4 x queue_capacity). Under kBlock mailboxes stay unbounded: handover
   /// traffic is already bounded by the main queues, and a bounded
@@ -145,7 +141,8 @@ struct FrontendOptions {
   /// mirror into them and serve intra-shard requests from them.
   const RebalanceConfig* rebalance = nullptr;
   /// Non-null + enabled() injects scripted faults (sim/fault.hpp): each
-  /// event fires when the dispatch counter reaches its at_request.
+  /// event fires once at_request requests were offered, admitted or shed
+  /// (an event at the stream's length fires after the last request).
   /// kShardKill quiesces the pipeline, then recovers the shard — replica
   /// promotion when one exists, else a checksummed snapshot restore plus
   /// a replay of the ops the shard's worker served since the snapshot, in
@@ -167,9 +164,8 @@ struct FrontendOptions {
 };
 
 struct FrontendResult {
-  /// Serve-path totals in the batch pipeline's conventions, with
-  /// sim.latency filled from the sojourn histogram. cross_shard counts
-  /// requests that were cross-shard under the map at dispatch time;
+  /// Serve-path totals in the batch pipeline's conventions. cross_shard
+  /// counts requests that were cross-shard under the map at dispatch time;
   /// sim.requests counts every request the schedule offered (admitted or
   /// shed), so sojourn.count() + sim.shed_requests == sim.requests.
   SimResult sim;

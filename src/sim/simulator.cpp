@@ -24,7 +24,6 @@ SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
                            const ScheduleConfig& sched) {
   sched.validate();
   SimResult res;
-  res.schedule = sched.policy;
   if (!sched.reorders()) {
     for (const Request& r : trace.requests) {
       res.routing_cost += serve_on_static_tree(tree, r.src, r.dst).routing_cost;
@@ -63,9 +62,9 @@ struct ObserveTask {
 };
 
 /// Serves one contiguous slice of the trace through the batched pipeline
-/// and accumulates its costs into `res`. A non-null `observe` runs in the
-/// same round, after the drains in sequential mode. Leaves each shard's
-/// queue in `pt`, in the order the shard served it.
+/// and accumulates its costs into `res`. A non-null `observe` runs as the
+/// round's last task. Leaves each shard's queue in `pt`, in the order the
+/// shard served it.
 CostSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
                       const ShardedRunOptions& opt, SimResult& res,
                       const ObserveTask* observe, PartitionedTrace& pt) {
@@ -80,29 +79,23 @@ CostSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
     partial[static_cast<std::size_t>(s)] = drain_shard(
         net, s, pt.ops[static_cast<std::size_t>(s)], opt.schedule);
   };
-  if (opt.sequential) {
-    for (int s = 0; s < S; ++s) drain(s);
-    if (observe != nullptr) observe->run();
-  } else {
-    // Longest queue first and the observe task last: the round lasts as
-    // long as the task that starts last.
-    std::vector<int> order(static_cast<std::size_t>(S));
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const std::size_t qa = pt.ops[static_cast<std::size_t>(a)].size();
-      const std::size_t qb = pt.ops[static_cast<std::size_t>(b)].size();
-      return qa != qb ? qa > qb : a < b;
-    });
-    parallel_for(0, S + (observe != nullptr ? 1 : 0), opt.threads,
-                 [&](long i) {
-                   if (i < S)
-                     drain(order[static_cast<std::size_t>(i)]);
-                   else
-                     observe->run();
-                 });
-  }
+  // Longest queue first and the observe task last: the round lasts as
+  // long as the task that starts last.
+  std::vector<int> order(static_cast<std::size_t>(S));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const std::size_t qa = pt.ops[static_cast<std::size_t>(a)].size();
+    const std::size_t qb = pt.ops[static_cast<std::size_t>(b)].size();
+    return qa != qb ? qa > qb : a < b;
+  });
+  parallel_for(0, S + (observe != nullptr ? 1 : 0), opt.threads, [&](long i) {
+    if (i < S)
+      drain(order[static_cast<std::size_t>(i)]);
+    else
+      observe->run();
+  });
 
-  // Combine in shard index order (fixed, mode-independent): per-shard sums
+  // Combine in shard index order (fixed at any width): per-shard sums
   // plus the static top-level legs of every cross-shard request.
   CostSplit split;
   Cost total = 0, ascents = 0;
@@ -158,7 +151,7 @@ std::size_t fill_exact(RequestStream& stream, std::span<Request> out) {
 /// one contiguous drain, so a killed shard recovers bit-exactly from its
 /// snapshot and the queue it served since. Sub-chunk drains concatenate to
 /// the unsplit drain (additive counters, per-shard op order preserved), so
-/// sequential == concurrent still holds with faults active, and under FIFO
+/// every width still gives the same costs with faults active, and under FIFO
 /// the serve counters bit-match the unfaulted run. `observe` rides along
 /// with the first sub-chunk's drain; kills leave the map alone.
 CostSplit drain_faulted(ControlPlane& plane, ShardedNetwork& net,
@@ -204,7 +197,6 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
                                    const ShardedRunOptions& opt) {
   opt.schedule.validate();
   SimResult res;
-  res.schedule = opt.schedule.policy;
   ControlPlane plane(net, opt.rebalance, opt.faults, res);
   // Chunking is cost-invariant (additive counters, per-shard order
   // preserved across boundaries), so a static run streams in fixed chunks
@@ -216,7 +208,6 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
   const bool adaptive = plane.adaptive();
   const std::size_t chunk_size =
       adaptive ? plane.epoch_requests() : kStreamChunkRequests;
-  const int width = opt.sequential ? 1 : opt.threads;
   const std::size_t total = stream.size();
   CostSplit served;
   std::vector<Request> buf(std::min(total, chunk_size));
@@ -233,7 +224,7 @@ SimResult run_trace_sharded_stream(ShardedNetwork& net, RequestStream& stream,
     if (last) break;
     // The next chunk top re-snapshots, so pending kills never replay
     // across this barrier.
-    if (adaptive) plane.barrier(served, width);
+    if (adaptive) plane.barrier(served, opt.threads);
   }
   res.final_shards = net.num_shards();
 

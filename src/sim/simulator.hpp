@@ -7,11 +7,12 @@
 // overload hoists the variant dispatch out of the loop with a single
 // visit. run_trace_sharded is the batched pipeline for ShardedNetwork:
 // it splits the trace into per-shard queues and drains the shards
-// concurrently on the Executor, with a sequential mode that is
-// bit-identical by construction (shards share no state, and per-shard op
-// order alone determines cost). Its epoch barriers and crash recoveries
-// are the ControlPlane's (sim/control_plane.hpp), which the open-loop
-// frontend shares.
+// concurrently on the Executor, bit-identical at any width by
+// construction (shards share no state, and per-shard op order alone
+// determines cost); one thread, serial on the caller, is the determinism
+// reference. Its epoch barriers and crash recoveries are the
+// ControlPlane's (sim/control_plane.hpp), which the open-loop frontend
+// shares.
 #pragma once
 
 #include <cstdint>
@@ -31,20 +32,6 @@ namespace san {
 /// cost-invariant (per-shard op order and every additive counter are
 /// unchanged by where the chunk boundaries fall).
 inline constexpr std::size_t kStreamChunkRequests = 8192;
-
-/// Tail-latency summary attached to results that were measured under an
-/// open-loop arrival process (sim/serve_frontend.hpp). Latency of one
-/// request = queue wait + service time, measured from its *intended*
-/// arrival timestamp, so a backlogged server cannot hide its stalls
-/// (no coordinated omission). Closed-loop replay leaves this unmeasured.
-struct LatencyStats {
-  bool measured = false;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double max_us = 0.0;
-};
 
 struct SimResult {
   Cost routing_cost = 0;    ///< sum of pre-adjustment path lengths
@@ -110,15 +97,8 @@ struct SimResult {
   Cost queue_full_blocks = 0;
   Cost breaker_trips = 0;  ///< per-shard circuit-breaker open transitions
 
-  /// Sojourn-time summary when the result came from the open-loop serving
-  /// frontend; latency.measured stays false for closed-loop replay.
-  LatencyStats latency;
-
-  // Batch-scheduling accounting (sim/schedule.hpp). `schedule` records the
-  // policy the run was served under so bench JSON and CLI rows are
-  // self-describing; `reordered_requests` counts requests whose serve
-  // position differed from their arrival position (always 0 under FIFO).
-  SchedulePolicy schedule = SchedulePolicy::kFifo;
+  /// Requests whose serve position differed from their arrival position
+  /// under the locality schedule (sim/schedule.hpp; always 0 under FIFO).
   Cost reordered_requests = 0;
 
   /// Experimental-section total: unit routing + unit rotation cost.
@@ -197,7 +177,6 @@ SimResult run_trace_stream(Net& net, RequestStream& stream,
                            const ScheduleConfig& sched = {}) {
   sched.validate();
   SimResult res;
-  res.schedule = sched.policy;
   Cost cross_before = 0;
   if constexpr (requires { net.cross_shard_served(); })
     cross_before = net.cross_shard_served();
@@ -268,12 +247,10 @@ SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
 
 /// How run_trace_sharded drains the per-shard queues.
 struct ShardedRunOptions {
-  /// Executor width for the concurrent drain and the barrier's rebuild
-  /// round (0 = auto).
+  /// Executor width for the drain and the barrier's rebuild rounds
+  /// (0 = auto). 1 runs both serially on the caller: the determinism
+  /// reference every other width bit-matches.
   int threads = 0;
-  bool sequential = false;  ///< drain (in shard index order) and rebuild
-                            ///< shards on the caller — the bit-identical
-                            ///< determinism reference
   /// Non-null + enabled() turns on rebalance epochs: the trace is served
   /// in epoch_requests-sized chunks, each observed into the window during
   /// its own drain, and every chunk but the last ends in the control
@@ -281,9 +258,9 @@ struct ShardedRunOptions {
   /// Null or disabled reproduces the static pipeline bit for bit.
   const RebalanceConfig* rebalance = nullptr;
   /// Intra-shard serve order within each drained queue (sim/schedule.hpp).
-  /// Reordering is per-shard and per-chunk, so the sequential/concurrent
-  /// bit-identity guarantee is preserved: shards share nothing and each
-  /// shard's scheduled order is deterministic.
+  /// Reordering is per-shard and per-chunk, so costs stay bit-identical at
+  /// any width: shards share nothing and each shard's scheduled order is
+  /// deterministic.
   ScheduleConfig schedule{};
   /// Non-null + enabled() injects scripted faults (sim/fault.hpp): the
   /// drain splits its chunks at the event indices, snapshots every shard
@@ -291,23 +268,22 @@ struct ShardedRunOptions {
   /// kill is pending, and recovers a killed shard by replica promotion or
   /// snapshot restore + a replay of the queue it served since, in the
   /// order it served it. Every event's shard is checked
-  /// against the live fleet. Deterministic and mode-independent; under the
+  /// against the live fleet. Deterministic at any width; under the
   /// FIFO schedule the serve counters bit-match the unfaulted run
   /// (locality windows legitimately re-seat at the crash boundary).
   const FaultPlan* faults = nullptr;
 };
 
 /// Batched sharded pipeline: partitions `trace` into per-shard op queues
-/// (arrival order preserved) and drains every shard independently —
-/// concurrently on the Executor unless `opt.sequential`. Costs are
-/// bit-identical across modes and thread counts, and identical to serving
-/// the same trace request-by-request through net.serve(). With rebalancing
-/// enabled the epoch schedule, every planned batch, and hence every cost
-/// are still bit-identical across modes and thread counts: chunks drain
-/// deterministically, the window observes each chunk as one more task of
-/// its drain round (it reads only the map), planning runs at the barrier
-/// on the caller, and the barrier's per-shard rebuilds give the same trees
-/// at any width.
+/// (arrival order preserved) and drains every shard independently on the
+/// Executor, `opt.threads` wide. Costs are bit-identical across thread
+/// counts, and identical to serving the same trace request-by-request
+/// through net.serve(). With rebalancing enabled the epoch schedule, every
+/// planned batch, and hence every cost are still bit-identical across
+/// thread counts: chunks drain deterministically, the window observes each
+/// chunk as one more task of its drain round (it reads only the map),
+/// planning runs at the barrier on the caller, and the barrier's per-shard
+/// rebuilds give the same trees at any width.
 SimResult run_trace_sharded(ShardedNetwork& net, const Trace& trace,
                             const ShardedRunOptions& opt = {});
 

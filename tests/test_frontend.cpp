@@ -21,8 +21,8 @@ std::vector<std::uint64_t> saturation(std::size_t m) {
 
 // Acceptance (ISSUE): open-loop at saturation reproduces batch-replay
 // total cost on a stationary workload with S = 1 and FIFO admission —
-// bit-identical, for every workload family and batch size tried. The
-// single inbox preserves trace order, so the serve sequence is the same.
+// bit-identical, for every workload family tried. The single inbox
+// preserves trace order, so the serve sequence is the same.
 TEST(Frontend, SingleShardSaturationMatchesBatchReplay) {
   const int n = 64;
   const std::size_t m = 3000;
@@ -30,22 +30,18 @@ TEST(Frontend, SingleShardSaturationMatchesBatchReplay) {
                             WorkloadKind::kProjector}) {
     const Trace trace = gen_workload(kind, n, m, 0xBEEF);
     ShardedNetwork batch_net = ShardedNetwork::balanced(3, n, 1);
-    const SimResult batch =
-        run_trace_sharded(batch_net, trace, {.sequential = true});
-    for (int admission : {1, 64}) {
-      ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
-      ServeFrontend fe(live_net, {.admission_batch = admission});
-      const FrontendResult live = fe.run(trace, saturation(m));
-      const std::string what = std::string(workload_name(kind)) +
-                               " B=" + std::to_string(admission);
-      EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
-      EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
-      EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
-      EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
-      EXPECT_EQ(live.sim.requests, m) << what;
-      EXPECT_EQ(live.sim.cross_shard, 0) << what;
-      EXPECT_EQ(live.handovers, 0u) << what;
-    }
+    const SimResult batch = run_trace_sharded(batch_net, trace, {.threads = 1});
+    ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
+    ServeFrontend fe(live_net);
+    const FrontendResult live = fe.run(trace, saturation(m));
+    const std::string what = workload_name(kind);
+    EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
+    EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
+    EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
+    EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
+    EXPECT_EQ(live.sim.requests, m) << what;
+    EXPECT_EQ(live.sim.cross_shard, 0) << what;
+    EXPECT_EQ(live.handovers, 0u) << what;
   }
 }
 
@@ -82,7 +78,7 @@ TEST(Frontend, MultiShardServesEverythingOnce) {
   for (int S : {2, 4}) {
     ShardedNetwork net = ShardedNetwork::balanced(3, n, S);
     const ShardLocalityStats stats = compute_shard_stats(trace, net.map());
-    ServeFrontend fe(net, {.admission_batch = 32, .queue_capacity = 256});
+    ServeFrontend fe(net, {.queue_capacity = 256});
     const FrontendResult r = fe.run(trace, saturation(m));
     EXPECT_EQ(r.sojourn.count(), m) << "S=" << S;
     EXPECT_EQ(r.queue_wait.count(), m) << "S=" << S;
@@ -98,8 +94,8 @@ TEST(Frontend, MultiShardServesEverythingOnce) {
 }
 
 // A paced Poisson run completes with sane latency plumbing: measured
-// sojourn quantiles are monotone, the mean lies inside [min, max], the
-// SimResult mirror matches the histogram, and offered rate is reported.
+// sojourn quantiles are monotone, the mean lies inside [min, max], and
+// offered rate is reported.
 TEST(Frontend, PoissonOpenLoopReportsLatencies) {
   const int n = 64;
   const std::size_t m = 20000;
@@ -109,17 +105,12 @@ TEST(Frontend, PoissonOpenLoopReportsLatencies) {
   ServeFrontend fe(net);
   const FrontendResult r = fe.run(trace, arrivals);
   ASSERT_EQ(r.sojourn.count(), m);
-  EXPECT_TRUE(r.sim.latency.measured);
   EXPECT_LE(r.sojourn.min(), r.sojourn.p50());
   EXPECT_LE(r.sojourn.p50(), r.sojourn.p99());
   EXPECT_LE(r.sojourn.p99(), r.sojourn.p999());
   EXPECT_LE(r.sojourn.p999(), r.sojourn.max());
-  EXPECT_GE(r.sim.latency.mean_us,
-            static_cast<double>(r.sojourn.min()) / 1e3);
-  EXPECT_LE(r.sim.latency.mean_us,
-            static_cast<double>(r.sojourn.max()) / 1e3);
-  EXPECT_DOUBLE_EQ(r.sim.latency.p99_us,
-                   static_cast<double>(r.sojourn.p99()) / 1e3);
+  EXPECT_GE(r.sojourn.mean(), static_cast<double>(r.sojourn.min()));
+  EXPECT_LE(r.sojourn.mean(), static_cast<double>(r.sojourn.max()));
   EXPECT_GT(r.offered_rate, 0.0);
   EXPECT_GT(r.achieved_rate, 0.0);
   // Queue wait is a component of sojourn, never more than all of it.
@@ -160,7 +151,6 @@ TEST(Frontend, RebalancesOnlineUnderDrift) {
 
 TEST(Frontend, RejectsBadArguments) {
   ShardedNetwork net = ShardedNetwork::balanced(2, 16, 2);
-  EXPECT_THROW(ServeFrontend(net, {.admission_batch = 0}), TreeError);
   EXPECT_THROW(ServeFrontend(net, {.queue_capacity = 0}), TreeError);
   ServeFrontend fe(net);
   const Trace trace = gen_uniform(16, 100, 1);

@@ -132,18 +132,18 @@ TEST(Lifecycle, RecoveryRebuildsBitIdenticalState) {
       FaultPlan plan;
       plan.kills = {{1500, 0}, {1500, S - 1}, {4000, S / 2}};
 
-      for (bool sequential : {true, false}) {
+      for (int threads : {1, 0}) {
         ShardedNetwork clean = ShardedNetwork::balanced(k, n, S);
         ShardedNetwork faulted = ShardedNetwork::balanced(k, n, S);
         ShardedRunOptions opt;
-        opt.sequential = sequential;
+        opt.threads = threads;
         const SimResult want = run_trace_sharded(clean, trace, opt);
         opt.faults = &plan;
         const SimResult got = run_trace_sharded(faulted, trace, opt);
 
         const std::string what = "seed=" + std::to_string(seed) +
                                  " S=" + std::to_string(S) +
-                                 (sequential ? " seq" : " conc");
+                                 (threads == 1 ? " seq" : " conc");
         expect_same_costs(got, want, what);
         expect_trees_equal(faulted, clean, what);
         EXPECT_EQ(got.faults_injected, 3) << what;
@@ -180,13 +180,13 @@ TEST(Lifecycle, FaultedAdaptiveRunMatchesUnfaulted) {
       cfg.epoch_requests = 1000;
       FaultPlan plan;
       plan.kills = {{0, 1}, {1500, 2}, {1500, 0}, {3000, 3}, {4200, 1}};
-      for (bool sequential : {true, false}) {
+      for (int threads : {1, 0}) {
         ShardedNetwork clean =
             ShardedNetwork::balanced(k, n, S, ShardPartition::kHash);
         ShardedNetwork faulted =
             ShardedNetwork::balanced(k, n, S, ShardPartition::kHash);
         ShardedRunOptions opt;
-        opt.sequential = sequential;
+        opt.threads = threads;
         opt.rebalance = &cfg;
         const SimResult want = run_trace_sharded(clean, trace, opt);
         opt.faults = &plan;
@@ -194,7 +194,7 @@ TEST(Lifecycle, FaultedAdaptiveRunMatchesUnfaulted) {
 
         const std::string what = "seed=" + std::to_string(seed) + " " +
                                  rebalance_policy_name(policy) +
-                                 (sequential ? " seq" : " conc");
+                                 (threads == 1 ? " seq" : " conc");
         expect_same_costs(got, want, what);
         EXPECT_GT(want.migrations, 0) << what;
         EXPECT_EQ(got.rebalance_epochs, want.rebalance_epochs) << what;
@@ -289,17 +289,25 @@ TEST(Lifecycle, FaultPlanParsesAndValidates) {
 
 TEST(Lifecycle, BatchRejectsOutOfRangeFaultShards) {
   // Every event kind is range-checked against the live fleet, not only
-  // shard kills: the batch pipeline must not silently count a worker kill
-  // or a queue-pressure event aimed at a shard it does not have.
+  // shard kills: neither engine may silently count a worker kill or a
+  // queue-pressure event aimed at a shard it does not have. The frontend
+  // throws from its dispatcher while its workers run, so the error must
+  // reach the caller after every worker is joined.
   const Trace trace = gen_workload(WorkloadKind::kUniform, 32, 200, 1);
+  const auto arrivals =
+      gen_arrival_times(ArrivalKind::kSaturation, 0.0, trace.size(), 1);
   for (FaultKind kind : {FaultKind::kShardKill, FaultKind::kWorkerKill,
                          FaultKind::kQueuePressure}) {
-    ShardedNetwork net = ShardedNetwork::balanced(2, 32, 4);
     FaultPlan plan;
     plan.kills = {{50, 4, kind}};
+    ShardedNetwork net = ShardedNetwork::balanced(2, 32, 4);
     ShardedRunOptions opt;
     opt.faults = &plan;
     EXPECT_THROW(run_trace_sharded(net, trace, opt), TreeError)
+        << fault_kind_name(kind);
+    ShardedNetwork live = ShardedNetwork::balanced(2, 32, 4);
+    ServeFrontend frontend(live, {.faults = &plan});
+    EXPECT_THROW(frontend.run(trace, arrivals), TreeError)
         << fault_kind_name(kind);
   }
 }
@@ -442,7 +450,7 @@ TEST(Lifecycle, SeqEqualsConcWithLifecycleAndFaultsActive) {
                                   ShardedNetwork::balanced(k, n, S)};
         for (int mode = 0; mode < 2; ++mode) {
           ShardedRunOptions opt;
-          opt.sequential = mode == 0;
+          opt.threads = mode == 0 ? 1 : 0;
           opt.rebalance = &cfg;
           opt.faults = &plan;
           opt.schedule = sched;
@@ -670,7 +678,8 @@ TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
   // replicas: the frontend's barrier must plan, replicate and recover
   // exactly like the batch pipeline's. The first kill lands before the
   // first barrier (snapshot restore + tail replay), the second after the
-  // replica attached (promotion).
+  // replica attached (promotion), and the third at the stream's length,
+  // after the last request (promotion again).
   const int n = 64, k = 3;
   const Trace trace = gen_workload(WorkloadKind::kTemporal05, n, 6000, 5);
   const auto arrivals =
@@ -679,11 +688,11 @@ TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
   cfg.epoch_requests = 1000;
   cfg.replicas = 1;
   FaultPlan plan;
-  plan.kills = {{500, 0}, {2500, 0}};
+  plan.kills = {{500, 0}, {2500, 0}, {6000, 0}};
 
   ShardedNetwork batch_net = ShardedNetwork::balanced(k, n, 1);
   ShardedRunOptions bopt;
-  bopt.sequential = true;
+  bopt.threads = 1;
   bopt.rebalance = &cfg;
   bopt.faults = &plan;
   const SimResult want = run_trace_sharded(batch_net, trace, bopt);
@@ -700,9 +709,9 @@ TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
   EXPECT_EQ(got.sim.rebalance_epochs, want.rebalance_epochs);
   EXPECT_GT(want.replica_reads, 0);
   EXPECT_EQ(got.sim.replica_reads, want.replica_reads);
-  EXPECT_EQ(want.faults_injected, 2);
+  EXPECT_EQ(want.faults_injected, 3);
   EXPECT_EQ(got.sim.faults_injected, want.faults_injected);
-  EXPECT_EQ(want.replica_promotions, 1);
+  EXPECT_EQ(want.replica_promotions, 2);
   EXPECT_EQ(got.sim.replica_promotions, want.replica_promotions);
   EXPECT_GT(want.recovery_replayed, 0);
   EXPECT_EQ(got.sim.recovery_replayed, want.recovery_replayed);

@@ -33,7 +33,7 @@ TEST(Overload, ShedFreeRunBitMatchesBatchReplay) {
   const Trace trace = gen_workload(WorkloadKind::kTemporal05, n, m, 0xBEEF);
   ShardedNetwork batch_net = ShardedNetwork::balanced(3, n, 1);
   const SimResult batch =
-      run_trace_sharded(batch_net, trace, {.sequential = true});
+      run_trace_sharded(batch_net, trace, {.threads = 1});
 
   ShardedNetwork net = ShardedNetwork::balanced(3, n, 1);
   FrontendOptions opt;
@@ -64,14 +64,13 @@ TEST(Overload, TokenBucketIsDeterministicGivenTheSchedule) {
     ShardedNetwork net = ShardedNetwork::balanced(2, n, 1);
     FrontendOptions opt;
     opt.admit_rate = 1e6;
-    opt.admit_burst = 100.0;
     ServeFrontend fe(net, opt);
     const FrontendResult res = fe.run(trace, saturation(m));
     runs[i] = res.sim;
-    EXPECT_EQ(res.sojourn.count(), 100u) << "run " << i;
-    EXPECT_EQ(res.shed.count(), m - 100) << "run " << i;
+    EXPECT_EQ(res.sojourn.count(), 64u) << "run " << i;
+    EXPECT_EQ(res.shed.count(), m - 64) << "run " << i;
   }
-  EXPECT_EQ(runs[0].shed_throttled, static_cast<Cost>(m - 100));
+  EXPECT_EQ(runs[0].shed_throttled, static_cast<Cost>(m - 64));
   EXPECT_EQ(runs[0].shed_requests, runs[1].shed_requests);
   EXPECT_EQ(runs[0].shed_throttled, runs[1].shed_throttled);
   EXPECT_EQ(runs[0].routing_cost, runs[1].routing_cost);
@@ -153,7 +152,6 @@ TEST(Overload, BlockModeCountsFullQueueStalls) {
   ShardedNetwork net = ShardedNetwork::balanced(2, n, 1);
   FrontendOptions opt;
   opt.queue_capacity = 1;
-  opt.admission_batch = 1;
   ServeFrontend fe(net, opt);
   const FrontendResult res = fe.run(trace, saturation(m));
   EXPECT_EQ(res.sojourn.count(), m);  // still lossless

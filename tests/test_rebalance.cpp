@@ -318,7 +318,7 @@ TEST(RebalanceDifferential, TightWindowStaysWithinTwoPercentOfDefault) {
     cfg.epoch_requests = 4000;
     cfg.window_capacity = window_capacity;
     ShardedNetwork net = ShardedNetwork::balanced(3, t.n, 4);
-    return run_trace_sharded(net, t, {.sequential = true, .rebalance = &cfg});
+    return run_trace_sharded(net, t, {.threads = 1, .rebalance = &cfg});
   };
   const SimResult wide = run_with(RebalanceConfig{}.window_capacity);
   const SimResult tight = run_with(128);
@@ -606,11 +606,10 @@ TEST(RebalanceDifferential, ActiveSequentialMatchesConcurrent) {
                                  " S=" + std::to_string(S);
         ShardedNetwork seq = ShardedNetwork::balanced(3, n, S);
         ShardedNetwork conc = ShardedNetwork::balanced(3, n, S);
-        const SimResult a = run_trace_sharded(
-            seq, trace, {.threads = 0, .sequential = true, .rebalance = &cfg});
-        const SimResult b = run_trace_sharded(
-            conc, trace,
-            {.threads = 4, .sequential = false, .rebalance = &cfg});
+        const SimResult a =
+            run_trace_sharded(seq, trace, {.threads = 1, .rebalance = &cfg});
+        const SimResult b =
+            run_trace_sharded(conc, trace, {.threads = 4, .rebalance = &cfg});
         expect_same(a, b, what);
         expect_same_shards(seq, conc, what);
         EXPECT_EQ(seq.map().shard_of(n / 2), conc.map().shard_of(n / 2));

@@ -208,7 +208,6 @@ TEST(ScheduleDifferential, FifoDefaultIsBitIdenticalOnEveryEngine) {
     EXPECT_EQ(ra.total_cost(), rb.total_cost());
     EXPECT_EQ(ra.edge_changes, rb.edge_changes);
     EXPECT_EQ(rb.reordered_requests, 0);
-    EXPECT_EQ(rb.schedule, SchedulePolicy::kFifo);
   }
   {
     ShardedNetwork a = ShardedNetwork::balanced(3, n, 4);
@@ -280,7 +279,7 @@ TEST(ScheduleDifferential, ShardedLocalitySequentialMatchesConcurrent) {
     ShardedNetwork seq = ShardedNetwork::balanced(3, n, 5);
     ShardedNetwork conc = ShardedNetwork::balanced(3, n, 5);
     ShardedRunOptions sopt;
-    sopt.sequential = true;
+    sopt.threads = 1;
     sopt.schedule = locality(128, 8);
     ShardedRunOptions copt;
     copt.threads = 4;
@@ -458,18 +457,6 @@ TEST(ScheduleFuzz, LocalityKeepsTreesValidateClean) {
 
 // ------------------------------------------------------------ frontend
 
-TEST(ScheduleFrontend, RejectsLocalityWithSingleItemBatches) {
-  ShardedNetwork net = ShardedNetwork::balanced(2, 32, 1);
-  EXPECT_THROW(
-      ServeFrontend(net, {.admission_batch = 1, .schedule = locality()}),
-      TreeError);
-  EXPECT_NO_THROW(
-      ServeFrontend(net, {.admission_batch = 2, .schedule = locality()}));
-  // The pre-existing rejections stay intact.
-  EXPECT_THROW(ServeFrontend(net, {.admission_batch = 0}), TreeError);
-  EXPECT_THROW(ServeFrontend(net, {.queue_capacity = 0}), TreeError);
-}
-
 TEST(ScheduleFrontend, LocalityServesEverythingAndKeepsShardsValid) {
   const int n = 120;
   const std::size_t m = 8000;
@@ -477,10 +464,9 @@ TEST(ScheduleFrontend, LocalityServesEverythingAndKeepsShardsValid) {
   const std::vector<std::uint64_t> arrivals(m, 0);  // saturation
   for (int S : {1, 3}) {
     ShardedNetwork net = ShardedNetwork::balanced(2, n, S);
-    ServeFrontend fe(net, {.admission_batch = 64, .schedule = locality(64, 8)});
+    ServeFrontend fe(net, {.schedule = locality(64, 8)});
     const FrontendResult r = fe.run(t, arrivals);
     EXPECT_EQ(r.sim.requests, m) << "S=" << S;
-    EXPECT_EQ(r.sim.schedule, SchedulePolicy::kLocality);
     EXPECT_GT(r.sim.reordered_requests, 0) << "S=" << S;
     EXPECT_GT(r.sim.routing_cost, 0);
     EXPECT_EQ(r.sojourn.count(), m) << "every request must complete";

@@ -63,10 +63,8 @@ TEST(Sharded, ConcurrentPipelineMatchesSequential) {
            {ShardPartition::kContiguous, ShardPartition::kHash}) {
         ShardedNetwork seq = ShardedNetwork::balanced(3, n, S, policy);
         ShardedNetwork conc = ShardedNetwork::balanced(3, n, S, policy);
-        const SimResult a =
-            run_trace_sharded(seq, trace, {.threads = 0, .sequential = true});
-        const SimResult b =
-            run_trace_sharded(conc, trace, {.threads = 4, .sequential = false});
+        const SimResult a = run_trace_sharded(seq, trace, {.threads = 1});
+        const SimResult b = run_trace_sharded(conc, trace, {.threads = 4});
         expect_same(a, b,
                     "seed=" + std::to_string(seed) + " S=" +
                         std::to_string(S) + " " +
