@@ -23,7 +23,7 @@ namespace san::bench {
 /// without timing anything meaningful; `--json <path>` asks benches that
 /// support it (dp_scaling, serve_hot_path, shard_scaling) to also emit a
 /// machine-readable result file (uploaded as a CI artifact); `--threads N`
-/// caps the Executor width of every parallel phase (sweeps, DP diagonals,
+/// caps the Executor width of every parallel phase (DP tile-diagonals,
 /// sharded drains; 0 = all hardware threads) and is recorded in the JSON
 /// so a result file states the parallelism it was measured at.
 struct BenchCli {
@@ -38,8 +38,8 @@ BenchCli& bench_cli();
 /// exits(2) on anything else. Every bench main calls this first.
 void init_bench_cli(int argc, char** argv);
 
-/// Thread count benches pass to run_sweep / parallel_for / sharded drains
-/// (the raw --threads value; 0 = auto).
+/// Thread count benches pass to the DP, to parallel_for and to sharded
+/// drains (the raw --threads value; 0 = auto).
 int bench_threads();
 
 /// The width bench_threads() actually resolves to on this host — what the

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> crow = {workload_name(kind), "(k+1)-SplayNet"};
     std::vector<std::string> frow = {workload_name(kind), "full k-ary tree"};
     for (int k : {2, 3, 4, 5, 6, 8}) {
-      KArySplayNetwork splay(KArySplayNet::balanced(k, n));
+      KArySplayNet splay = KArySplayNet::balanced(k, n);
       const Cost base = run_trace(splay, trace).total_cost();
-      CentroidSplayNetwork cent{CentroidSplayNet(k, n)};
+      CentroidSplayNet cent(k, n);
       const Cost cc = run_trace(cent, trace).total_cost();
       const Cost fc = run_trace_static(full_kary_tree(k, n), trace)
                           .total_cost();

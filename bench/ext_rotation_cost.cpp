@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         WorkloadKind::kTemporal025, WorkloadKind::kTemporal05,
         WorkloadKind::kTemporal075, WorkloadKind::kTemporal09}) {
     Trace trace = gen_workload(kind, n, m, bench::bench_seed());
-    KArySplayNetwork splay(KArySplayNet::balanced(k, n));
+    KArySplayNet splay = KArySplayNet::balanced(k, n);
     const SimResult online = run_trace(splay, trace);
     const Cost static_cost =
         run_trace_static(full_kary_tree(k, n), trace).routing_cost;

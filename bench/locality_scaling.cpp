@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/network.hpp"
+#include "core/splaynet.hpp"
 #include "sim/simulator.hpp"
 #include "stats/table.hpp"
 
@@ -58,7 +58,7 @@ struct Cell {
 };
 
 Row run_row(const Trace& trace, int n, const ScheduleConfig& sched) {
-  KArySplayNetwork net(KArySplayNet::balanced(2, n));
+  KArySplayNet net = KArySplayNet::balanced(2, n);
   const auto t0 = std::chrono::steady_clock::now();
   const SimResult res = run_trace(net, trace, sched);
   Row row;

@@ -14,7 +14,7 @@
 // For each S in {1, 2, 4, 8, 16}: partition + concurrent drain wall time
 // (run_trace_sharded on the Executor, --threads wide), total cost, and
 // the cross-shard fraction; the baseline row is the devirtualized
-// run_trace over one KArySplayNetwork. The checked-in
+// run_trace over one KArySplayNet. The checked-in
 // BENCH_shard_scaling.json records this machine's numbers.
 #include <chrono>
 #include <iostream>
@@ -72,7 +72,7 @@ WorkloadReport run_one(const char* label, WorkloadKind kind, int n, int k,
   const Trace trace = gen_workload(kind, n, m, bench::bench_seed());
 
   {
-    KArySplayNetwork baseline(KArySplayNet::balanced(k, n));
+    KArySplayNet baseline = KArySplayNet::balanced(k, n);
     const auto t0 = std::chrono::steady_clock::now();
     const SimResult res = run_trace(baseline, trace);
     Row row;

@@ -57,7 +57,7 @@ void run_row(const RowSpec& spec, Table& out) {
     ++c_res.requests;
   }
 
-  BinarySplayNetwork splaynet(n);
+  BinarySplayNet splaynet(n);
   const SimResult s_res = run_trace(splaynet, trace);
 
   const SimResult f_res = run_trace_static(full_kary_tree(2, n), trace);

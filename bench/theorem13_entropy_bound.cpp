@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {workload_name(kind), std::to_string(n),
                                     fixed_cell(st.entropy_bound, 0)};
     for (int k : {2, 3, 5, 8}) {
-      KArySplayNetwork net(KArySplayNet::balanced(k, n));
+      KArySplayNet net = KArySplayNet::balanced(k, n);
       const SimResult res = run_trace(net, trace);
       const double ratio =
           static_cast<double>(res.total_cost()) / st.entropy_bound;

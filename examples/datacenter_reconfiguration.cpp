@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
                           phase.requests.end());
   }
 
-  san::KArySplayNetwork splay(san::KArySplayNet::balanced(k, n));
-  san::CentroidSplayNetwork centroid{san::CentroidSplayNet(k, n)};
+  san::KArySplayNet splay = san::KArySplayNet::balanced(k, n);
+  san::CentroidSplayNet centroid(k, n);
   san::SimResult splay_res = san::run_trace(splay, trace);
   san::SimResult cent_res = san::run_trace(centroid, trace);
 

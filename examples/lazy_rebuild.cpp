@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   Table out({"strategy", "routing/req", "adjust/req", "total/req",
              "rebuilds"});
 
-  KArySplayNetwork reactive(KArySplayNet::balanced(k, n));
+  KArySplayNet reactive = KArySplayNet::balanced(k, n);
   SimResult splay = run_trace(reactive, trace);
   out.add_row({"k-ary SplayNet (reactive)", fixed_cell(splay.avg_routing_cost()),
                fixed_cell(static_cast<double>(splay.rotation_count) / m),

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
             << stats.distinct_pairs << "\n\n";
 
   // Online self-adjusting network, starting from a balanced topology.
-  san::KArySplayNet net = san::KArySplayNet::balanced(k, n);
-  san::KArySplayNetwork online(std::move(net));
+  san::KArySplayNet online = san::KArySplayNet::balanced(k, n);
   san::SimResult online_cost = san::run_trace(online, trace);
 
   // Demand-oblivious static baseline: the complete k-ary tree.
@@ -53,6 +52,6 @@ int main(int argc, char** argv) {
 
   // The topology stayed a valid k-ary search tree throughout.
   std::cout << "final topology valid: "
-            << (online.net().tree().valid() ? "yes" : "NO") << "\n";
+            << (online.tree().valid() ? "yes" : "NO") << "\n";
   return 0;
 }

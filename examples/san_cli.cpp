@@ -403,15 +403,12 @@ AnyNetwork make_network(const Options& o, const Trace& trace,
     if (o.topology != "ksplay" && o.topology != "semisplay")
       throw TreeError("--shards requires a ksplay or semisplay topology");
     return ShardedNetwork::balanced(o.k, n, o.shards,
-                                    parse_partition(o.partition),
-                                    RotationPolicy{}, mode);
+                                    parse_partition(o.partition), mode);
   }
   if (o.topology == "ksplay" || o.topology == "semisplay")
-    return KArySplayNetwork(
-        KArySplayNet::balanced(o.k, n, RotationPolicy{}, mode));
-  if (o.topology == "centroid")
-    return CentroidSplayNetwork(CentroidSplayNet(o.k, n));
-  if (o.topology == "binary") return BinarySplayNetwork(n);
+    return KArySplayNet::balanced(o.k, n, RotationPolicy{}, mode);
+  if (o.topology == "centroid") return CentroidSplayNet(o.k, n);
+  if (o.topology == "binary") return BinarySplayNet(n);
   if (o.topology == "full")
     return StaticTreeNetwork(full_kary_tree(o.k, n), "full tree");
   if (o.topology == "optimal") {
@@ -424,8 +421,8 @@ AnyNetwork make_network(const Options& o, const Trace& trace,
 }
 
 const KAryTree* tree_of(AnyNetwork& net) {
-  if (auto* s = net.get_if<KArySplayNetwork>()) return &s->net().tree();
-  if (auto* c = net.get_if<CentroidSplayNetwork>()) return &c->net().tree();
+  if (auto* s = net.get_if<KArySplayNet>()) return &s->tree();
+  if (auto* c = net.get_if<CentroidSplayNet>()) return &c->tree();
   if (auto* t = net.get_if<StaticTreeNetwork>()) return &t->tree();
   // binary SplayNet has its own representation; sharded has S trees
   return nullptr;
@@ -483,7 +480,7 @@ int main(int argc, char** argv) {
                                  : SplayMode::kFullSplay;
       ShardedNetwork net = ShardedNetwork::balanced(
           o.k, static_cast<int>(stream->n()), std::max(1, o.shards),
-          parse_partition(o.partition), RotationPolicy{}, mode);
+          parse_partition(o.partition), mode);
       const RebalanceConfig cfg = make_rebalance_config(o, rebalance);
       const FaultPlan faults =
           make_fault_plan(o, std::max(1, o.shards), stream->size());
@@ -605,7 +602,7 @@ int main(int argc, char** argv) {
                                  : SplayMode::kFullSplay;
       ShardedNetwork net = ShardedNetwork::balanced(
           o.k, trace.n, std::max(1, o.shards), parse_partition(o.partition),
-          RotationPolicy{}, mode);
+          mode);
       FrontendOptions fopt;
       if (rebalance != RebalancePolicy::kNone ||
           lifecycle_cfg.lifecycle_enabled())

@@ -8,6 +8,7 @@
 // construction.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/splaynet.hpp"  // ServeResult
@@ -30,10 +31,9 @@ class BinarySplayNet {
   ServeResult access(NodeId x);
 
   int size() const { return n_; }
+  std::string name() const { return "SplayNet"; }
   NodeId root() const { return root_; }
   NodeId parent(NodeId x) const { return parent_[x]; }
-  NodeId left(NodeId x) const { return left_[x]; }
-  NodeId right(NodeId x) const { return right_[x]; }
 
   int depth(NodeId x) const;
   int distance(NodeId u, NodeId v) const;

@@ -1,12 +1,12 @@
 // Persistent thread-pool executor for the data-parallel hot paths.
 //
-// The O(n^3 k) demand-aware DP issues one parallel_for per length
-// diagonal — thousands of fork/join rounds per tree — and the bench
-// sweeps issue one per table cell. Spawning std::threads for every round
-// costs tens of microseconds each; this executor keeps one pool of
-// workers alive for the process lifetime and hands them chunks of the
-// index range through an atomic cursor, so a round costs one mutex
-// broadcast instead of thread creation.
+// The tiled O(n^3 k) DP issues one parallel_for per tile-diagonal (31 at
+// n = 1024) and the sharded pipeline one per drain chunk and per barrier
+// rebuild. Spawning std::threads for every round costs tens of
+// microseconds each; this executor keeps one pool of workers alive for
+// the process lifetime and hands them chunks of the index range through
+// an atomic cursor, so a round costs one mutex broadcast instead of
+// thread creation.
 //
 // Semantics (shared with the parallel_for shim in parallel.hpp):
 //  - fn is called exactly once for every index in [begin, end), in

@@ -23,8 +23,8 @@
 // 2 x distance hops however deep its endpoints sit. No per-node state
 // outlives a query, so rotations invalidate nothing. Because the stamp
 // array is mutable, const queries are NOT safe to call concurrently on the
-// same tree (each sweep/DP worker owns its own tree instance, see
-// sim/sweep.hpp).
+// same tree (each DP task and each drained shard owns its own tree
+// instance).
 #pragma once
 
 #include <cstdint>

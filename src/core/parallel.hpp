@@ -1,15 +1,12 @@
-// Minimal data-parallel helpers (no external dependencies).
+// Minimal data-parallel helper (no external dependencies).
 //
-// The O(n^3 k) demand-aware DP and the benchmark parameter sweeps are
-// embarrassingly parallel across independent sub-problems. parallel_for
-// is a thin type-erasing shim over the persistent Executor pool
-// (core/executor.hpp): callers keep the old fork/join interface but no
-// longer pay thread creation on every invocation.
+// The O(n^3 k) demand-aware DP, the sharded drains and the epoch
+// barrier's per-shard rebuilds split into independent sub-problems.
+// parallel_for is a thin type-erasing shim over the persistent Executor
+// pool (core/executor.hpp), so a round pays no thread creation.
 #pragma once
 
-#include <functional>
 #include <type_traits>
-#include <vector>
 
 #include "core/executor.hpp"
 
@@ -24,13 +21,6 @@ void parallel_for(long begin, long end, int threads, Fn&& fn) {
   Executor::instance().for_range(
       begin, end, threads, const_cast<std::remove_const_t<Decayed>*>(&fn),
       [](void* ctx, long i) { (*static_cast<Decayed*>(ctx))(i); });
-}
-
-/// Runs a list of independent tasks on up to `threads` workers.
-inline void parallel_tasks(std::vector<std::function<void()>> tasks,
-                           int threads) {
-  parallel_for(0, static_cast<long>(tasks.size()), threads,
-               [&tasks](long i) { tasks[static_cast<size_t>(i)](); });
 }
 
 }  // namespace san

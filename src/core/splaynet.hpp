@@ -11,6 +11,8 @@
 // links-added-plus-removed adjustment cost is tracked alongside.
 #pragma once
 
+#include <string>
+
 #include "core/karytree.hpp"
 #include "core/rotation.hpp"
 #include "core/shape.hpp"
@@ -34,7 +36,7 @@ enum class SplayMode {
   kFullSplay,
   /// Single-level k-semi-splay steps only: the accessed nodes rise one
   /// level per rotation instead of two. A gentler adjuster in the spirit
-  /// of Sleator-Tarjan semi-splaying; evaluated in the ablation bench.
+  /// of Sleator-Tarjan semi-splaying; san_cli's `semisplay` topology.
   kSemiSplayOnly,
 };
 
@@ -65,7 +67,10 @@ class KArySplayNet {
   int size() const { return tree_.size(); }
   int arity() const { return tree_.arity(); }
   const RotationPolicy& policy() const { return policy_; }
-  SplayMode mode() const { return mode_; }
+  std::string name() const {
+    return std::to_string(arity()) + "-ary SplayNet" +
+           (mode_ == SplayMode::kSemiSplayOnly ? " (semi-splay)" : "");
+  }
 
  private:
   KAryTree tree_;
@@ -91,6 +96,7 @@ class CentroidSplayNet {
   const KAryTree& tree() const { return net_.tree(); }
   int size() const { return net_.size(); }
   int arity() const { return net_.arity(); }
+  std::string name() const { return std::to_string(arity() + 1) + "-SplayNet"; }
   NodeId c1() const { return c1_; }
   NodeId c2() const { return c2_; }
   /// Fixed subtree index of a node: 0..k-2 under c1, k-1..2k-2 under c2,

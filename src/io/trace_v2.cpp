@@ -116,19 +116,6 @@ void TraceV2Writer::finish() {
   finished_ = true;
 }
 
-void write_stream_v2_file(const std::string& path, RequestStream& stream) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw TreeError("write_stream_v2_file: cannot open " + path);
-  TraceV2Writer writer(out, stream.n(), stream.size());
-  std::vector<Request> chunk(kReadChunkRecords);
-  while (true) {
-    const std::size_t got = stream.fill(chunk);
-    if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) writer.append(chunk[i]);
-  }
-  writer.finish();
-}
-
 void TraceV2Reader::parse_header(const unsigned char* hdr) {
   if (std::memcmp(hdr, kTraceV2Magic, sizeof(kTraceV2Magic)) != 0)
     throw TreeError("trace v2: bad magic (not a santrcv2 file)");

@@ -83,11 +83,6 @@ class TraceV2Writer {
   Crc32 crc_;
 };
 
-/// Drains any RequestStream to a v2 file in O(chunk) memory. Composing
-/// this with TraceStream gives the materialized converter; composing with
-/// read_trace's result converts v1 text to v2 binary.
-void write_stream_v2_file(const std::string& path, RequestStream& stream);
-
 /// Chunked v2 reader; a RequestStream over the file.
 class TraceV2Reader final : public RequestStream {
  public:

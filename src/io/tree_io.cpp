@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -77,12 +76,6 @@ void write_tree(std::ostream& out, const KAryTree& tree) {
   if (!out) throw TreeError("write_tree: stream failure");
 }
 
-void write_tree_file(const std::string& path, const KAryTree& tree) {
-  std::ofstream out(path);
-  if (!out) throw TreeError("write_tree_file: cannot open " + path);
-  write_tree(out, tree);
-}
-
 KAryTree read_tree(std::istream& in) {
   std::string magic, version;
   long long k = 0, n = 0, root_v = 0;
@@ -143,12 +136,6 @@ KAryTree read_tree(std::istream& in) {
   if (auto err = tree.validate())
     throw TreeError("read_tree: loaded topology invalid: " + *err);
   return tree;
-}
-
-KAryTree read_tree_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw TreeError("read_tree_file: cannot open " + path);
-  return read_tree(in);
 }
 
 std::string write_tree_image(const KAryTree& tree) {

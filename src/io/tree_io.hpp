@@ -29,12 +29,10 @@
 namespace san {
 
 void write_tree(std::ostream& out, const KAryTree& tree);
-void write_tree_file(const std::string& path, const KAryTree& tree);
 
 /// Parses and validates a san-tree v1 stream; throws TreeError on
 /// malformed input or an invalid topology.
 KAryTree read_tree(std::istream& in);
-KAryTree read_tree_file(const std::string& path);
 
 /// Tree image of `tree` (layout above).
 std::string write_tree_image(const KAryTree& tree);

@@ -1,11 +1,12 @@
 // AnyNetwork: closed-set, virtual-free dispatch over every topology the
-// simulator serves.
+// evaluation compares: a static tree (sim/network.hpp), and the k-ary,
+// (k+1)-, classic and sharded SplayNet engines, held as they are.
 //
 // A std::variant, not a virtual interface: run_trace visits the variant
 // ONCE and then runs a monomorphic serve loop on the concrete type, so the
 // hot path compiles down to direct calls into the tree engines, with no
-// indirect call (and no lost inlining) per request. A new topology joins
-// the serving paths by becoming an alternative here.
+// indirect call (and no lost inlining) per request. There is deliberately
+// no per-request AnyNetwork::serve.
 #pragma once
 
 #include <string>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/binary_splaynet.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 
@@ -20,9 +22,9 @@ namespace san {
 
 class AnyNetwork {
  public:
-  using Variant =
-      std::variant<StaticTreeNetwork, KArySplayNetwork, CentroidSplayNetwork,
-                   BinarySplayNetwork, ShardedNetwork>;
+  using Variant = std::variant<StaticTreeNetwork, KArySplayNet,
+                               CentroidSplayNet, BinarySplayNet,
+                               ShardedNetwork>;
 
   /// Converting constructor from any alternative (a concrete network by
   /// value).
@@ -43,12 +45,6 @@ class AnyNetwork {
     return std::visit(std::forward<F>(f), v_);
   }
 
-  ServeResult serve(NodeId u, NodeId v) {
-    return visit([&](auto& net) { return net.serve(u, v); });
-  }
-  int size() const {
-    return visit([](const auto& net) { return net.size(); });
-  }
   std::string name() const {
     return visit([](const auto& net) { return net.name(); });
   }

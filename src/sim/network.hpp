@@ -1,16 +1,13 @@
-// Concrete network wrappers over every topology the evaluation compares:
-// self-adjusting (k-ary SplayNet, (k+1)-SplayNet, binary SplayNet, sharded)
-// and static (full tree, optimal DP tree, centroid tree).
-//
-// These are plain value types — serve() is a direct (devirtualized) call.
-// Closed-set dispatch across them goes through the std::variant-based
-// AnyNetwork (any_network.hpp).
+// The static topology of the evaluation (full tree, optimal DP tree,
+// centroid tree) as a network: a fixed KAryTree that serves by pure
+// routing. The self-adjusting engines (KArySplayNet, CentroidSplayNet,
+// BinarySplayNet, ShardedNetwork) serve on their own; AnyNetwork
+// (any_network.hpp) holds either kind.
 #pragma once
 
 #include <string>
 #include <utility>
 
-#include "core/binary_splaynet.hpp"
 #include "core/splaynet.hpp"
 
 namespace san {
@@ -39,56 +36,12 @@ class StaticTreeNetwork {
   ServeResult serve(NodeId u, NodeId v) {
     return serve_on_static_tree(tree_, u, v);
   }
-  int size() const { return tree_.size(); }
   std::string name() const { return name_; }
   const KAryTree& tree() const { return tree_; }
 
  private:
   KAryTree tree_;
   std::string name_;
-};
-
-class KArySplayNetwork {
- public:
-  explicit KArySplayNetwork(KArySplayNet net) : net_(std::move(net)) {}
-
-  ServeResult serve(NodeId u, NodeId v) { return net_.serve(u, v); }
-  int size() const { return net_.size(); }
-  std::string name() const {
-    return std::to_string(net_.arity()) + "-ary SplayNet";
-  }
-  const KArySplayNet& net() const { return net_; }
-
- private:
-  KArySplayNet net_;
-};
-
-class CentroidSplayNetwork {
- public:
-  explicit CentroidSplayNetwork(CentroidSplayNet net) : net_(std::move(net)) {}
-
-  ServeResult serve(NodeId u, NodeId v) { return net_.serve(u, v); }
-  int size() const { return net_.size(); }
-  std::string name() const {
-    return std::to_string(net_.arity() + 1) + "-SplayNet";
-  }
-  const CentroidSplayNet& net() const { return net_; }
-
- private:
-  CentroidSplayNet net_;
-};
-
-class BinarySplayNetwork {
- public:
-  explicit BinarySplayNetwork(int n) : net_(n) {}
-
-  ServeResult serve(NodeId u, NodeId v) { return net_.serve(u, v); }
-  int size() const { return net_.size(); }
-  std::string name() const { return "SplayNet"; }
-  const BinarySplayNet& net() const { return net_; }
-
- private:
-  BinarySplayNet net_;
 };
 
 }  // namespace san

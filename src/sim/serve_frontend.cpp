@@ -501,9 +501,11 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
 
   // ---- scripted fault injection (sim/fault.hpp) -----------------------
   // Resume points are run start and the instants after a recovery, a
-  // worker kill or an epoch barrier, all quiesced. Each one snapshots the
-  // fleet and clears the workers' served logs while a shard kill is
-  // pending, so a log never spans a map change.
+  // worker kill or an epoch barrier, all quiesced; a static run with a
+  // shard kill pending adds one wherever the batch pipeline starts a
+  // chunk. Each one snapshots the fleet and clears the workers' served
+  // logs while a shard kill is pending, so a log never spans a map change
+  // and a replay never spans more than one chunk or epoch.
   auto resume = [&] {
     plane.snapshot_all();
     fleet.log_served = plane.kill_pending();
@@ -544,9 +546,8 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         }
         case FaultKind::kQueuePressure:
           // No barrier: the shard's inbox bound collapses mid-flight and
-          // the admission policy has to cope until the next quiesce
-          // restores it. The served logs keep growing (no tree or map
-          // change to re-anchor against).
+          // the admission policy has to cope until the next quiesce (a
+          // barrier or a resume point) restores it.
           worker.inbox.set_capacity(
               std::max<std::size_t>(1, opt_.queue_capacity / 8));
           break;
@@ -661,6 +662,10 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         plane.observe(r);
         if (dispatched % plane.epoch_requests() == 0 && dispatched < total)
           epoch_barrier();
+      } else if (fleet.log_served && dispatched % kStreamChunkRequests == 0 &&
+                 dispatched < total) {
+        fleet.quiesce(dispatched);
+        resume();
       }
     }
   }

@@ -148,11 +148,14 @@ struct FrontendOptions {
   /// a replay of the ops the shard's worker served since the snapshot, in
   /// the order it served them (each worker logs them while a kill is
   /// pending). The rebuild is bit-identical to the lost state at every S.
+  /// Without rebalancing, a pending kill also quiesces and re-snapshots
+  /// every kStreamChunkRequests admitted requests, where the batch
+  /// pipeline starts a chunk, so a replay spans at most one chunk.
   /// kWorkerKill retires and respawns the shard's worker thread (data
   /// intact); kQueuePressure collapses the shard's inbox bound until the
-  /// next barrier. Recovery wall time lands in
-  /// SimResult::recovery_total_ms/_max_ms and every pause is charged to
-  /// arrivals like any other stall.
+  /// next quiesce (a barrier or such a resume point). Recovery wall time
+  /// lands in SimResult::recovery_total_ms/_max_ms and every pause is
+  /// charged to arrivals like any other stall.
   const FaultPlan* faults = nullptr;
   /// Serve order within each admitted batch (sim/schedule.hpp). FIFO keeps
   /// the inbox order (and hence the S = 1 bit-match with batch replay);

@@ -8,17 +8,16 @@
 
 namespace san {
 
-ShardedNetwork::ShardedNetwork(int k, ShardMap map, RotationPolicy policy,
-                               SplayMode mode)
-    : k_(k), map_(std::move(map)), policy_(policy), mode_(mode) {
+ShardedNetwork::ShardedNetwork(int k, ShardMap map, SplayMode mode)
+    : k_(k), map_(std::move(map)), mode_(mode) {
   const int S = map_.shards();
   shards_.reserve(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
     if (map_.shard_size(s) == 0)
       throw TreeError("ShardedNetwork: shard " + std::to_string(s) +
                       " owns no nodes");
-    shards_.push_back(
-        KArySplayNet::balanced(k, map_.shard_size(s), policy, mode));
+    shards_.push_back(KArySplayNet::balanced(k, map_.shard_size(s),
+                                             RotationPolicy{}, mode));
   }
   replicas_.resize(static_cast<std::size_t>(S));
   rebuild_top();
@@ -52,9 +51,8 @@ void ShardedNetwork::check_shard(int s, const char* what) const {
 
 ShardedNetwork ShardedNetwork::balanced(int k, int n, int shards,
                                         ShardPartition partition,
-                                        RotationPolicy policy,
                                         SplayMode mode) {
-  return ShardedNetwork(k, ShardMap(n, shards, partition), policy, mode);
+  return ShardedNetwork(k, ShardMap(n, shards, partition), mode);
 }
 
 ServeResult ShardedNetwork::serve(NodeId u, NodeId v) {
@@ -77,8 +75,7 @@ ServeResult ShardedNetwork::serve(NodeId u, NodeId v) {
 
 std::string ShardedNetwork::name() const {
   return "sharded[" + std::to_string(num_shards()) + "," +
-         shard_partition_name(map_.policy()) + "] " + std::to_string(k_) +
-         "-ary SplayNet";
+         shard_partition_name(map_.policy()) + "] " + shards_.front().name();
 }
 
 std::vector<NodeId> ShardedNetwork::global_parents(
@@ -239,7 +236,7 @@ LifecycleResult ShardedNetwork::split_shard(int s, int threads) {
   const std::vector<NodeId> before = global_parents({s});
   const int fresh = map_.split(s);
   // A one-node placeholder for the new shard; rebuild() sizes and fills it.
-  shards_.push_back(KArySplayNet::balanced(k_, 1, policy_, mode_));
+  shards_.push_back(KArySplayNet::balanced(k_, 1, RotationPolicy{}, mode_));
   // The old replica described the unsplit shard; drop it (the planner can
   // re-replicate either half next epoch).
   replicas_[static_cast<std::size_t>(s)].reset();

@@ -16,7 +16,7 @@
 // Both endpoint shards self-adjust (root ascent = KArySplayNet::access);
 // the top-level tree never does, so cross-shard requests pay routing but
 // no top-level adjustment — see README "cost-model caveat". With S = 1
-// the engine degenerates to exactly KArySplayNetwork: same balanced
+// the engine degenerates to exactly one KArySplayNet: same balanced
 // initial tree, same serve path, bit-identical SimResults.
 //
 // Shards share no mutable state, so a trace can be drained one shard per
@@ -76,14 +76,13 @@ struct LifecycleResult {
 class ShardedNetwork {
  public:
   /// Builds balanced per-shard trees of arity `k` over `map`'s shards.
-  ShardedNetwork(int k, ShardMap map, RotationPolicy policy = {},
-                 SplayMode mode = SplayMode::kFullSplay);
+  ShardedNetwork(int k, ShardMap map, SplayMode mode = SplayMode::kFullSplay);
 
-  /// Convenience: balanced shards over a fresh ShardMap(n, shards, policy).
+  /// Convenience: balanced shards over a fresh ShardMap(n, shards, partition).
   static ShardedNetwork balanced(
       int k, int n, int shards,
       ShardPartition partition = ShardPartition::kContiguous,
-      RotationPolicy policy = {}, SplayMode mode = SplayMode::kFullSplay);
+      SplayMode mode = SplayMode::kFullSplay);
 
   /// Serves one request in global ids; self-adjusts the touched shard(s).
   ServeResult serve(NodeId u, NodeId v);
@@ -238,7 +237,6 @@ class ShardedNetwork {
 
   int k_;
   ShardMap map_;
-  RotationPolicy policy_;
   SplayMode mode_;
   std::vector<KArySplayNet> shards_;
   /// [shard] -> lockstep replica, null when unreplicated.

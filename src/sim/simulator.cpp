@@ -20,31 +20,12 @@ SimResult run_trace_stream(AnyNetwork& net, RequestStream& stream,
   return net.visit([&](auto& n) { return run_trace_stream(n, stream, sched); });
 }
 
-SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
-                           const ScheduleConfig& sched) {
-  sched.validate();
+SimResult run_trace_static(const KAryTree& tree, const Trace& trace) {
   SimResult res;
-  if (!sched.reorders()) {
-    for (const Request& r : trace.requests) {
-      res.routing_cost += serve_on_static_tree(tree, r.src, r.dst).routing_cost;
-      ++res.requests;
-    }
-    return res;
+  for (const Request& r : trace.requests) {
+    res.routing_cost += serve_on_static_tree(tree, r.src, r.dst).routing_cost;
+    ++res.requests;
   }
-  // A static tree never rotates, so total routing cost is invariant under
-  // any permutation — locality scheduling here is purely a cache/MLP play
-  // (tests assert the cost tie).
-  std::vector<Request> buf = trace.requests;
-  LocalityScheduler scheduler(sched);
-  scheduler.run(
-      tree, std::span<Request>(buf),
-      [](const Request& r) { return ScheduleEndpoints{r.src, r.dst}; },
-      [&](const Request& r) {
-        res.routing_cost +=
-            serve_on_static_tree(tree, r.src, r.dst).routing_cost;
-        ++res.requests;
-      });
-  res.reordered_requests = scheduler.reordered();
   return res;
 }
 

@@ -135,29 +135,17 @@ namespace detail {
 template <typename Net>
 constexpr bool kHasScheduleTree =
     requires(Net& n) { n.tree().root(); } ||
-    requires(Net& n) { n.net().tree().root(); } ||
     requires(Net& n) {
       n.lca(NodeId{1}, NodeId{1});
       n.root();
-    } ||
-    requires(Net& n) {
-      n.net().lca(NodeId{1}, NodeId{1});
-      n.net().root();
     };
 
 template <typename Net>
 decltype(auto) schedule_tree(Net& net) {
   if constexpr (requires { net.tree().root(); })
     return (net.tree());
-  else if constexpr (requires { net.net().tree().root(); })
-    return (net.net().tree());
-  else if constexpr (requires {
-                       net.lca(NodeId{1}, NodeId{1});
-                       net.root();
-                     })
-    return (net);
   else
-    return (net.net());
+    return (net);
 }
 
 }  // namespace detail
@@ -238,12 +226,9 @@ SimResult run_trace_stream(AnyNetwork& net, RequestStream& stream,
                            const ScheduleConfig& sched = {});
 
 /// Static-tree shortcut (used by benches to cost a fixed topology against
-/// a long trace). Locality scheduling is supported and provably
-/// cost-neutral here — a static tree never rotates, so total cost is
-/// order-invariant; the reorder + prefetch warm-up is a
-/// pure throughput play.
-SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
-                           const ScheduleConfig& sched = {});
+/// a long trace): FIFO routing over `tree`. A locality-scheduled static
+/// replay goes through run_trace over a StaticTreeNetwork.
+SimResult run_trace_static(const KAryTree& tree, const Trace& trace);
 
 /// How run_trace_sharded drains the per-shard queues.
 struct ShardedRunOptions {

@@ -17,42 +17,16 @@ Cost CostSeries::max() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-void CostSeries::ensure_sorted() const {
-  if (sorted_) return;
-  sorted_values_ = values_;
-  std::sort(sorted_values_.begin(), sorted_values_.end());
-  sorted_ = true;
-}
-
 Cost CostSeries::percentile(double p) const {
   if (values_.empty()) throw TreeError("CostSeries::percentile: empty series");
-  std::lock_guard<std::mutex> lock(sort_mu_);
-  ensure_sorted();
   p = std::clamp(p, 0.0, 1.0);
   const auto rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted_values_.size())));
-  return sorted_values_[rank == 0 ? 0 : rank - 1];
-}
-
-std::vector<double> CostSeries::bucket_means(int buckets) const {
-  std::vector<double> out;
-  if (buckets <= 0 || values_.empty()) return out;
-  // Exactly min(buckets, count()) near-equal slices: slice i covers
-  // [i*count/nb, (i+1)*count/nb), so sizes differ by at most one and the
-  // slices tile the series. Ceil-division sizing here used to emit fewer
-  // buckets than requested (5 values / 4 buckets -> 3 slices of 2+2+1).
-  const std::size_t nb =
-      std::min(static_cast<std::size_t>(buckets), values_.size());
-  out.reserve(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::size_t begin = b * values_.size() / nb;
-    const std::size_t end = (b + 1) * values_.size() / nb;
-    double sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i)
-      sum += static_cast<double>(values_[i]);
-    out.push_back(sum / static_cast<double>(end - begin));
-  }
-  return out;
+      std::ceil(p * static_cast<double>(values_.size())));
+  std::vector<Cost> copy = values_;
+  const auto nth =
+      copy.begin() + static_cast<std::ptrdiff_t>(rank == 0 ? 0 : rank - 1);
+  std::nth_element(copy.begin(), nth, copy.end());
+  return *nth;
 }
 
 }  // namespace san

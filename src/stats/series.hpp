@@ -1,17 +1,14 @@
-// Per-request cost series: mean / percentiles / max and a coarse time-bucket
-// view, used by benches and the CLI to report tail behaviour (a reactive
-// SAN trades mean cost against occasional expensive reconfiguration bursts;
-// the tail is where that shows).
+// Per-request cost series: mean / percentiles / max, used by the CLI to
+// report tail behaviour (a reactive SAN trades mean cost against occasional
+// expensive reconfiguration bursts; the tail is where that shows).
 //
-// Thread-safety: the const observers (mean / max / percentile /
-// bucket_means) may be called concurrently from any number of threads —
-// the lazily sorted percentile cache is guarded by an internal mutex.
+// Thread-safety: the const observers keep no mutable state (percentile
+// selects on a copy), so any number of threads may call them concurrently.
 // add() is a mutation and requires external exclusion against every other
 // member, as usual for containers.
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <vector>
 
 #include "core/types.hpp"
@@ -20,32 +17,17 @@ namespace san {
 
 class CostSeries {
  public:
-  void add(Cost value) {
-    values_.push_back(value);
-    sorted_ = false;
-  }
+  void add(Cost value) { values_.push_back(value); }
 
   std::size_t count() const { return values_.size(); }
   double mean() const;
   Cost max() const;
-  /// p in [0, 1]; nearest-rank percentile. Throws TreeError when empty.
+  /// p in [0, 1]; nearest-rank percentile, selected on a copy of the
+  /// series in expected O(count()) time. Throws TreeError when empty.
   Cost percentile(double p) const;
 
-  /// Means of consecutive time slices (trend over the trace: warm-up,
-  /// convergence, drift). Returns exactly min(buckets, count()) slices
-  /// whose sizes differ by at most one and cover every value.
-  std::vector<double> bucket_means(int buckets) const;
-
  private:
-  /// Must be called with sort_mu_ held.
-  void ensure_sorted() const;
-
   std::vector<Cost> values_;
-  /// Guards the lazily sorted cache below so concurrent const readers
-  /// (per-shard frontend reporting) do not race on its construction.
-  mutable std::mutex sort_mu_;
-  mutable std::vector<Cost> sorted_values_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace san

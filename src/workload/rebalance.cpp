@@ -28,20 +28,6 @@ const char* rebalance_policy_name(RebalancePolicy policy) {
   return "?";
 }
 
-const char* rebalance_trigger_name(RebalanceTrigger trigger) {
-  switch (trigger) {
-    case RebalanceTrigger::kEveryEpoch:
-      return "every-epoch";
-    case RebalanceTrigger::kCrossFraction:
-      return "cross-fraction";
-    case RebalanceTrigger::kImbalance:
-      return "imbalance";
-    case RebalanceTrigger::kDrift:
-      return "drift";
-  }
-  return "?";
-}
-
 RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
   if (cfg_.window_decay < 0.0 || cfg_.window_decay >= 1.0)
     throw TreeError("RebalanceState: window_decay must be in [0, 1)");

@@ -73,7 +73,6 @@ enum class RebalanceTrigger {
 };
 
 const char* rebalance_policy_name(RebalancePolicy policy);
-const char* rebalance_trigger_name(RebalanceTrigger trigger);
 
 struct RebalanceConfig {
   RebalancePolicy policy = RebalancePolicy::kNone;
@@ -190,8 +189,6 @@ struct RebalancePlan {
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
-
-  const RebalanceConfig& config() const { return cfg_; }
 
   /// Accounts one served request into the window under the current map.
   /// Throws TreeError, recording nothing, when an endpoint is outside the

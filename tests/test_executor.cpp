@@ -127,15 +127,6 @@ TEST(Executor, ConcurrentCallersAreSerialized) {
   for (int v : b) ASSERT_EQ(v, 50);
 }
 
-TEST(Executor, ParallelTasksRunAll) {
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 20; ++i)
-    tasks.push_back([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  parallel_tasks(std::move(tasks), 0);
-  EXPECT_EQ(ran.load(), 20);
-}
-
 TEST(Executor, ResolveThreads) {
   EXPECT_EQ(resolve_threads(3), 3);
   EXPECT_EQ(resolve_threads(1), 1);

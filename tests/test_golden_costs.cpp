@@ -56,28 +56,28 @@ struct NetworkSpec {
 const NetworkSpec kNetworks[] = {
     {"splay-k2",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(2, kN));
+       return KArySplayNet::balanced(2, kN);
      }},
     {"splay-k3",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(3, kN));
+       return KArySplayNet::balanced(3, kN);
      }},
     {"splay-k5",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(5, kN));
+       return KArySplayNet::balanced(5, kN);
      }},
     {"semi-splay-k3",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(
-           3, kN, RotationPolicy{}, SplayMode::kSemiSplayOnly));
+       return KArySplayNet::balanced(3, kN, RotationPolicy{},
+                                     SplayMode::kSemiSplayOnly);
      }},
     {"centroid-k3",
      [](const Trace&) -> AnyNetwork {
-       return CentroidSplayNetwork(CentroidSplayNet(3, kN));
+       return CentroidSplayNet(3, kN);
      }},
     {"binary",
      [](const Trace&) -> AnyNetwork {
-       return BinarySplayNetwork(kN);
+       return BinarySplayNet(kN);
      }},
     {"static-full-k3",
      [](const Trace&) -> AnyNetwork {

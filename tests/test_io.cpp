@@ -132,9 +132,10 @@ TEST(TreeIo, RejectsBadHeader) {
 
 TEST(TreeIo, RejectsHostileHeaderClaims) {
   // Every header field is bounded before any allocation happens on its
-  // word: a snapshot restore feeds these bytes straight into read_tree, so
-  // a corrupt or hostile file must fail with a TreeError, never an OOM or
-  // a bad_alloc from a forged size.
+  // word: read_tree parses san-tree text from any stream, so corrupt or
+  // hostile input must fail with a TreeError, never an OOM or a bad_alloc from a
+  // forged size. (Snapshot restores read tree images instead; the image
+  // test below forges those.)
   const char* hostile[] = {
       "san-tree v1 1 4 1\n",                    // arity below 2
       "san-tree v1 -3 4 1\n",                   // negative arity

@@ -1,6 +1,6 @@
 // Tablet-style shard lifecycle test wall: split/merge round-trips to
-// identity, crash recovery rebuilds bit-identical state (snapshot + tail
-// replay, and replica promotion), sequential == concurrent with lifecycle
+// identity, crash recovery rebuilds bit-identical state (snapshot + a
+// replay of the ops the shard served, and replica promotion), sequential == concurrent with lifecycle
 // events active, replica reads never change golden costs, watermark
 // triggers fire on the loads they watch, and shard stats stay keyed to the
 // live fleet after mid-run reshapes.
@@ -120,7 +120,7 @@ TEST(Lifecycle, SplitAndMergeRejectInvalidOperands) {
 // ---- crash recovery ----------------------------------------------------
 
 // Headline differential: a run with scripted kills must end in exactly the
-// state of the uncrashed run — snapshot + trace-tail replay rebuilds the
+// state of the uncrashed run — snapshot + served-op replay rebuilds the
 // lost shard node for node, and under FIFO the serve counters bit-match
 // because recovery costs are booked separately.
 TEST(Lifecycle, RecoveryRebuildsBitIdenticalState) {
@@ -646,8 +646,8 @@ TEST(Lifecycle, FrontendLifecycleAndFaultsMidFlight) {
 
 TEST(Lifecycle, FrontendSingleShardRecoveryBitMatchesBatchReplay) {
   // S = 1, FIFO, saturation arrivals: the frontend preserves trace order,
-  // so a snapshot + tail-replay recovery must leave costs bit-identical to
-  // the unfaulted closed-loop batch replay.
+  // so a snapshot + served-op replay recovery must leave costs
+  // bit-identical to the unfaulted closed-loop batch replay.
   const int n = 48, k = 3;
   const Trace trace = gen_workload(WorkloadKind::kTemporal05, n, 3000, 21);
   const auto arrivals =
@@ -677,7 +677,7 @@ TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
   // S = 1, FIFO, saturation arrivals, with epoch barriers and planned
   // replicas: the frontend's barrier must plan, replicate and recover
   // exactly like the batch pipeline's. The first kill lands before the
-  // first barrier (snapshot restore + tail replay), the second after the
+  // first barrier (snapshot restore + replay), the second after the
   // replica attached (promotion), and the third at the stream's length,
   // after the last request (promotion again).
   const int n = 64, k = 3;
@@ -718,6 +718,41 @@ TEST(Lifecycle, FrontendSingleShardBarrierBitMatchesBatch) {
   EXPECT_EQ(got.sim.recovery_cost, want.recovery_cost);
   EXPECT_EQ(got.sim.final_shards, want.final_shards);
   expect_trees_equal(net, batch_net, "frontend S=1 barrier");
+}
+
+TEST(Lifecycle, FrontendReplayStaysWithinOneChunk) {
+  // Without rebalancing no epoch barrier re-anchors the served logs, so
+  // the frontend takes a resume point wherever the batch pipeline starts
+  // a chunk: a late kill replays at most one chunk's ops, not every op
+  // since run start. At S = 1 it replays exactly what the batch does.
+  const int n = 64, k = 3;
+  const std::size_t m = 2 * kStreamChunkRequests + 3000;
+  const Trace trace = gen_workload(WorkloadKind::kTemporal05, n, m, 12);
+  const auto arrivals =
+      gen_arrival_times(ArrivalKind::kSaturation, 0.0, trace.size(), 1);
+  FaultPlan plan;
+  plan.kills = {{m - 1000, 0}};
+  for (int S : {1, 3}) {
+    ShardedNetwork net = ShardedNetwork::balanced(k, n, S);
+    FrontendOptions opt;
+    opt.faults = &plan;
+    ServeFrontend frontend(net, opt);
+    const FrontendResult got = frontend.run(trace, arrivals);
+
+    const std::string what = "S=" + std::to_string(S);
+    EXPECT_EQ(got.sim.faults_injected, 1) << what;
+    EXPECT_GT(got.sim.recovery_replayed, 0) << what;
+    EXPECT_LE(got.sim.recovery_replayed,
+              static_cast<Cost>(2 * kStreamChunkRequests))
+        << what;
+    if (S == 1) {
+      ShardedNetwork batch_net = ShardedNetwork::balanced(k, n, 1);
+      const SimResult want =
+          run_trace_sharded(batch_net, trace, {.faults = &plan});
+      EXPECT_EQ(got.sim.recovery_replayed, want.recovery_replayed);
+      expect_trees_equal(net, batch_net, "frontend S=1 late kill");
+    }
+  }
 }
 
 TEST(Lifecycle, FrontendMultiShardSurvivesKillsAndPromotions) {

@@ -142,6 +142,38 @@ TEST(Overload, ShedUnderOverloadConservesEveryRequest) {
   }
 }
 
+// A run that reaches the circuit breaker every time. Every request is
+// admitted (the main queues hold the whole trace), so the pressure lands
+// on the one-slot handover mailboxes: one failed retry trips the target
+// shard's breaker. No barrier runs, so more trips than shards means a
+// half-open probe closed a breaker in between.
+TEST(Overload, BreakerTripsAndRecoversUnderHandoverPressure) {
+  const int n = 96, S = 4;
+  const std::size_t m = 20000;
+  const Trace trace = gen_workload(WorkloadKind::kUniform, n, m, 42);
+  ShardedNetwork net = ShardedNetwork::balanced(2, n, S);
+  FrontendOptions opt;
+  opt.queue_policy = QueuePolicy::kShed;
+  opt.queue_capacity = m;
+  opt.mailbox_capacity = 1;
+  opt.handover_retries = 1;
+  opt.breaker_threshold = 1;
+  ServeFrontend fe(net, opt);
+  const FrontendResult res = fe.run(trace, saturation(m));
+
+  EXPECT_EQ(res.sim.shed_queue_full, 0);
+  EXPECT_GT(res.sim.breaker_trips, S);
+  EXPECT_GE(res.sim.cross_shed, res.sim.breaker_trips);
+  EXPECT_EQ(res.sim.requests, m);
+  EXPECT_EQ(res.sojourn.count() + static_cast<std::size_t>(
+                                      res.sim.shed_requests),
+            m);
+  for (int s = 0; s < net.num_shards(); ++s) {
+    const auto err = net.shard(s).tree().validate();
+    ASSERT_FALSE(err.has_value()) << "shard " << s << ": " << *err;
+  }
+}
+
 // The lossless mode is no longer silent about saturation: a full main
 // queue still blocks the dispatcher, but every such stall now lands in
 // queue_full_blocks.

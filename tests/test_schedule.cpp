@@ -74,11 +74,11 @@ TEST(Schedule, ConfigRejectsGroupLargerThanWindow) {
 
 TEST(Schedule, EnginesRejectInvalidConfigBeforeServing) {
   const Trace t = gen_uniform(16, 10, kSeed);
-  KArySplayNetwork net(KArySplayNet::balanced(2, 16));
+  KArySplayNet net = KArySplayNet::balanced(2, 16);
   EXPECT_THROW(run_trace(net, t, locality(0, 1)), TreeError);
   EXPECT_THROW(run_trace(net, t, locality(4, 8)), TreeError);
-  EXPECT_THROW(run_trace_static(full_kary_tree(2, 16), t, locality(0, 1)),
-               TreeError);
+  StaticTreeNetwork fixed(full_kary_tree(2, 16), "full");
+  EXPECT_THROW(run_trace(fixed, t, locality(0, 1)), TreeError);
   ShardedNetwork sharded = ShardedNetwork::balanced(2, 16, 2);
   ShardedRunOptions opt;
   opt.schedule = locality(8, 16);
@@ -201,8 +201,8 @@ TEST(ScheduleDifferential, FifoDefaultIsBitIdenticalOnEveryEngine) {
   const int n = 128;
   const Trace t = gen_workload(WorkloadKind::kFacebook, n, 4000, kSeed);
   {
-    KArySplayNetwork a(KArySplayNet::balanced(3, n));
-    KArySplayNetwork b(KArySplayNet::balanced(3, n));
+    KArySplayNet a = KArySplayNet::balanced(3, n);
+    KArySplayNet b = KArySplayNet::balanced(3, n);
     const SimResult ra = run_trace(a, t);
     const SimResult rb = run_trace(b, t, ScheduleConfig{});
     EXPECT_EQ(ra.total_cost(), rb.total_cost());
@@ -222,8 +222,10 @@ TEST(ScheduleDifferential, FifoDefaultIsBitIdenticalOnEveryEngine) {
   }
   {
     const KAryTree tree = full_kary_tree(3, n);
-    EXPECT_EQ(run_trace_static(tree, t).routing_cost,
-              run_trace_static(tree, t, ScheduleConfig{}).routing_cost);
+    StaticTreeNetwork fixed(tree, "full");
+    const SimResult rb = run_trace(fixed, t, ScheduleConfig{});
+    EXPECT_EQ(run_trace_static(tree, t).routing_cost, rb.routing_cost);
+    EXPECT_EQ(rb.reordered_requests, 0);
   }
 }
 
@@ -236,7 +238,7 @@ TEST(ScheduleDifferential, LocalityCostIsTheFifoCostOfItsOwnPermutation) {
   const Trace t = gen_workload(WorkloadKind::kProjector, n, 5000, kSeed);
   const ScheduleConfig cfg = locality(192, 8);
 
-  KArySplayNetwork engine(KArySplayNet::balanced(2, n));
+  KArySplayNet engine = KArySplayNet::balanced(2, n);
   const SimResult via_engine = run_trace(engine, t, cfg);
 
   KArySplayNet manual = KArySplayNet::balanced(2, n);
@@ -301,8 +303,9 @@ TEST(ScheduleDifferential, StaticTreeCostIsOrderInvariant) {
   const int n = 200;
   const Trace t = gen_workload(WorkloadKind::kUniform, n, 4000, kSeed);
   for (const KAryTree& tree : {full_kary_tree(3, n), centroid_kary_tree(3, n)}) {
+    StaticTreeNetwork fixed(tree, "static");
     const SimResult fifo = run_trace_static(tree, t);
-    const SimResult loc = run_trace_static(tree, t, locality(256, 8));
+    const SimResult loc = run_trace(fixed, t, locality(256, 8));
     EXPECT_EQ(fifo.routing_cost, loc.routing_cost);
     EXPECT_EQ(fifo.requests, loc.requests);
     EXPECT_GT(loc.reordered_requests, 0);
@@ -328,27 +331,27 @@ struct NetworkSpec {
 const NetworkSpec kNetworks[] = {
     {"splay-k2",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(2, kGN));
+       return KArySplayNet::balanced(2, kGN);
      }},
     {"splay-k3",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(3, kGN));
+       return KArySplayNet::balanced(3, kGN);
      }},
     {"splay-k5",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(5, kGN));
+       return KArySplayNet::balanced(5, kGN);
      }},
     {"semi-splay-k3",
      [](const Trace&) -> AnyNetwork {
-       return KArySplayNetwork(KArySplayNet::balanced(
-           3, kGN, RotationPolicy{}, SplayMode::kSemiSplayOnly));
+       return KArySplayNet::balanced(3, kGN, RotationPolicy{},
+                                     SplayMode::kSemiSplayOnly);
      }},
     {"centroid-k3",
      [](const Trace&) -> AnyNetwork {
-       return CentroidSplayNetwork(CentroidSplayNet(3, kGN));
+       return CentroidSplayNet(3, kGN);
      }},
     {"binary",
-     [](const Trace&) -> AnyNetwork { return BinarySplayNetwork(kGN); }},
+     [](const Trace&) -> AnyNetwork { return BinarySplayNet(kGN); }},
     {"static-full-k3",
      [](const Trace&) -> AnyNetwork {
        return StaticTreeNetwork(full_kary_tree(3, kGN), "full-k3");
@@ -440,10 +443,9 @@ TEST(ScheduleFuzz, LocalityKeepsTreesValidateClean) {
     const Trace t = gen_workload(kind, n, m, rng());
     const ScheduleConfig cfg = locality(window, group);
 
-    KArySplayNetwork plain(KArySplayNet::balanced(2 + round % 3, n));
+    KArySplayNet plain = KArySplayNet::balanced(2 + round % 3, n);
     run_trace(plain, t, cfg);
-    EXPECT_FALSE(plain.net().tree().validate().has_value())
-        << "round " << round;
+    EXPECT_FALSE(plain.tree().validate().has_value()) << "round " << round;
 
     ShardedNetwork sharded = ShardedNetwork::balanced(3, n, 1 + round % 4);
     ShardedRunOptions opt;

@@ -1,4 +1,4 @@
-// CostSeries percentile / bucket statistics.
+// CostSeries mean / max / nearest-rank percentile statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +31,7 @@ TEST(CostSeries, PercentileAfterLaterAdds) {
   CostSeries s;
   s.add(10);
   EXPECT_EQ(s.percentile(0.5), 10);
-  s.add(20);  // must invalidate the sorted cache
+  s.add(20);  // a later add is seen by the next percentile
   EXPECT_EQ(s.percentile(1.0), 20);
 }
 
@@ -40,74 +40,11 @@ TEST(CostSeries, EmptySeries) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.max(), 0);
   EXPECT_THROW(s.percentile(0.5), TreeError);
-  EXPECT_TRUE(s.bucket_means(4).empty());
 }
 
-TEST(CostSeries, BucketMeansShowTrend) {
-  CostSeries s;
-  for (int i = 0; i < 100; ++i) s.add(i < 50 ? 10 : 2);
-  auto buckets = s.bucket_means(2);
-  ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_DOUBLE_EQ(buckets[0], 10.0);
-  EXPECT_DOUBLE_EQ(buckets[1], 2.0);
-}
-
-TEST(CostSeries, BucketCountLargerThanSeries) {
-  CostSeries s;
-  s.add(5);
-  s.add(7);
-  auto buckets = s.bucket_means(10);
-  ASSERT_EQ(buckets.size(), 2u);
-}
-
-// Regression: ceil-division sizing used to emit fewer buckets than
-// requested (5 values / 4 buckets -> 3 slices). The partition must return
-// exactly min(buckets, count()) slices of near-equal size covering every
-// value, for every uneven count/bucket combination.
-TEST(CostSeries, BucketMeansExactCountOnUnevenSizes) {
-  for (int count : {1, 2, 3, 5, 7, 10, 11, 100, 101}) {
-    CostSeries s;
-    double total = 0.0;
-    for (int i = 0; i < count; ++i) {
-      s.add(i);
-      total += i;
-    }
-    for (int buckets : {1, 2, 3, 4, 5, 8, 13}) {
-      const auto means = s.bucket_means(buckets);
-      const std::size_t expect =
-          std::min<std::size_t>(buckets, static_cast<std::size_t>(count));
-      ASSERT_EQ(means.size(), expect)
-          << count << " values / " << buckets << " buckets";
-      // Slices tile the series: size-weighted means sum back to the total.
-      double sum = 0.0;
-      for (std::size_t b = 0; b < means.size(); ++b) {
-        const std::size_t begin = b * s.count() / means.size();
-        const std::size_t end = (b + 1) * s.count() / means.size();
-        ASSERT_GE(end - begin, s.count() / means.size());
-        ASSERT_LE(end - begin, s.count() / means.size() + 1);
-        sum += means[b] * static_cast<double>(end - begin);
-      }
-      EXPECT_NEAR(sum, total, 1e-6);
-    }
-  }
-}
-
-TEST(CostSeries, BucketMeansFiveOverFour) {
-  CostSeries s;
-  for (Cost v : {10, 20, 30, 40, 50}) s.add(v);
-  const auto means = s.bucket_means(4);
-  ASSERT_EQ(means.size(), 4u);  // was 3 with ceil-division sizing
-  // Partition is {10}, {20}, {30}, {40, 50}.
-  EXPECT_DOUBLE_EQ(means[0], 10.0);
-  EXPECT_DOUBLE_EQ(means[1], 20.0);
-  EXPECT_DOUBLE_EQ(means[2], 30.0);
-  EXPECT_DOUBLE_EQ(means[3], 45.0);
-}
-
-// The sorted percentile cache is built lazily inside a const method; many
-// threads reading the same const series concurrently (exactly what
-// per-shard frontend reporting does) must not race on its construction.
-// Run under TSan by the CI thread-sanitizer job.
+// The const observers keep no mutable state: many threads reading the
+// same const series concurrently must all see the same values, with no
+// data race. Run under TSan by the CI thread-sanitizer job.
 TEST(CostSeries, ConcurrentConstReaders) {
   CostSeries s;
   for (Cost v = 1000; v >= 1; --v) s.add(v);
@@ -121,7 +58,7 @@ TEST(CostSeries, ConcurrentConstReaders) {
         if (cs.percentile(0.99) != 990) ++failures;
         if (cs.percentile(1.0) != 1000) ++failures;
         if (cs.max() != 1000) ++failures;
-        if (cs.bucket_means(4).size() != 4u) ++failures;
+        if (cs.mean() != 500.5) ++failures;
       }
     });
   for (std::thread& t : readers) t.join();

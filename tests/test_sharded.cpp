@@ -21,7 +21,7 @@ void expect_same(const SimResult& a, const SimResult& b,
 }
 
 // Acceptance: S=1 must produce bit-identical SimResults to the unsharded
-// KArySplayNetwork on every golden workload (same balanced initial tree,
+// KArySplayNet on every golden workload (same balanced initial tree,
 // same serve path, identity local mapping).
 TEST(Sharded, SingleShardMatchesUnshardedOnEveryWorkload) {
   const int n = 32;
@@ -33,7 +33,7 @@ TEST(Sharded, SingleShardMatchesUnshardedOnEveryWorkload) {
         WorkloadKind::kProjector, WorkloadKind::kFacebook}) {
     const Trace trace = gen_workload(kind, n, m, 0xC0FFEE);
     for (int k : {2, 3, 5}) {
-      KArySplayNetwork plain(KArySplayNet::balanced(k, n));
+      KArySplayNet plain = KArySplayNet::balanced(k, n);
       const SimResult reference = run_trace(plain, trace);
 
       ShardedNetwork via_serve = ShardedNetwork::balanced(k, n, 1);
@@ -154,7 +154,6 @@ TEST(Sharded, ServesThroughAnyNetwork) {
   const Trace trace = gen_workload(WorkloadKind::kHpc, 60, 1500, 8);
   AnyNetwork any = ShardedNetwork::balanced(3, 60, 4);
   EXPECT_EQ(any.name(), "sharded[4,contiguous] 3-ary SplayNet");
-  EXPECT_EQ(any.size(), 60);
   const SimResult via_any = run_trace(any, trace);
 
   ShardedNetwork direct = ShardedNetwork::balanced(3, 60, 4);
@@ -162,7 +161,7 @@ TEST(Sharded, ServesThroughAnyNetwork) {
   expect_same(via_any, via_direct, "AnyNetwork vs direct");
   EXPECT_GT(via_any.cross_shard, 0);
   EXPECT_NE(any.get_if<ShardedNetwork>(), nullptr);
-  EXPECT_EQ(any.get_if<BinarySplayNetwork>(), nullptr);
+  EXPECT_EQ(any.get_if<BinarySplayNet>(), nullptr);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Simulation layer: cost accounting identities across all Network
-// adapters, and agreement between the static shortcut and the adapter path.
+// Simulation layer: cost accounting identities across every network the
+// simulator serves, and agreement between the static shortcut and the
+// StaticTreeNetwork path.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -69,9 +70,9 @@ TEST(Simulator, StaticPathsAgreeOnRandomTreesAndTraces) {
 TEST(Simulator, OnlineAdaptersAccumulateCosts) {
   Trace t = gen_temporal(64, 3000, 0.7, 3);
   std::vector<AnyNetwork> nets;
-  nets.emplace_back(KArySplayNetwork(KArySplayNet::balanced(3, 64)));
-  nets.emplace_back(CentroidSplayNetwork(CentroidSplayNet(3, 64)));
-  nets.emplace_back(BinarySplayNetwork(64));
+  nets.emplace_back(KArySplayNet::balanced(3, 64));
+  nets.emplace_back(CentroidSplayNet(3, 64));
+  nets.emplace_back(BinarySplayNet(64));
   nets.emplace_back(ShardedNetwork::balanced(3, 64, 4));
   for (AnyNetwork& net : nets) {
     SimResult r = run_trace(net, t);
@@ -123,7 +124,7 @@ TEST(Simulator, EdgeChangesMatchPerRequestAccounting) {
   }
   ASSERT_GT(edges, 0);
 
-  KArySplayNetwork net(KArySplayNet::balanced(3, n));
+  KArySplayNet net = KArySplayNet::balanced(3, n);
   const SimResult res = run_trace(net, t);
   EXPECT_EQ(res.edge_changes, edges);
   EXPECT_EQ(res.routing_cost, routing);
@@ -134,12 +135,21 @@ TEST(Simulator, EdgeChangesMatchPerRequestAccounting) {
 }
 
 TEST(Simulator, NetworkNames) {
-  EXPECT_EQ(KArySplayNetwork(KArySplayNet::balanced(5, 20)).name(),
-            "5-ary SplayNet");
-  EXPECT_EQ(CentroidSplayNetwork(CentroidSplayNet(2, 20)).name(),
-            "3-SplayNet");
-  EXPECT_EQ(BinarySplayNetwork(20).name(), "SplayNet");
+  EXPECT_EQ(KArySplayNet::balanced(5, 20).name(), "5-ary SplayNet");
+  EXPECT_EQ(KArySplayNet::balanced(3, 20, RotationPolicy{},
+                                   SplayMode::kSemiSplayOnly)
+                .name(),
+            "3-ary SplayNet (semi-splay)");
+  EXPECT_EQ(CentroidSplayNet(2, 20).name(), "3-SplayNet");
+  EXPECT_EQ(BinarySplayNet(20).name(), "SplayNet");
   EXPECT_EQ(StaticTreeNetwork(full_kary_tree(2, 8), "x").name(), "x");
+  // A sharded fleet names its shards' engine, splay mode included.
+  EXPECT_EQ(ShardedNetwork::balanced(3, 20, 2).name(),
+            "sharded[2,contiguous] 3-ary SplayNet");
+  EXPECT_EQ(ShardedNetwork::balanced(3, 20, 2, ShardPartition::kHash,
+                                     SplayMode::kSemiSplayOnly)
+                .name(),
+            "sharded[2,hash] 3-ary SplayNet (semi-splay)");
 }
 
 TEST(Simulator, SelfAdjustingBeatsStaticOnHighLocality) {
@@ -148,7 +158,7 @@ TEST(Simulator, SelfAdjustingBeatsStaticOnHighLocality) {
   // rotations) drops below the static full tree's routing cost.
   const int n = 200;
   Trace t = gen_temporal(n, 30000, 0.9, 4);
-  KArySplayNetwork online(KArySplayNet::balanced(3, n));
+  KArySplayNet online = KArySplayNet::balanced(3, n);
   SimResult dynamic = run_trace(online, t);
   SimResult fixed = run_trace_static(full_kary_tree(3, n), t);
   EXPECT_LT(dynamic.total_cost(), fixed.total_cost());
@@ -158,7 +168,7 @@ TEST(Simulator, StaticBeatsSelfAdjustingOnUniform) {
   // And the converse: under uniform traffic the rotations cannot pay off.
   const int n = 200;
   Trace t = gen_uniform(n, 30000, 5);
-  KArySplayNetwork online(KArySplayNet::balanced(3, n));
+  KArySplayNet online = KArySplayNet::balanced(3, n);
   SimResult dynamic = run_trace(online, t);
   SimResult fixed = run_trace_static(full_kary_tree(3, n), t);
   EXPECT_GT(dynamic.total_cost(), fixed.total_cost());
