@@ -6,8 +6,8 @@
 //   * skewed (ProjecToR-like sparse elephant pairs) — hot pairs cluster
 //     under few LCAs, the case the reorder targets;
 //   * zipf (Facebook-like independent Zipf endpoints) — wide-support skew,
-//     large working set: at n >= 10^5 the tree no longer fits in cache and
-//     the prefetch warm-up has real misses to hide;
+//     large working set: at n >= 10^5 the tree no longer fits in cache, so
+//     clustering requests under one LCA has real misses to save;
 //   * seqscan (cyclic neighbour walk) — the ADVERSARIAL cell: FIFO order
 //     is exactly the splay-friendly sequential pattern (amortized O(1)
 //     per request) and any locality reorder scrambles the chain the tree
@@ -16,10 +16,10 @@
 //     case: arrival order maximizes jumps, so clustering has headroom.
 //
 // Each cell is one run_trace over a fresh balanced k=2 net (the locality
-// runs use the default window=1024 / group=8 config that san_cli
-// --schedule locality picks). Ratios are per-(workload, n) against the
-// FIFO cell. The checked-in BENCH_locality_scaling.json records this
-// machine's numbers, losses included.
+// runs use the default window=1024 that san_cli --schedule locality
+// picks). Ratios are per-(workload, n) against the FIFO cell. The
+// checked-in BENCH_locality_scaling.json records this machine's numbers,
+// losses included.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
   using namespace san;
   bench::init_bench_cli(argc, argv);
   std::cout << "== locality scheduling: windowed LCA reorder vs FIFO ==\n";
-  std::cout << "window=1024 group=8 (the san_cli --schedule locality "
-               "defaults)\n\n";
+  std::cout << "window=1024 (the san_cli --schedule locality default)\n\n";
 
   const std::vector<int> sizes =
       bench::bench_cli().smoke ? std::vector<int>{1000}
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream js;
   js << "{\n  \"bench\": \"locality_scaling\",\n  \"k\": 2,\n"
-     << "  \"window\": 1024,\n  \"group\": 8,\n  \"cells\": [\n";
+     << "  \"window\": 1024,\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i)
     append_json(js, cells[i], i + 1 == cells.size());
   js << "  ]\n}\n";

@@ -29,7 +29,9 @@
 // Output: one summary table (mean / p50 / p99 / max per-request cost,
 // rotation and link-change totals) and optional CSV / dot dumps. The
 // rebalancing path serves through the batched drain, so per-request
-// percentiles are not available there.
+// percentiles are not available there. Each engine prints one row block
+// whichever the source, so a --stream run prints the rows of the same
+// materialized run less those that need the whole trace.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -85,7 +87,6 @@ struct Options {
   double admit_rate = 0.0;             // token-bucket admission throttle
   std::string schedule = "fifo";
   int sched_window = 1024;
-  int sched_group = 8;
   std::size_t requests = 100000;
   std::uint64_t seed = 1;
   bool open_loop = false;
@@ -140,7 +141,6 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "          [--replicas R] [--fault [KIND:]IDX@SHARD[,...]]\n"
          "          [--chaos-seed SEED] [--recovery-slo MS]\n"
          "          [--schedule fifo|locality] [--sched-window W]\n"
-         "          [--sched-group G]\n"
          "          [--open-loop] [--arrival poisson|bursty|saturation]\n"
          "          [--rate R] [--duration T]\n"
          "          [--queue-policy block|shed|deadline] [--deadline-ms D]\n"
@@ -170,11 +170,10 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "  than --deadline-ms at admission and dequeue); --admit-rate R\n"
          "  arms a token-bucket admission throttle (open-loop only)\n"
          "--schedule locality reorders requests within --sched-window slots\n"
-         "  by LCA cluster and serves --sched-group descents behind a\n"
-         "  prefetch warm-up of their access paths (per shard / admission\n"
-         "  batch); costs are the honest costs of the permuted order —\n"
-         "  totals only, no per-request percentiles. fifo (default) is\n"
-         "  bit-identical to previous releases\n"
+         "  by LCA cluster (per shard / admission batch) and serves each\n"
+         "  window in that order; costs are the honest costs of the permuted\n"
+         "  order — totals only, no per-request percentiles. fifo (default)\n"
+         "  is bit-identical to previous releases\n"
          "--open-loop serves through the live frontend at --rate req/s for\n"
          "  --duration seconds (ksplay/semisplay; composes with --shards\n"
          "  and --rebalance; reports sojourn p50/p99/p999 in us)\n"
@@ -185,8 +184,11 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "--stream replays without materializing the trace: a generated\n"
          "  workload is pulled on demand, a --trace-v2 file is mmapped and\n"
          "  read in chunks, so memory stays O(chunk) at any request count\n"
-         "  (ksplay/semisplay; composes with --shards, --rebalance, and\n"
-         "  --open-loop; per-request percentiles and dumps unavailable)\n";
+         "  (ksplay/semisplay; composes with --shards, --rebalance,\n"
+         "  --split-watermark, --fault and --open-loop, and prints the\n"
+         "  batch pipeline's or the frontend's rows less those that scan\n"
+         "  the whole trace; per-request percentiles, dumps and\n"
+         "  --optimal-gap unavailable)\n";
   std::exit(2);
 }
 
@@ -229,7 +231,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--admit-rate") o.admit_rate = std::stod(next());
     else if (arg == "--schedule") o.schedule = next();
     else if (arg == "--sched-window") o.sched_window = std::stoi(next());
-    else if (arg == "--sched-group") o.sched_group = std::stoi(next());
     else if (arg == "--requests") o.requests = std::stoull(next());
     else if (arg == "--seed") o.seed = std::stoull(next());
     else if (arg == "--open-loop") o.open_loop = true;
@@ -266,9 +267,8 @@ WorkloadKind parse_workload(const std::string& name) {
   return it->second;
 }
 
-// Rejects unknown policy names and non-positive window/group at argument
-// level (ScheduleConfig::validate also rejects group > window) so a typo
-// fails fast instead of surfacing mid-run.
+// Rejects unknown policy names and a non-positive window at argument level,
+// so a typo fails fast instead of surfacing mid-run.
 ScheduleConfig parse_schedule(const Options& o) {
   ScheduleConfig s;
   if (o.schedule == "fifo")
@@ -279,7 +279,6 @@ ScheduleConfig parse_schedule(const Options& o) {
     throw TreeError("unknown schedule policy: " + o.schedule +
                     " (expected fifo|locality)");
   s.window = o.sched_window;
-  s.group = o.sched_group;
   s.validate();
   return s;
 }
@@ -335,15 +334,67 @@ FaultPlan make_fault_plan(const Options& o, int shards, std::size_t m) {
   return plan;
 }
 
-void add_lifecycle_rows(Table& out, const SimResult& res) {
-  out.add_row({"shard splits", std::to_string(res.shard_splits)});
-  out.add_row({"shard merges", std::to_string(res.shard_merges)});
-  out.add_row({"lifecycle cost", std::to_string(res.lifecycle_cost)});
-  out.add_row({"final shards", std::to_string(res.final_shards)});
-  out.add_row({"replica reads", std::to_string(res.replica_reads)});
+// One run's inputs besides the options. `trace` is the materialized trace,
+// or null when --stream pulls the requests on demand. The source decides
+// only the engine's entry point, the network-name suffix, and the rows that
+// need the whole trace: repeat fraction, shard load imbalance, optimality
+// gap, and whether the intra-shard fraction is rescanned over the final map
+// or counted at dispatch.
+struct Run {
+  const Options& o;
+  const ScheduleConfig& sched;
+  const RebalanceConfig& cfg;
+  const FaultPlan& faults;
+  const Trace* trace;
+
+  /// Rebalance or lifecycle epochs run.
+  bool epochs() const {
+    return cfg.policy != RebalancePolicy::kNone || cfg.lifecycle_enabled();
+  }
+  /// The network row; a streamed run says so beside the serving mode.
+  std::string network(const std::string& name, std::string mode) const {
+    if (trace == nullptr)
+      mode = mode.empty() ? "streaming" : "streaming, " + mode;
+    return mode.empty() ? name : name + " (" + mode + ")";
+  }
+  const char* intra_label() const {
+    return trace != nullptr ? "final intra-shard fraction"
+                            : "intra-shard fraction (at dispatch)";
+  }
+};
+
+Table summary_table(const std::string& network, int n, std::size_t m) {
+  Table out({"metric", "value"});
+  out.add_row({"network", network});
+  out.add_row({"nodes", std::to_string(n)});
+  out.add_row({"requests", std::to_string(m)});
+  return out;
 }
 
-void add_fault_rows(Table& out, const SimResult& res, const FaultPlan& plan) {
+void print_table(const Table& out, bool csv) {
+  if (csv)
+    std::cout << out.to_csv();
+  else
+    out.print();
+}
+
+void add_schedule_rows(Table& out, const ScheduleConfig& sched,
+                       Cost reordered) {
+  if (!sched.reorders()) return;
+  out.add_row({"schedule", schedule_policy_name(sched.policy)});
+  out.add_row({"reordered requests", std::to_string(reordered)});
+}
+
+// Shard lifecycle and fault rows, each block when it is configured.
+void add_fleet_rows(Table& out, const Run& run, const SimResult& res) {
+  if (run.cfg.lifecycle_enabled()) {
+    out.add_row({"shard splits", std::to_string(res.shard_splits)});
+    out.add_row({"shard merges", std::to_string(res.shard_merges)});
+    out.add_row({"lifecycle cost", std::to_string(res.lifecycle_cost)});
+    out.add_row({"final shards", std::to_string(res.final_shards)});
+    out.add_row({"replica reads", std::to_string(res.replica_reads)});
+  }
+  if (!run.faults.enabled()) return;
   out.add_row({"faults injected", std::to_string(res.faults_injected)});
   out.add_row({"worker kills", std::to_string(res.worker_kills)});
   out.add_row(
@@ -353,21 +404,11 @@ void add_fault_rows(Table& out, const SimResult& res, const FaultPlan& plan) {
       {"recovery replayed ops", std::to_string(res.recovery_replayed)});
   out.add_row({"recovery cost", std::to_string(res.recovery_cost)});
   out.add_row({"recovery max (ms)", fixed_cell(res.recovery_max_ms)});
-  if (plan.recovery_slo_ms > 0.0)
-    out.add_row({"recovery SLO (" + fixed_cell(plan.recovery_slo_ms) + " ms)",
-                 res.recovery_max_ms <= plan.recovery_slo_ms
-                     ? std::string("met")
-                     : std::string("MISSED")});
-}
-
-void add_sojourn_rows(Table& out, const LatencyHistogram& sojourn) {
-  const auto us = [](std::uint64_t ns) {
-    return fixed_cell(static_cast<double>(ns) / 1e3);
-  };
-  out.add_row({"sojourn p50 (us)", us(sojourn.p50())});
-  out.add_row({"sojourn p99 (us)", us(sojourn.p99())});
-  out.add_row({"sojourn p999 (us)", us(sojourn.p999())});
-  out.add_row({"sojourn max (us)", us(sojourn.max())});
+  const double slo = run.faults.recovery_slo_ms;
+  if (slo > 0.0)
+    out.add_row({"recovery SLO (" + fixed_cell(slo) + " ms)",
+                 res.recovery_max_ms <= slo ? std::string("met")
+                                            : std::string("MISSED")});
 }
 
 void add_overload_rows(Table& out, const FrontendResult& r,
@@ -390,23 +431,106 @@ void add_overload_rows(Table& out, const FrontendResult& r,
     out.add_row({"route epochs", std::to_string(r.route_epochs)});
 }
 
+// Rows of an open-loop frontend run, after the summary rows.
+void add_frontend_rows(Table& out, const Run& run, const FrontendResult& r,
+                       ArrivalKind arrival, QueuePolicy policy) {
+  const auto us = [](std::uint64_t ns) {
+    return fixed_cell(static_cast<double>(ns) / 1e3);
+  };
+  add_schedule_rows(out, run.sched, r.sim.reordered_requests);
+  out.add_row({"arrival process", arrival_kind_name(arrival)});
+  out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
+  out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
+  out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
+  out.add_row({"sojourn p50 (us)", us(r.sojourn.p50())});
+  out.add_row({"sojourn p99 (us)", us(r.sojourn.p99())});
+  out.add_row({"sojourn p999 (us)", us(r.sojourn.p999())});
+  out.add_row({"sojourn max (us)", us(r.sojourn.max())});
+  out.add_row({"queue wait p99 (us)", us(r.queue_wait.p99())});
+  out.add_row({"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
+  out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
+  out.add_row({"total rotations", std::to_string(r.sim.rotation_count)});
+  out.add_row({"cross-shard requests", std::to_string(r.sim.cross_shard)});
+  out.add_row({"handovers", std::to_string(r.handovers)});
+  if (run.epochs()) {
+    out.add_row({"rebalance epochs", std::to_string(r.sim.rebalance_epochs)});
+    out.add_row({"migrations", std::to_string(r.sim.migrations)});
+    out.add_row({"migration cost", std::to_string(r.sim.migration_cost)});
+    out.add_row({"forwards", std::to_string(r.forwards)});
+    out.add_row({run.intra_label(), fixed_cell(r.sim.post_intra_fraction)});
+  }
+  add_overload_rows(out, r, policy);
+  add_fleet_rows(out, run, r.sim);
+}
+
+// Rows of a batch-pipeline run, after the summary rows. A run with epochs
+// or scripted faults adds the rebalance block, whose grand total is the
+// one row that counts migration, lifecycle and recovery cost.
+void add_batch_rows(Table& out, const Run& run, const SimResult& res,
+                    const ShardedNetwork& net) {
+  const bool adaptive = run.epochs() || run.faults.enabled();
+  if (run.trace != nullptr)
+    out.add_row({"trace repeat fraction",
+                 fixed_cell(compute_stats(*run.trace).repeat_fraction)});
+  if (adaptive) {
+    out.add_row({"rebalance policy", run.o.rebalance});
+    out.add_row({"epoch requests", std::to_string(run.o.epoch)});
+  }
+  add_schedule_rows(out, run.sched, res.reordered_requests);
+  out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
+  out.add_row({"total routing", std::to_string(res.routing_cost)});
+  out.add_row({"total rotations", std::to_string(res.rotation_count)});
+  out.add_row({"total link changes", std::to_string(res.edge_changes)});
+  if (adaptive) {
+    out.add_row({"rebalance epochs", std::to_string(res.rebalance_epochs)});
+    out.add_row({"migrations", std::to_string(res.migrations)});
+    out.add_row({"migration cost", std::to_string(res.migration_cost)});
+    out.add_row({"grand total cost", std::to_string(res.grand_total_cost())});
+    out.add_row({run.intra_label(), fixed_cell(res.post_intra_fraction)});
+  }
+  out.add_row({"cross-shard requests", std::to_string(res.cross_shard)});
+  if (run.trace != nullptr)
+    out.add_row({"shard load imbalance",
+                 fixed_cell(compute_shard_stats(*run.trace, net.map())
+                                .load_imbalance())});
+  add_fleet_rows(out, run, res);
+  if (run.o.optimal_gap) {  // --stream rejects it: it needs the trace
+    const Cost opt = optimal_cost_for(*run.trace, run.o.k);
+    out.add_row({"optimal static cost", std::to_string(opt)});
+    out.add_row(
+        {"optimality gap (grand total / optimal)",
+         opt > 0
+             ? fixed_cell(static_cast<double>(res.grand_total_cost()) / opt)
+             : std::string("-")});
+  }
+}
+
+SplayMode splay_mode(const Options& o) {
+  return o.topology == "semisplay" ? SplayMode::kSemiSplayOnly
+                                   : SplayMode::kFullSplay;
+}
+
+// The batch pipeline and the frontend serve a ShardedNetwork (S = 1 is the
+// single-shard case with identical costs).
+ShardedNetwork make_sharded(const Options& o, int n, int shards) {
+  if (o.topology != "ksplay" && o.topology != "semisplay")
+    throw TreeError(std::string(o.stream      ? "--stream"
+                                : o.open_loop ? "--open-loop"
+                                              : "--shards") +
+                    " requires a ksplay or semisplay topology");
+  return ShardedNetwork::balanced(o.k, n, shards,
+                                  parse_partition(o.partition), splay_mode(o));
+}
+
 // `opt_cost` receives the DP value when this factory already computed it
 // (the "optimal" topology), so --optimal-gap does not re-run the O(n^3 k)
 // forward pass a second time just to print the ratio 1.000.
 AnyNetwork make_network(const Options& o, const Trace& trace,
                         std::optional<Cost>& opt_cost) {
   const int n = trace.n;
-  const SplayMode mode = o.topology == "semisplay"
-                             ? SplayMode::kSemiSplayOnly
-                             : SplayMode::kFullSplay;
-  if (o.shards != 1) {
-    if (o.topology != "ksplay" && o.topology != "semisplay")
-      throw TreeError("--shards requires a ksplay or semisplay topology");
-    return ShardedNetwork::balanced(o.k, n, o.shards,
-                                    parse_partition(o.partition), mode);
-  }
+  if (o.shards != 1) return make_sharded(o, n, o.shards);
   if (o.topology == "ksplay" || o.topology == "semisplay")
-    return KArySplayNet::balanced(o.k, n, RotationPolicy{}, mode);
+    return KArySplayNet::balanced(o.k, n, RotationPolicy{}, splay_mode(o));
   if (o.topology == "centroid") return CentroidSplayNet(o.k, n);
   if (o.topology == "binary") return BinarySplayNet(n);
   if (o.topology == "full")
@@ -450,9 +574,12 @@ int main(int argc, char** argv) {
       throw TreeError(
           "--queue-policy/--deadline-ms/--admit-rate need --open-loop");
 
+    // The source: the materialized trace, or with --stream a single pass
+    // that pulls requests on demand, so the resident set is O(chunk) at
+    // any m.
+    std::optional<Trace> materialized;
+    std::unique_ptr<RequestStream> stream;
     if (o.stream) {
-      // Single-pass replay: requests are pulled on demand, never
-      // materialized, so the resident set is O(chunk) at any m.
       if (!o.trace_path.empty())
         throw TreeError("--stream needs a generated workload or --trace-v2");
       if (!o.dump_tree.empty() || !o.dump_trace.empty() ||
@@ -460,272 +587,96 @@ int main(int argc, char** argv) {
         throw TreeError(
             "--stream does not compose with dumps or --optimal-gap (they "
             "need the materialized trace)");
-      if (o.topology != "ksplay" && o.topology != "semisplay")
-        throw TreeError("--stream requires a ksplay or semisplay topology");
-      const RebalancePolicy rebalance = parse_rebalance(o.rebalance);
-      if (rebalance != RebalancePolicy::kNone && o.shards <= 1)
-        throw TreeError("--rebalance needs --shards > 1");
-      if (rebalance != RebalancePolicy::kNone && o.epoch == 0)
-        throw TreeError("--rebalance needs --epoch > 0");
-
-      std::unique_ptr<RequestStream> stream;
       if (!o.trace_v2_path.empty())
         stream = std::make_unique<TraceV2Reader>(o.trace_v2_path);
       else
         stream = std::make_unique<StreamingWorkload>(
             parse_workload(o.workload), o.n, o.requests, o.seed);
-
-      const SplayMode mode = o.topology == "semisplay"
-                                 ? SplayMode::kSemiSplayOnly
-                                 : SplayMode::kFullSplay;
-      ShardedNetwork net = ShardedNetwork::balanced(
-          o.k, static_cast<int>(stream->n()), std::max(1, o.shards),
-          parse_partition(o.partition), mode);
-      const RebalanceConfig cfg = make_rebalance_config(o, rebalance);
-      const FaultPlan faults =
-          make_fault_plan(o, std::max(1, o.shards), stream->size());
-
-      Table out({"metric", "value"});
-      out.add_row({"network", net.name() + (o.open_loop
-                                                ? " (streaming, open-loop)"
-                                                : " (streaming)")});
-      out.add_row({"nodes", std::to_string(stream->n())});
-      if (o.open_loop) {
-        FrontendOptions fopt;
-        if (rebalance != RebalancePolicy::kNone || cfg.lifecycle_enabled())
-          fopt.rebalance = &cfg;
-        fopt.schedule = sched;
-        fopt.queue_policy = parse_queue_policy(o.queue_policy);
-        fopt.deadline_ms = o.deadline_ms;
-        fopt.admit_rate = o.admit_rate;
-        if (faults.enabled()) fopt.faults = &faults;
-        StreamingArrivalSchedule schedule(arrival, o.rate, o.seed);
-        ServeFrontend frontend(net, fopt);
-        const FrontendResult r = frontend.run_stream(*stream, schedule);
-        out.add_row({"requests", std::to_string(r.sim.requests)});
-        if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(sched.policy)});
-          out.add_row({"reordered requests",
-                       std::to_string(r.sim.reordered_requests)});
-        }
-        out.add_row({"arrival process", arrival_kind_name(arrival)});
-        out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
-        out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
-        out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-        add_sojourn_rows(out, r.sojourn);
-        out.add_row(
-            {"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
-        out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
-        out.add_row({"total rotations", std::to_string(r.sim.rotation_count)});
-        out.add_row(
-            {"cross-shard requests", std::to_string(r.sim.cross_shard)});
-        out.add_row({"handovers", std::to_string(r.handovers)});
-        if (rebalance != RebalancePolicy::kNone) {
-          out.add_row(
-              {"rebalance epochs", std::to_string(r.sim.rebalance_epochs)});
-          out.add_row({"migrations", std::to_string(r.sim.migrations)});
-          out.add_row({"migration cost", std::to_string(r.sim.migration_cost)});
-          out.add_row({"forwards", std::to_string(r.forwards)});
-          out.add_row({"intra-shard fraction (at dispatch)",
-                       fixed_cell(r.sim.post_intra_fraction)});
-        }
-        add_overload_rows(out, r, fopt.queue_policy);
-        if (cfg.lifecycle_enabled()) add_lifecycle_rows(out, r.sim);
-        if (faults.enabled()) add_fault_rows(out, r.sim, faults);
-      } else {
-        ShardedRunOptions ropt;
-        if (rebalance != RebalancePolicy::kNone || cfg.lifecycle_enabled())
-          ropt.rebalance = &cfg;
-        ropt.schedule = sched;
-        if (faults.enabled()) ropt.faults = &faults;
-        const SimResult res = run_trace_sharded_stream(net, *stream, ropt);
-        out.add_row({"requests", std::to_string(res.requests)});
-        if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(sched.policy)});
-          out.add_row(
-              {"reordered requests", std::to_string(res.reordered_requests)});
-        }
-        out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
-        out.add_row({"total routing", std::to_string(res.routing_cost)});
-        out.add_row({"total rotations", std::to_string(res.rotation_count)});
-        out.add_row({"total link changes", std::to_string(res.edge_changes)});
-        out.add_row({"cross-shard requests", std::to_string(res.cross_shard)});
-        if (rebalance != RebalancePolicy::kNone) {
-          out.add_row(
-              {"rebalance epochs", std::to_string(res.rebalance_epochs)});
-          out.add_row({"migrations", std::to_string(res.migrations)});
-          out.add_row({"migration cost", std::to_string(res.migration_cost)});
-          out.add_row(
-              {"grand total cost", std::to_string(res.grand_total_cost())});
-          out.add_row({"intra-shard fraction (at dispatch)",
-                       fixed_cell(res.post_intra_fraction)});
-        }
-        if (cfg.lifecycle_enabled()) add_lifecycle_rows(out, res);
-        if (faults.enabled()) add_fault_rows(out, res, faults);
-      }
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
-      return 0;
+    } else {
+      materialized = !o.trace_v2_path.empty()
+                         ? read_trace_v2_file(o.trace_v2_path)
+                         : (o.trace_path.empty()
+                                ? gen_workload(parse_workload(o.workload),
+                                               o.n, o.requests, o.seed)
+                                : read_trace_file(o.trace_path));
+      if (!o.dump_trace.empty()) write_trace_file(o.dump_trace, *materialized);
+      if (!o.dump_trace_v2.empty())
+        write_trace_v2_file(o.dump_trace_v2, *materialized);
     }
+    const Trace* trace = materialized ? &*materialized : nullptr;
+    const int n = trace != nullptr ? trace->n : stream->n();
+    const std::size_t m = trace != nullptr ? trace->size() : stream->size();
 
-    Trace trace = !o.trace_v2_path.empty()
-                      ? read_trace_v2_file(o.trace_v2_path)
-                      : (o.trace_path.empty()
-                             ? gen_workload(parse_workload(o.workload), o.n,
-                                            o.requests, o.seed)
-                             : read_trace_file(o.trace_path));
-    if (!o.dump_trace.empty()) write_trace_file(o.dump_trace, trace);
-    if (!o.dump_trace_v2.empty()) write_trace_v2_file(o.dump_trace_v2, trace);
-
-    const TraceStats st = compute_stats(trace);
     const RebalancePolicy rebalance = parse_rebalance(o.rebalance);
     if (rebalance != RebalancePolicy::kNone && o.shards <= 1)
       throw TreeError("--rebalance needs --shards > 1");
     if (rebalance != RebalancePolicy::kNone && o.epoch == 0)
       throw TreeError("--rebalance needs --epoch > 0");
-    const RebalanceConfig lifecycle_cfg = make_rebalance_config(o, rebalance);
-    const FaultPlan faults =
-        make_fault_plan(o, std::max(1, o.shards), trace.size());
-    if ((lifecycle_cfg.lifecycle_enabled() || faults.enabled()) &&
-        o.shards <= 1 && !o.open_loop)
+    const RebalanceConfig cfg = make_rebalance_config(o, rebalance);
+    const FaultPlan faults = make_fault_plan(o, std::max(1, o.shards), m);
+    const Run run{o, sched, cfg, faults, trace};
+    const bool adaptive = run.epochs() || faults.enabled();
+    if (trace != nullptr && adaptive && o.shards <= 1 && !o.open_loop)
       throw TreeError("--split-watermark/--merge-watermark/--replicas/--fault "
                       "need --shards > 1 (or --open-loop for --fault)");
+
     if (o.open_loop) {
-      // Live serving path: ServeFrontend over a ShardedNetwork (S = 1 is
-      // the single-worker degenerate case with identical costs).
-      if (o.topology != "ksplay" && o.topology != "semisplay")
-        throw TreeError("--open-loop requires a ksplay or semisplay topology");
-      const SplayMode mode = o.topology == "semisplay"
-                                 ? SplayMode::kSemiSplayOnly
-                                 : SplayMode::kFullSplay;
-      ShardedNetwork net = ShardedNetwork::balanced(
-          o.k, trace.n, std::max(1, o.shards), parse_partition(o.partition),
-          mode);
+      // Live serving path: ServeFrontend over a ShardedNetwork.
+      ShardedNetwork net = make_sharded(o, n, std::max(1, o.shards));
       FrontendOptions fopt;
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled())
-        fopt.rebalance = &lifecycle_cfg;
+      if (run.epochs()) fopt.rebalance = &cfg;
       fopt.schedule = sched;
       fopt.queue_policy = parse_queue_policy(o.queue_policy);
       fopt.deadline_ms = o.deadline_ms;
       fopt.admit_rate = o.admit_rate;
       if (faults.enabled()) fopt.faults = &faults;
-      const auto arrivals = gen_arrival_times(
-          arrival, arrival == ArrivalKind::kSaturation ? 0.0 : o.rate,
-          trace.size(), o.seed);
       ServeFrontend frontend(net, fopt);
-      const FrontendResult r = frontend.run(trace, arrivals);
+      const FrontendResult r = [&] {
+        if (trace != nullptr)
+          return frontend.run(*trace,
+                              gen_arrival_times(arrival, o.rate, m, o.seed));
+        StreamingArrivalSchedule schedule(arrival, o.rate, o.seed);
+        return frontend.run_stream(*stream, schedule);
+      }();
+      Table out = summary_table(run.network(net.name(), "open-loop"), n,
+                                r.sim.requests);  // final S
+      add_frontend_rows(out, run, r, arrival, fopt.queue_policy);
+      print_table(out, o.csv);
+      return 0;
+    }
 
-      Table out({"metric", "value"});
-      out.add_row({"network", net.name() + " (open-loop)"});
-      out.add_row({"nodes", std::to_string(trace.n)});
-      out.add_row({"requests", std::to_string(trace.size())});
-      if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(sched.policy)});
-        out.add_row(
-            {"reordered requests", std::to_string(r.sim.reordered_requests)});
-      }
-      out.add_row({"arrival process", arrival_kind_name(arrival)});
-      out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
-      out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
-      out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-      add_sojourn_rows(out, r.sojourn);
-      out.add_row({"queue wait p99 (us)",
-                   fixed_cell(static_cast<double>(r.queue_wait.p99()) / 1e3)});
-      out.add_row({"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
-      out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
-      out.add_row({"total rotations", std::to_string(r.sim.rotation_count)});
-      out.add_row({"cross-shard requests", std::to_string(r.sim.cross_shard)});
-      out.add_row({"handovers", std::to_string(r.handovers)});
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled()) {
-        out.add_row({"rebalance epochs", std::to_string(r.sim.rebalance_epochs)});
-        out.add_row({"migrations", std::to_string(r.sim.migrations)});
-        out.add_row({"migration cost", std::to_string(r.sim.migration_cost)});
-        out.add_row({"forwards", std::to_string(r.forwards)});
-        out.add_row({"final intra-shard fraction",
-                     fixed_cell(r.sim.post_intra_fraction)});
-      }
-      add_overload_rows(out, r, fopt.queue_policy);
-      if (lifecycle_cfg.lifecycle_enabled()) add_lifecycle_rows(out, r.sim);
-      if (faults.enabled()) add_fault_rows(out, r.sim, faults);
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
+    if (trace == nullptr || adaptive) {
+      // The batched pipeline: every streamed run, and a materialized run
+      // with rebalance / lifecycle epochs or scripted faults. Costs come as
+      // totals (no per-request series through the drains).
+      ShardedNetwork net = make_sharded(o, n, std::max(1, o.shards));
+      const std::string network = run.network(net.name(), "");  // initial S
+      ShardedRunOptions ropt;
+      if (run.epochs()) ropt.rebalance = &cfg;
+      ropt.schedule = sched;
+      if (faults.enabled()) ropt.faults = &faults;
+      const SimResult res = trace != nullptr
+                                ? run_trace_sharded(net, *trace, ropt)
+                                : run_trace_sharded_stream(net, *stream, ropt);
+      Table out = summary_table(network, n, res.requests);
+      add_batch_rows(out, run, res, net);
+      print_table(out, o.csv);
       return 0;
     }
 
     std::optional<Cost> precomputed_opt;
-    AnyNetwork net = make_network(o, trace, precomputed_opt);
-
-    Table out({"metric", "value"});
-    out.add_row({"network", net.name()});
-    out.add_row({"nodes", std::to_string(trace.n)});
-    out.add_row({"requests", std::to_string(trace.size())});
-    out.add_row({"trace repeat fraction", fixed_cell(st.repeat_fraction)});
-
-    if (rebalance != RebalancePolicy::kNone ||
-        lifecycle_cfg.lifecycle_enabled() || faults.enabled()) {
-      // Adaptive path: the batched pipeline with rebalance / lifecycle
-      // epochs and scripted faults. Costs come as totals (no per-request
-      // series through the drains).
-      ShardedNetwork& sharded = *net.get_if<ShardedNetwork>();
-      ShardedRunOptions ropt;
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled())
-        ropt.rebalance = &lifecycle_cfg;
-      ropt.schedule = sched;
-      if (faults.enabled()) ropt.faults = &faults;
-      const SimResult res = run_trace_sharded(sharded, trace, ropt);
-      out.add_row({"rebalance policy", o.rebalance});
-      out.add_row({"epoch requests", std::to_string(o.epoch)});
-      if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(sched.policy)});
-        out.add_row(
-            {"reordered requests", std::to_string(res.reordered_requests)});
-      }
-      out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
-      out.add_row({"total routing", std::to_string(res.routing_cost)});
-      out.add_row({"total rotations", std::to_string(res.rotation_count)});
-      out.add_row({"total link changes", std::to_string(res.edge_changes)});
-      out.add_row({"rebalance epochs", std::to_string(res.rebalance_epochs)});
-      out.add_row({"migrations", std::to_string(res.migrations)});
-      out.add_row({"migration cost", std::to_string(res.migration_cost)});
-      out.add_row({"grand total cost", std::to_string(res.grand_total_cost())});
-      out.add_row(
-          {"final intra-shard fraction", fixed_cell(res.post_intra_fraction)});
-      out.add_row({"cross-shard requests", std::to_string(res.cross_shard)});
-      out.add_row({"shard load imbalance",
-                   fixed_cell(compute_shard_stats(trace, sharded.map())
-                                  .load_imbalance())});
-      if (lifecycle_cfg.lifecycle_enabled()) add_lifecycle_rows(out, res);
-      if (faults.enabled()) add_fault_rows(out, res, faults);
-      if (o.optimal_gap) {
-        const Cost opt = optimal_cost_for(trace, o.k);
-        out.add_row({"optimal static cost", std::to_string(opt)});
-        out.add_row(
-            {"optimality gap (grand total / optimal)",
-             opt > 0 ? fixed_cell(
-                           static_cast<double>(res.grand_total_cost()) / opt)
-                     : std::string("-")});
-      }
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
-      return 0;
-    }
+    AnyNetwork net = make_network(o, *trace, precomputed_opt);
+    Table out = summary_table(net.name(), n, m);
+    out.add_row({"trace repeat fraction",
+                 fixed_cell(compute_stats(*trace).repeat_fraction)});
 
     CostSeries series;
     Cost routing = 0, rotations = 0, links = 0;
     if (!sched.reorders()) {
       // One visit hoists the variant dispatch out of the replay loop.
-      net.visit([&](auto& n) {
-        for (const Request& r : trace.requests) {
-          const ServeResult s = n.serve(r.src, r.dst);
+      net.visit([&](auto& engine) {
+        for (const Request& r : trace->requests) {
+          const ServeResult s = engine.serve(r.src, r.dst);
           series.add(s.routing_cost + s.rotations);
           routing += s.routing_cost;
           rotations += s.rotations;
@@ -742,22 +693,20 @@ int main(int argc, char** argv) {
       // are not meaningful once the serve order is permuted.
       SimResult res;
       if (auto* sharded = net.get_if<ShardedNetwork>())
-        res = run_trace_sharded(*sharded, trace, {.schedule = sched});
+        res = run_trace_sharded(*sharded, *trace, {.schedule = sched});
       else
-        res = run_trace(net, trace, sched);
+        res = run_trace(net, *trace, sched);
       routing = res.routing_cost;
       rotations = res.rotation_count;
       links = res.edge_changes;
-      out.add_row({"schedule", schedule_policy_name(sched.policy)});
-      out.add_row(
-          {"reordered requests", std::to_string(res.reordered_requests)});
+      add_schedule_rows(out, sched, res.reordered_requests);
       out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
     }
     out.add_row({"total routing", std::to_string(routing)});
     out.add_row({"total rotations", std::to_string(rotations)});
     out.add_row({"total link changes", std::to_string(links)});
     if (const auto* sharded = net.get_if<ShardedNetwork>()) {
-      const ShardLocalityStats ss = compute_shard_stats(trace, sharded->map());
+      const ShardLocalityStats ss = compute_shard_stats(*trace, sharded->map());
       out.add_row({"shards", std::to_string(sharded->num_shards()) + " (" +
                                  o.partition + ")"});
       out.add_row({"cross-shard requests",
@@ -773,7 +722,7 @@ int main(int argc, char** argv) {
       // overhead, sharded engines additionally pay the top-tree detour.
       const int gap_k = o.topology == "binary" ? 2 : o.k;
       const Cost opt =
-          precomputed_opt ? *precomputed_opt : optimal_cost_for(trace, gap_k);
+          precomputed_opt ? *precomputed_opt : optimal_cost_for(*trace, gap_k);
       out.add_row({"optimal static cost", std::to_string(opt)});
       out.add_row(
           {"optimality gap (online / optimal)",
@@ -781,10 +730,7 @@ int main(int argc, char** argv) {
                ? fixed_cell(static_cast<double>(routing + rotations) / opt)
                : std::string("-")});
     }
-    if (o.csv)
-      std::cout << out.to_csv();
-    else
-      out.print();
+    print_table(out, o.csv);
 
     if (!o.dump_tree.empty()) {
       const KAryTree* tree = tree_of(net);

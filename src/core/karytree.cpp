@@ -4,19 +4,6 @@
 #include <sstream>
 
 namespace san {
-namespace {
-
-/// Read prefetch hint with low expected temporal locality. No-op where
-/// __builtin_prefetch is unavailable.
-void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
-}  // namespace
 
 KAryTree::KAryTree(int k, int n) : k_(k), n_(0) {
   if (k < 2) throw TreeError("arity must be >= 2");
@@ -90,18 +77,6 @@ PathInfo KAryTree::path_info(NodeId u, NodeId v) const {
     if (b != kNoNode && climb(b, hb, 1)) return met;
   }
   throw TreeError("nodes are in disconnected components");
-}
-
-int KAryTree::prefetch_route(NodeId u, NodeId v) const {
-  const PathInfo p = path_info(u, v);
-  for (NodeId x : {u, v}) {
-    for (;; x = parent_[static_cast<size_t>(x)]) {
-      prefetch_read(keys_.data() + key_base(x));
-      prefetch_read(children_.data() + child_base(x));
-      if (x == p.lca) break;
-    }
-  }
-  return p.distance;
 }
 
 int KAryTree::route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const {

@@ -129,11 +129,6 @@ class KAryTree {
   /// Throws TreeError when u and v lie in different components or a side
   /// climbs into a parent cycle.
   PathInfo path_info(NodeId u, NodeId v) const;
-  /// Issues read prefetches on the key / child cache lines of every node on
-  /// the u->LCA<-v access path that a splay serving (u, v) rotates over,
-  /// and returns its distance. Topology-neutral (it reads the tree and
-  /// writes only query stamps): a warm-up for a batch about to be served.
-  int prefetch_route(NodeId u, NodeId v) const;
   /// Nodes of the unique u->v routing path, endpoints included.
   std::vector<NodeId> route(NodeId u, NodeId v) const;
   /// Buffer-reusing variant: replaces `out` with the path and returns its

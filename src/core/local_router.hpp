@@ -32,7 +32,7 @@ std::vector<Hop> local_route(const KAryTree& tree, NodeId src, NodeId dst);
 
 /// Buffer-reusing variant: replaces `out` with the hop sequence and returns
 /// the number of edges traversed. No allocation once `out`'s capacity
-/// covers the path — the form the simulator uses on its per-request loop.
+/// covers the path, so one buffer can serve request after request.
 int local_route_into(const KAryTree& tree, NodeId src, NodeId dst,
                      std::vector<Hop>& out);
 

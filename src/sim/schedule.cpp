@@ -14,10 +14,6 @@ const char* schedule_policy_name(SchedulePolicy p) {
 
 void ScheduleConfig::validate() const {
   if (window < 1) throw TreeError("ScheduleConfig: window must be >= 1");
-  if (group < 1) throw TreeError("ScheduleConfig: group must be >= 1");
-  if (group > window)
-    throw TreeError(
-        "ScheduleConfig: group cannot exceed the reorder window");
 }
 
 }  // namespace san

@@ -4,18 +4,17 @@
 // code on that path changed. kLocality reorders requests *within bounded
 // windows* of a drain chunk by tree locality — the sort key is the LCA of the
 // request's access path, so requests touching the same subtree region are
-// served consecutively while their upper path is cache-hot — and serves each
-// window in small groups whose u->LCA<-v access paths are warmed by software
-// prefetches (KAryTree::prefetch_route) before the serves run.
+// served consecutively while their upper path is cache-hot. Each reordered
+// window is then served straight through.
 //
 // Cost semantics: a locality-scheduled serve is an ordinary sequential serve
 // of the *permuted* sequence. The scheduler never interleaves mutations of
-// two descents and the prefetch warm-up is read-only, so the reported
-// routing/rotation costs are exactly what FIFO would report for that
-// permutation — deterministic (stable sort over deterministic keys),
-// golden-lockable, and honestly different from FIFO's costs because splay
-// order matters. Keying a request costs one lca() walk, O(distance) however
-// deep the tree (core/karytree.hpp), and never changes the topology.
+// two descents, so the reported routing/rotation costs are exactly what FIFO
+// would report for that permutation — deterministic (stable sort over
+// deterministic keys), golden-lockable, and honestly different from FIFO's
+// costs because splay order matters. Keying a request costs one lca() walk,
+// O(distance) however deep the tree (core/karytree.hpp), and never changes
+// the topology; the serve then walks the same path once more.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +29,7 @@ namespace san {
 
 enum class SchedulePolicy : std::uint8_t {
   kFifo = 0,      ///< arrival order, bit-identical to pre-scheduler behavior
-  kLocality = 1,  ///< windowed LCA-cluster reorder + prefetch-warmed groups
+  kLocality = 1,  ///< windowed LCA-cluster reorder
 };
 
 const char* schedule_policy_name(SchedulePolicy p);
@@ -42,19 +41,16 @@ struct ScheduleConfig {
   /// boundary), bounding how far any request can be deferred past its
   /// arrival position.
   int window = 1024;
-  /// Requests per prefetch warm-up group.
-  int group = 8;
 
   bool reorders() const { return policy == SchedulePolicy::kLocality; }
-  /// Rejects non-positive window/group and group > window (a warm-up group
-  /// can never span more requests than one reorder window). Called by every
-  /// engine entry point before any request is served.
+  /// Rejects a non-positive window. Called by every engine entry point
+  /// before any request is served.
   void validate() const;
 };
 
 /// Endpoints of one schedulable operation, resolved into the id space of the
 /// tree being scheduled. `v == kNoNode` marks a root ascent (sharded first
-/// leg / access): it is keyed and warmed against the current root.
+/// leg / access): it is keyed against the current root.
 struct ScheduleEndpoints {
   NodeId u = kNoNode;
   NodeId v = kNoNode;
@@ -63,8 +59,8 @@ struct ScheduleEndpoints {
 /// Windowed locality scheduler, generic over the operation type (Request,
 /// ShardOp, frontend QueueItem) via a caller-supplied `resolve` mapping an
 /// op to ScheduleEndpoints, and over the tree type: any tree with
-/// `lca(u,v)`/`root()` is keyed the same way; a KAryTree also gets the
-/// prefetch warm-up, a BinarySplayNet is served without one.
+/// `lca(u,v)`/`root()` (a KAryTree, a BinarySplayNet) is keyed the same
+/// way.
 class LocalityScheduler {
  public:
   explicit LocalityScheduler(const ScheduleConfig& cfg) : cfg_(cfg) {
@@ -76,9 +72,8 @@ class LocalityScheduler {
   Cost reordered() const { return reordered_; }
 
   /// Serves `ops` under the configured policy: each window is reordered
-  /// against the tree's current topology, then served in groups of
-  /// `cfg.group` with a prefetch warm-up per group. `serve` is invoked
-  /// exactly once per op, in the scheduled order.
+  /// against the tree's current topology, then served in that order.
+  /// `serve` is invoked exactly once per op, in the scheduled order.
   template <typename TreeT, typename Op, typename Resolve, typename ServeFn>
   void run(const TreeT& tree, std::span<Op> ops, Resolve&& resolve,
            ServeFn&& serve) {
@@ -90,12 +85,7 @@ class LocalityScheduler {
     for (size_t base = 0; base < ops.size(); base += w) {
       std::span<Op> win = ops.subspan(base, std::min(w, ops.size() - base));
       reorder(tree, win, resolve);
-      const size_t g = static_cast<size_t>(cfg_.group);
-      for (size_t gb = 0; gb < win.size(); gb += g) {
-        std::span<Op> grp = win.subspan(gb, std::min(g, win.size() - gb));
-        warm(tree, grp, resolve);
-        for (Op& op : grp) serve(op);
-      }
+      for (Op& op : win) serve(op);
     }
   }
 
@@ -144,17 +134,6 @@ class LocalityScheduler {
   }
 
  private:
-  template <typename TreeT, typename Op, typename Resolve>
-  void warm(const TreeT& tree, std::span<Op> ops, Resolve&& resolve) {
-    if constexpr (requires { tree.prefetch_route(NodeId{1}, NodeId{1}); }) {
-      const NodeId root = tree.root();
-      for (Op& op : ops) {
-        const ScheduleEndpoints ep = resolve(op);
-        tree.prefetch_route(ep.u, ep.v == kNoNode ? root : ep.v);
-      }
-    }
-  }
-
   ScheduleConfig cfg_;
   Cost reordered_ = 0;
   std::vector<std::uint64_t> keys_;

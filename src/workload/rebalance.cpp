@@ -156,7 +156,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   const Entries entries = ordered_entries();
 
   // Window load per shard (each endpoint touch counts its weight), shared
-  // by the imbalance trigger and the watermark policy.
+  // by the plan's load_imbalance and the watermark and lifecycle planners.
   std::vector<double> touches(static_cast<std::size_t>(map.shards()), 0.0);
   for (const PairEntry& e : entries) {
     touches[static_cast<std::size_t>(map.shard_of(e.u))] += e.weight;
@@ -206,12 +206,6 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   switch (cfg_.trigger) {
     case RebalanceTrigger::kEveryEpoch:
       plan.triggered = true;
-      break;
-    case RebalanceTrigger::kCrossFraction:
-      plan.triggered = plan.cross_fraction > cfg_.trigger_cross_fraction;
-      break;
-    case RebalanceTrigger::kImbalance:
-      plan.triggered = plan.load_imbalance > cfg_.trigger_imbalance;
       break;
     case RebalanceTrigger::kDrift:
       plan.triggered = plan.drift > cfg_.trigger_drift;

@@ -59,17 +59,13 @@ enum class RebalancePolicy {
 };
 
 enum class RebalanceTrigger {
-  kEveryEpoch,     ///< plan at every epoch; empty plans are free
-  kCrossFraction,  ///< plan only when the window cross fraction exceeds
-                   ///< trigger_cross_fraction
-  kImbalance,      ///< plan only when the window load imbalance exceeds
-                   ///< trigger_imbalance
-  kDrift,          ///< plan only when the window's hot-pair set moved:
-                   ///< fraction of the current top-k pairs absent from the
-                   ///< previous epoch's exceeds trigger_drift. Parks the
-                   ///< rebalancer on stationary workloads (a static map
-                   ///< already is the steady-state answer there) while
-                   ///< reacting within one epoch to phase changes.
+  kEveryEpoch,  ///< plan at every epoch; empty plans are free
+  kDrift,       ///< plan only when the window's hot-pair set moved:
+                ///< fraction of the current top-k pairs absent from the
+                ///< previous epoch's exceeds trigger_drift. Parks the
+                ///< rebalancer on stationary workloads (a static map
+                ///< already is the steady-state answer there) while
+                ///< reacting within one epoch to phase changes.
 };
 
 const char* rebalance_policy_name(RebalancePolicy policy);
@@ -84,8 +80,6 @@ struct RebalanceConfig {
   double window_decay = 0.5;
   /// Hard cap on migrations per epoch (bounds the pause length).
   int max_migrations = 64;
-  double trigger_cross_fraction = 0.05;
-  double trigger_imbalance = 1.5;
   /// kDrift: rebalance when more than this fraction of the current top
   /// drift_top_k pairs was absent from the previous epoch's top set.
   double trigger_drift = 0.3;

@@ -429,7 +429,6 @@ TEST(Lifecycle, SeqEqualsConcWithLifecycleAndFaultsActive) {
   ScheduleConfig locality;
   locality.policy = SchedulePolicy::kLocality;
   locality.window = 64;
-  locality.group = 8;
   for (const ScheduleConfig& sched : {ScheduleConfig{}, locality}) {
     for (std::uint64_t seed : {13u, 201u, 7777u}) {
       for (int S : {2, 4, 8}) {

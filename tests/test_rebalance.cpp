@@ -412,35 +412,6 @@ TEST(Rebalance, WatermarkPlanDrainsTheHotShard) {
     EXPECT_NE(m.to_shard, map.shard_of(m.node));
 }
 
-TEST(Rebalance, TriggersGateThePlanning) {
-  ShardMap map(16, 2, ShardPartition::kContiguous);
-  RebalanceConfig cfg;
-  cfg.policy = RebalancePolicy::kHotPair;
-  cfg.trigger = RebalanceTrigger::kCrossFraction;
-  cfg.trigger_cross_fraction = 0.5;
-  {
-    RebalanceState state(cfg);
-    for (int i = 0; i < 9; ++i) state.observe({1, 2}, map);   // intra
-    state.observe({1, 9}, map);                               // one cross
-    EXPECT_FALSE(state.epoch(map, RebalanceCostHints{}).triggered);
-  }
-  {
-    RebalanceState state(cfg);
-    for (int i = 0; i < 9; ++i) state.observe({1, 9}, map);
-    state.observe({1, 2}, map);
-    EXPECT_TRUE(state.epoch(map, RebalanceCostHints{}).triggered);
-  }
-  cfg.trigger = RebalanceTrigger::kImbalance;
-  cfg.trigger_imbalance = 1.6;
-  {
-    RebalanceState state(cfg);
-    for (int i = 0; i < 8; ++i) state.observe({1, 2}, map);  // all on shard 0
-    RebalancePlan plan = state.epoch(map, RebalanceCostHints{});
-    EXPECT_TRUE(plan.triggered);
-    EXPECT_DOUBLE_EQ(plan.load_imbalance, 2.0);
-  }
-}
-
 TEST(Rebalance, DriftTriggerParksOnStationaryTraffic) {
   ShardMap map(32, 4, ShardPartition::kContiguous);
   RebalanceConfig cfg;
@@ -543,8 +514,7 @@ TEST(RebalanceDifferential, DisabledPathsMatchStaticShardedBitForBit) {
   RebalanceConfig off;  // kNone
   RebalanceConfig never;
   never.policy = RebalancePolicy::kHotPair;
-  never.trigger = RebalanceTrigger::kCrossFraction;
-  never.trigger_cross_fraction = 2.0;  // cross fraction can never exceed 1
+  never.trigger_drift = 1.0;  // drift is a fraction: it never exceeds 1
   never.epoch_requests = 512;
 
   for (std::uint64_t seed : {3u, 77u, 2024u}) {

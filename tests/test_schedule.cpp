@@ -1,14 +1,13 @@
 // Locality-aware batch scheduling (sim/schedule.hpp) walls:
 //
-//   Schedule.*             config validation + the KAryTree access-path
-//                          warm-up (prefetch_route)
+//   Schedule.*             config validation, engine entry checks and
+//                          policy names
 //   ScheduleReorder.*      the windowed reorder pass: permutation sanity,
 //                          window bounding, reordered counters
 //   ScheduleDifferential.* semantic locks — FIFO stays bit-identical with
 //                          the config threaded through every engine; the
 //                          locality cost equals the FIFO cost of the
-//                          scheduler's own permutation (the prefetch
-//                          warm-up is provably cost-free); sharded
+//                          scheduler's own permutation; sharded
 //                          sequential == concurrent under locality;
 //                          static trees serve order-invariant totals
 //   ScheduleGolden.*       locality total_cost/edge_changes rows across
@@ -43,8 +42,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0xC0FFEE;
 
-ScheduleConfig locality(int window = 1024, int group = 8) {
-  return ScheduleConfig{SchedulePolicy::kLocality, window, group};
+ScheduleConfig locality(int window = 1024) {
+  return ScheduleConfig{SchedulePolicy::kLocality, window};
 }
 
 bool print_mode() {
@@ -55,11 +54,9 @@ bool print_mode() {
 // ---------------------------------------------------------------- config
 
 TEST(Schedule, ConfigRejectsNonPositiveWindowAndGroup) {
-  EXPECT_THROW(locality(0, 1).validate(), TreeError);
-  EXPECT_THROW(locality(-5, 1).validate(), TreeError);
-  EXPECT_THROW(locality(8, 0).validate(), TreeError);
-  EXPECT_THROW(locality(8, -1).validate(), TreeError);
-  EXPECT_NO_THROW(locality(1, 1).validate());
+  EXPECT_THROW(locality(0).validate(), TreeError);
+  EXPECT_THROW(locality(-5).validate(), TreeError);
+  EXPECT_NO_THROW(locality(1).validate());
   // The bounds hold for FIFO configs too: a config is either valid or not,
   // independent of which policy it currently selects.
   ScheduleConfig fifo;
@@ -67,24 +64,17 @@ TEST(Schedule, ConfigRejectsNonPositiveWindowAndGroup) {
   EXPECT_THROW(fifo.validate(), TreeError);
 }
 
-TEST(Schedule, ConfigRejectsGroupLargerThanWindow) {
-  EXPECT_THROW(locality(4, 8).validate(), TreeError);
-  EXPECT_NO_THROW(locality(8, 8).validate());
-}
-
 TEST(Schedule, EnginesRejectInvalidConfigBeforeServing) {
   const Trace t = gen_uniform(16, 10, kSeed);
   KArySplayNet net = KArySplayNet::balanced(2, 16);
-  EXPECT_THROW(run_trace(net, t, locality(0, 1)), TreeError);
-  EXPECT_THROW(run_trace(net, t, locality(4, 8)), TreeError);
+  EXPECT_THROW(run_trace(net, t, locality(0)), TreeError);
   StaticTreeNetwork fixed(full_kary_tree(2, 16), "full");
-  EXPECT_THROW(run_trace(fixed, t, locality(0, 1)), TreeError);
+  EXPECT_THROW(run_trace(fixed, t, locality(0)), TreeError);
   ShardedNetwork sharded = ShardedNetwork::balanced(2, 16, 2);
   ShardedRunOptions opt;
-  opt.schedule = locality(8, 16);
+  opt.schedule = locality(0);
   EXPECT_THROW(run_trace_sharded(sharded, t, opt), TreeError);
-  EXPECT_THROW(ServeFrontend(sharded, {.schedule = locality(0, 1)}),
-               TreeError);
+  EXPECT_THROW(ServeFrontend(sharded, {.schedule = locality(0)}), TreeError);
 }
 
 TEST(Schedule, LocalityNeedsASchedulableTree) {
@@ -102,28 +92,6 @@ TEST(Schedule, PolicyNames) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kLocality), "locality");
 }
 
-// ------------------------------------------------- karytree warm-up
-
-TEST(Schedule, PrefetchRouteReturnsDistanceAndLeavesTopologyAlone) {
-  KArySplayNet net = KArySplayNet::balanced(3, 200);
-  std::mt19937_64 rng(7);
-  std::uniform_int_distribution<NodeId> node(1, 200);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId a = node(rng), b = node(rng);
-    if (a != b) net.serve(a, b);
-  }
-  const KAryTree& t = net.tree();
-  std::vector<NodeId> parents;
-  for (NodeId id = 1; id <= t.size(); ++id) parents.push_back(t.parent(id));
-  for (int i = 0; i < 500; ++i) {
-    const NodeId u = node(rng), v = node(rng);
-    EXPECT_EQ(t.prefetch_route(u, v), t.distance(u, v)) << u << "," << v;
-  }
-  for (NodeId id = 1; id <= t.size(); ++id)
-    EXPECT_EQ(t.parent(id), parents[static_cast<std::size_t>(id - 1)]) << id;
-  EXPECT_FALSE(t.validate().has_value());
-}
-
 // ------------------------------------------------------------- reorder
 
 TEST(ScheduleReorder, PermutesWithinWindowsOnly) {
@@ -131,7 +99,7 @@ TEST(ScheduleReorder, PermutesWithinWindowsOnly) {
   const Trace t = gen_uniform(64, 200, kSeed);
   std::vector<Request> ops = t.requests;
   const int window = 50;
-  LocalityScheduler sched(locality(window, 8));
+  LocalityScheduler sched(locality(window));
   // Reorder window by window, as run() does, without serving (tree is
   // untouched, so the permutation is pure).
   for (std::size_t base = 0; base < ops.size(); base += window) {
@@ -168,7 +136,7 @@ TEST(ScheduleReorder, AlreadyClusteredInputIsAFixpoint) {
   // order, and nothing is counted as reordered.
   KArySplayNet net = KArySplayNet::balanced(2, 32);
   std::vector<Request> ops(100, Request{5, 9});
-  LocalityScheduler sched(locality(64, 8));
+  LocalityScheduler sched(locality(64));
   sched.reorder(net.tree(), std::span<Request>(ops), [](const Request& r) {
     return ScheduleEndpoints{r.src, r.dst};
   });
@@ -230,13 +198,12 @@ TEST(ScheduleDifferential, FifoDefaultIsBitIdenticalOnEveryEngine) {
 }
 
 TEST(ScheduleDifferential, LocalityCostIsTheFifoCostOfItsOwnPermutation) {
-  // The scheduler's contract: reordering fully determines the cost — the
-  // interleaved prefetch warm-up must not change any counter. Replay the
-  // reorder pass manually (reorder window, then plain sequential serves)
-  // and demand bit-equality with the engine's locality run.
+  // The scheduler's contract: reordering fully determines the cost. Replay
+  // the reorder pass manually (reorder window, then plain sequential
+  // serves) and demand bit-equality with the engine's locality run.
   const int n = 256;
   const Trace t = gen_workload(WorkloadKind::kProjector, n, 5000, kSeed);
-  const ScheduleConfig cfg = locality(192, 8);
+  const ScheduleConfig cfg = locality(192);
 
   KArySplayNet engine = KArySplayNet::balanced(2, n);
   const SimResult via_engine = run_trace(engine, t, cfg);
@@ -249,7 +216,7 @@ TEST(ScheduleDifferential, LocalityCostIsTheFifoCostOfItsOwnPermutation) {
     return ScheduleEndpoints{r.src, r.dst};
   };
   // Same chunking as run_trace_stream, same windows as run(): reorder one
-  // window against the current tree, then serve it with NO warm-up.
+  // window against the current tree, then serve it straight through.
   for (std::size_t cb = 0; cb < buf.size(); cb += kStreamChunkRequests) {
     const std::size_t ce = std::min(buf.size(), cb + kStreamChunkRequests);
     for (std::size_t wb = cb; wb < ce;
@@ -282,10 +249,10 @@ TEST(ScheduleDifferential, ShardedLocalitySequentialMatchesConcurrent) {
     ShardedNetwork conc = ShardedNetwork::balanced(3, n, 5);
     ShardedRunOptions sopt;
     sopt.threads = 1;
-    sopt.schedule = locality(128, 8);
+    sopt.schedule = locality(128);
     ShardedRunOptions copt;
     copt.threads = 4;
-    copt.schedule = locality(128, 8);
+    copt.schedule = locality(128);
     const SimResult rs = run_trace_sharded(seq, t, sopt);
     const SimResult rc = run_trace_sharded(conc, t, copt);
     EXPECT_EQ(rs.routing_cost, rc.routing_cost) << workload_name(kind);
@@ -305,7 +272,7 @@ TEST(ScheduleDifferential, StaticTreeCostIsOrderInvariant) {
   for (const KAryTree& tree : {full_kary_tree(3, n), centroid_kary_tree(3, n)}) {
     StaticTreeNetwork fixed(tree, "static");
     const SimResult fifo = run_trace_static(tree, t);
-    const SimResult loc = run_trace(fixed, t, locality(256, 8));
+    const SimResult loc = run_trace(fixed, t, locality(256));
     EXPECT_EQ(fifo.routing_cost, loc.routing_cost);
     EXPECT_EQ(fifo.requests, loc.requests);
     EXPECT_GT(loc.reordered_requests, 0);
@@ -398,7 +365,7 @@ const Golden kLocalityGoldens[] = {
 };
 
 TEST(ScheduleGolden, LocalityOnEveryNetworkType) {
-  const ScheduleConfig cfg = locality(64, 8);
+  const ScheduleConfig cfg = locality(64);
   std::vector<Golden> measured;
   for (WorkloadKind kind :
        {WorkloadKind::kFacebook, WorkloadKind::kSequentialScan}) {
@@ -437,11 +404,10 @@ TEST(ScheduleFuzz, LocalityKeepsTreesValidateClean) {
     const int n = 16 + static_cast<int>(rng() % 200);
     const std::size_t m = 500 + rng() % 3000;
     const int window = 1 + static_cast<int>(rng() % 300);
-    const int group = 1 + static_cast<int>(rng() % window);
     const auto kind = (round % 2 == 0) ? WorkloadKind::kFacebook
                                        : WorkloadKind::kBitReversal;
     const Trace t = gen_workload(kind, n, m, rng());
-    const ScheduleConfig cfg = locality(window, group);
+    const ScheduleConfig cfg = locality(window);
 
     KArySplayNet plain = KArySplayNet::balanced(2 + round % 3, n);
     run_trace(plain, t, cfg);
@@ -466,7 +432,7 @@ TEST(ScheduleFrontend, LocalityServesEverythingAndKeepsShardsValid) {
   const std::vector<std::uint64_t> arrivals(m, 0);  // saturation
   for (int S : {1, 3}) {
     ShardedNetwork net = ShardedNetwork::balanced(2, n, S);
-    ServeFrontend fe(net, {.schedule = locality(64, 8)});
+    ServeFrontend fe(net, {.schedule = locality(64)});
     const FrontendResult r = fe.run(t, arrivals);
     EXPECT_EQ(r.sim.requests, m) << "S=" << S;
     EXPECT_GT(r.sim.reordered_requests, 0) << "S=" << S;
