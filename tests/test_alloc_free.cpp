@@ -113,7 +113,7 @@ TEST(AllocFree, SanityCounterSeesAllocations) {
 }
 
 TEST(AllocFree, KArySplayServeIsAllocationFree) {
-  for (int k : {2, 3, 5, 10}) {
+  for (int k : {2, 3, 5, 10, 16, 33}) {
     KArySplayNet net = KArySplayNet::balanced(k, 300);
     const std::vector<Request> reqs = random_requests(300, 4000, 42 + k);
     // Warm-up: first rotations grow the thread-local merge scratch to the

@@ -171,7 +171,8 @@ StormPin run_storm(int k, const PolicyCase& pc, std::uint64_t seed) {
 TEST(Rotation, StormLayoutIsPinned) {
   // The golden-cost suite locks serve costs under the default policy only;
   // these pins lock the trees themselves and the relink accounting, under
-  // every block rule.
+  // every block rule. Arities 16 and 33 run the kernel past the property
+  // tests' k <= 10, where its scratch (sized 3k at run time) is largest.
   const StormPin pins[] = {
       {2, "balanced-centered", 0x9317bdf8u, 1556, 3090},
       {2, "greedy-centered", 0xbefb564au, 1553, 3086},
@@ -197,9 +198,21 @@ TEST(Rotation, StormLayoutIsPinned) {
       {10, "balanced-right", 0x4a7ffa05u, 1960, 3866},
       {10, "greedy-left", 0xca7cf241u, 2060, 4076},
       {10, "no-case-preference", 0xd6867cc8u, 1873, 3716},
+      {16, "balanced-centered", 0x1d6fa5beu, 2019, 4004},
+      {16, "greedy-centered", 0xb6067257u, 2024, 3980},
+      {16, "balanced-left", 0x4aa59874u, 2038, 4040},
+      {16, "balanced-right", 0xd8c82460u, 2086, 4126},
+      {16, "greedy-left", 0x561a2eb4u, 2092, 4162},
+      {16, "no-case-preference", 0x5d5fcb83u, 1968, 3916},
+      {33, "balanced-centered", 0x330374e1u, 2007, 3974},
+      {33, "greedy-centered", 0xdee3625fu, 1985, 3928},
+      {33, "balanced-left", 0xd5e7cd56u, 2098, 4172},
+      {33, "balanced-right", 0xa94230ebu, 2267, 4490},
+      {33, "greedy-left", 0xb48307ddu, 2061, 4084},
+      {33, "no-case-preference", 0xdbe31176u, 1988, 3912},
   };
   size_t i = 0;
-  for (int k : {2, 3, 5, 10}) {
+  for (int k : {2, 3, 5, 10, 16, 33}) {
     for (size_t pi = 0; pi < std::size(kPolicies); ++pi, ++i) {
       ASSERT_LT(i, std::size(pins));
       const StormPin& want = pins[i];
