@@ -169,34 +169,6 @@ void KAryTree::set_root(NodeId id) {
   hi_[static_cast<size_t>(id)] = kKeyMax;
 }
 
-int KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
-                      std::span<const NodeId> children, RoutingKey lo,
-                      RoutingKey hi, int* edge_changes) {
-  check(id);
-  if (children.size() != keys.size() + 1)
-    throw TreeError("install: children.size() must be keys.size()+1");
-  if (static_cast<int>(keys.size()) > k_ - 1)
-    throw TreeError("install: too many routing keys for arity");
-  nkeys_[static_cast<size_t>(id)] = static_cast<std::int32_t>(keys.size());
-  std::copy(keys.begin(), keys.end(), keys_.begin() + static_cast<std::ptrdiff_t>(key_base(id)));
-  std::copy(children.begin(), children.end(),
-            children_.begin() + static_cast<std::ptrdiff_t>(child_base(id)));
-  lo_[static_cast<size_t>(id)] = lo;
-  hi_[static_cast<size_t>(id)] = hi;
-  int relinked = 0, unlinked = 0;  // branch-free: `old` is often a miss
-  for (int s = 0; s < static_cast<int>(children.size()); ++s) {
-    const NodeId c = children[static_cast<size_t>(s)];
-    if (c == kNoNode) continue;
-    const NodeId old = parent_[static_cast<size_t>(c)];
-    relinked += old != id;
-    unlinked += (old != id) & (old != kNoNode);
-    parent_[static_cast<size_t>(c)] = id;
-    slot_in_parent_[static_cast<size_t>(c)] = s;
-  }
-  if (edge_changes != nullptr) *edge_changes += relinked + unlinked;
-  return relinked;
-}
-
 void KAryTree::link(NodeId parent, int slot, NodeId child) {
   check(child);
   if (parent == kNoNode) {

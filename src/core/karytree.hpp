@@ -164,9 +164,36 @@ class KAryTree {
   /// (were not yet linked below `id`) and, if `edge_changes` is given, adds
   /// their links removed + added to it: that is how a rotation prices
   /// itself (Section 2 cost model) without a before/after snapshot.
+  /// Inline, so each of a rotation's installs compiles into the rotation.
   int install(NodeId id, std::span<const RoutingKey> keys,
               std::span<const NodeId> children, RoutingKey lo, RoutingKey hi,
-              int* edge_changes = nullptr);
+              int* edge_changes = nullptr) {
+    check(id);
+    if (children.size() != keys.size() + 1)
+      throw TreeError("install: children.size() must be keys.size()+1");
+    if (static_cast<int>(keys.size()) > k_ - 1)
+      throw TreeError("install: too many routing keys for arity");
+    const size_t nk = keys.size();
+    nkeys_[static_cast<size_t>(id)] = static_cast<std::int32_t>(nk);
+    RoutingKey* kd = keys_.data() + key_base(id);
+    for (size_t i = 0; i < nk; ++i) kd[i] = keys[i];
+    NodeId* cd = children_.data() + child_base(id);
+    lo_[static_cast<size_t>(id)] = lo;
+    hi_[static_cast<size_t>(id)] = hi;
+    int relinked = 0, unlinked = 0;  // branch-free: `old` is often a miss
+    for (size_t s = 0; s <= nk; ++s) {
+      const NodeId c = children[s];
+      cd[s] = c;
+      if (c == kNoNode) continue;
+      const NodeId old = parent_[static_cast<size_t>(c)];
+      relinked += old != id;
+      unlinked += (old != id) & (old != kNoNode);
+      parent_[static_cast<size_t>(c)] = id;
+      slot_in_parent_[static_cast<size_t>(c)] = static_cast<std::int32_t>(s);
+    }
+    if (edge_changes != nullptr) *edge_changes += relinked + unlinked;
+    return relinked;
+  }
   /// Brace-list convenience for builders and tests.
   void install(NodeId id, std::initializer_list<RoutingKey> keys,
                std::initializer_list<NodeId> children, RoutingKey lo,

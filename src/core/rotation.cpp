@@ -16,8 +16,8 @@ namespace {
 //
 // A k-splay merges at most 3(k-1) elements, so thread-local arrays of 3k
 // elements and 3k + 1 slots, sized once for the largest arity the thread
-// has seen, are edited in place and scanned linearly: after the first
-// rotation the serve() hot path performs zero allocations.
+// has seen, are written and scanned linearly: after the first rotation the
+// serve() hot path performs zero allocations.
 struct Scratch {
   std::vector<RoutingKey> elems;
   std::vector<NodeId> slots;
@@ -25,36 +25,66 @@ struct Scratch {
   RotationResult res;
 };
 
-// The scratch for arity `k`, reset to the one interval holding `top`;
-// splicing `top` then expands it into its keys and children.
-Scratch& scratch_for(int k, NodeId top) {
+// The scratch for arity `k`, with the relink count reset.
+Scratch& scratch_for(int k) {
   thread_local Scratch s;
   const size_t cap = 3 * static_cast<size_t>(k);
   if (s.elems.size() < cap) {
     s.elems.resize(cap);
     s.slots.resize(cap + 1);
   }
-  s.n = 0;
-  s.slots[0] = top;
   s.res = {};
   return s;
 }
 
-// Replaces slot `at` (which must currently hold `child`) with `child`'s own
-// keys and child slots, shifting the tail right.
-void splice(Scratch& m, int at, const KAryTree& tree, NodeId child) {
-  assert(m.slots[static_cast<size_t>(at)] == child);
-  const std::span<const RoutingKey> ks = tree.keys(child);
-  const std::span<const NodeId> cs = tree.children(child);
-  const int c = static_cast<int>(ks.size());
-  RoutingKey* e = m.elems.data();
-  NodeId* sl = m.slots.data();
-  std::copy_backward(e + at, e + m.n, e + m.n + c);
-  std::copy_backward(sl + at + 1, sl + m.n + 1, sl + m.n + 1 + c);
-  std::copy(ks.begin(), ks.end(), e + at);
-  std::copy(cs.begin(), cs.end(), sl + at);
-  m.n += c;
-}
+// Writes the merged sequence of a root-ward chain into a Scratch in one
+// forward pass. Walking down the chain, each ancestor gives its keys left
+// of the child the chain descends into, each with the child slot on its
+// left; the bottom node gives all of its keys that way, then its last
+// slot. Walking back up, each ancestor gives the rest of its keys, each
+// with the child slot on its right. So the bottom node's run starts at the
+// sum of the descent slots.
+class MergeWriter {
+ public:
+  MergeWriter(Scratch& m, const KAryTree& tree)
+      : tree_(tree), e_(m.elems.data()), sl_(m.slots.data()) {}
+
+  // Elements written so far.
+  int size() const { return n_; }
+
+  // `id`'s keys [0, at) on the way down to `child`, its child at slot `at`.
+  void down(NodeId id, int at, [[maybe_unused]] NodeId child) {
+    const std::span<const RoutingKey> ks = tree_.keys(id);
+    const std::span<const NodeId> cs = tree_.children(id);
+    assert(cs[static_cast<size_t>(at)] == child);
+    for (int i = 0; i < at; ++i, ++n_) {
+      e_[n_] = ks[static_cast<size_t>(i)];
+      sl_[n_] = cs[static_cast<size_t>(i)];
+    }
+  }
+  // All of the chain's bottom node.
+  void bottom(NodeId id) {
+    const int c = tree_.num_keys(id);
+    const NodeId last = tree_.child(id, c);
+    down(id, c, last);
+    sl_[n_] = last;
+  }
+  // `id`'s keys [at, end) on the way back up from its child slot `at`.
+  void up(NodeId id, int at) {
+    const std::span<const RoutingKey> ks = tree_.keys(id);
+    const std::span<const NodeId> cs = tree_.children(id);
+    for (size_t i = static_cast<size_t>(at); i < ks.size(); ++i, ++n_) {
+      e_[n_] = ks[i];
+      sl_[n_ + 1] = cs[i + 1];
+    }
+  }
+
+ private:
+  const KAryTree& tree_;
+  RoutingKey* e_;
+  NodeId* sl_;
+  int n_ = 0;
+};
 
 // Index of the interval holding `value`: the count of elements <= value.
 int interval_index(const Scratch& m, RoutingKey value) {
@@ -140,9 +170,12 @@ int collapse_block(KAryTree& tree, Scratch& m, NodeId id, int s,
       std::span<const NodeId>(sl + a, static_cast<size_t>(s) + 1), lo, hi,
       &m.res.edge_changes);
 
+  // Close the gap: the block's s elements and s + 1 slots become one slot.
   sl[a] = id;
-  std::copy(e + a + s, e + M, e + a);
-  std::copy(sl + a + s + 1, sl + M + 1, sl + a + 1);
+  for (int i = a; i < M - s; ++i) {
+    e[i] = e[i + s];
+    sl[i + 1] = sl[i + s + 1];
+  }
   m.n = M - s;
   return a;
 }
@@ -186,9 +219,12 @@ RotationResult k_semi_splay(KAryTree& tree, NodeId x,
   const RoutingKey hi = tree.hi(p);
   const int k = tree.arity();
 
-  Scratch& m = scratch_for(k, p);
-  splice(m, 0, tree, p);
-  splice(m, x_slot, tree, x);
+  Scratch& m = scratch_for(k);
+  MergeWriter w(m, tree);
+  w.down(p, x_slot, x);
+  w.bottom(x);
+  w.up(p, x_slot);
+  m.n = w.size();
 
   const int M = m.n;
   const int desired =
@@ -213,14 +249,17 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
   const RoutingKey hi = tree.hi(g);
   const int k = tree.arity();
 
-  Scratch& m = scratch_for(k, g);
-  splice(m, 0, tree, g);
-  splice(m, p_slot, tree, p);
-  // After splicing p's arrays at slot p_slot, p's former child slots begin
-  // at index p_slot; x sits at offset x_slot within them.
+  Scratch& m = scratch_for(k);
+  MergeWriter w(m, tree);
+  w.down(g, p_slot, p);
+  w.down(p, x_slot, x);
+  w.bottom(x);
+  w.up(p, x_slot);
+  w.up(g, p_slot);
+  m.n = w.size();
+  // x's former child slots begin where g's and p's left parts end.
   const int x_begin = p_slot + x_slot;
   const int x_len = tree.num_children(x);
-  splice(m, x_begin, tree, x);
 
   const int M = m.n;
   const bool greedy = policy.sizing == BlockSizing::kGreedyMax;
