@@ -152,7 +152,9 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "           hpc projector facebook elephants rotating seqscan\n"
          "           bitrev\n"
          "topologies: ksplay semisplay centroid binary full optimal\n"
-         "--shards > 1 runs ksplay/semisplay shards under a static top tree\n"
+         "--shards S (>= 1) runs S ksplay/semisplay shards under a static top\n"
+         "  tree; S = 1 still serves through the sharded engines when a run\n"
+         "  needs them (--stream, --open-loop, lifecycle epochs, --fault)\n"
          "--rebalance adds adaptive migration epochs (needs --shards > 1)\n"
          "--split-watermark/--merge-watermark add tablet-style shard\n"
          "  lifecycle epochs (split the hot shard / merge the two coldest);\n"
@@ -207,7 +209,10 @@ Options parse(int argc, char** argv) {
     else if (arg == "--topology") o.topology = next();
     else if (arg == "--k") o.k = std::stoi(next());
     else if (arg == "--n") o.n = std::stoi(next());
-    else if (arg == "--shards") o.shards = std::stoi(next());
+    else if (arg == "--shards") {
+      o.shards = std::stoi(next());
+      if (o.shards < 1) throw TreeError("--shards needs S >= 1");
+    }
     else if (arg == "--partition") o.partition = next();
     else if (arg == "--rebalance") o.rebalance = next();
     else if (arg == "--epoch") {
@@ -613,16 +618,14 @@ int main(int argc, char** argv) {
     if (rebalance != RebalancePolicy::kNone && o.epoch == 0)
       throw TreeError("--rebalance needs --epoch > 0");
     const RebalanceConfig cfg = make_rebalance_config(o, rebalance);
-    const FaultPlan faults = make_fault_plan(o, std::max(1, o.shards), m);
+    const FaultPlan faults = make_fault_plan(o, o.shards, m);
     const Run run{o, sched, cfg, faults, trace};
     const bool adaptive = run.epochs() || faults.enabled();
-    if (trace != nullptr && adaptive && o.shards <= 1 && !o.open_loop)
-      throw TreeError("--split-watermark/--merge-watermark/--replicas/--fault "
-                      "need --shards > 1 (or --open-loop for --fault)");
 
     if (o.open_loop) {
       // Live serving path: ServeFrontend over a ShardedNetwork.
-      ShardedNetwork net = make_sharded(o, n, std::max(1, o.shards));
+      ShardedNetwork net = make_sharded(o, n, o.shards);
+      const std::string network = run.network(net.name(), "open-loop");
       FrontendOptions fopt;
       if (run.epochs()) fopt.rebalance = &cfg;
       fopt.schedule = sched;
@@ -638,8 +641,7 @@ int main(int argc, char** argv) {
         StreamingArrivalSchedule schedule(arrival, o.rate, o.seed);
         return frontend.run_stream(*stream, schedule);
       }();
-      Table out = summary_table(run.network(net.name(), "open-loop"), n,
-                                r.sim.requests);  // final S
+      Table out = summary_table(network, n, r.sim.requests);
       add_frontend_rows(out, run, r, arrival, fopt.queue_policy);
       print_table(out, o.csv);
       return 0;
@@ -649,8 +651,8 @@ int main(int argc, char** argv) {
       // The batched pipeline: every streamed run, and a materialized run
       // with rebalance / lifecycle epochs or scripted faults. Costs come as
       // totals (no per-request series through the drains).
-      ShardedNetwork net = make_sharded(o, n, std::max(1, o.shards));
-      const std::string network = run.network(net.name(), "");  // initial S
+      ShardedNetwork net = make_sharded(o, n, o.shards);
+      const std::string network = run.network(net.name(), "");
       ShardedRunOptions ropt;
       if (run.epochs()) ropt.rebalance = &cfg;
       ropt.schedule = sched;
