@@ -1,9 +1,11 @@
 // Microbenchmarks: latency of the rotation primitives and of a full serve,
-// as a function of arity, and of one Zipf draw at the trace generators'
-// shapes. Not a paper table — engineering data: rotation cost grows with k
-// while depth shrinks, and the product is what the macro benches measure
-// end to end; the Zipf draw is the per-request cost of generating (or
-// streaming) the projector, phase-elephant and Facebook traces.
+// as a function of arity (2..10, plus 16 and 32, where the rotation
+// kernel's merged sequences are longest), and of one Zipf draw at the
+// trace generators' shapes. Not a paper table — engineering data: rotation
+// cost grows with k while depth shrinks, and the product is what the macro
+// benches measure end to end; the Zipf draw is the per-request cost of
+// generating (or streaming) the projector, phase-elephant and Facebook
+// traces.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -28,7 +30,7 @@ void BM_KSemiSplay(benchmark::State& state) {
     benchmark::DoNotOptimize(san::k_semi_splay(tree, x));
   }
 }
-BENCHMARK(BM_KSemiSplay)->DenseRange(2, 10, 2);
+BENCHMARK(BM_KSemiSplay)->DenseRange(2, 10, 2)->Arg(16)->Arg(32);
 
 void BM_KSplay(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
@@ -43,7 +45,7 @@ void BM_KSplay(benchmark::State& state) {
     benchmark::DoNotOptimize(san::k_splay(tree, x));
   }
 }
-BENCHMARK(BM_KSplay)->DenseRange(2, 10, 2);
+BENCHMARK(BM_KSplay)->DenseRange(2, 10, 2)->Arg(16)->Arg(32);
 
 void BM_Serve(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
@@ -56,7 +58,7 @@ void BM_Serve(benchmark::State& state) {
     benchmark::DoNotOptimize(net.serve(r.src, r.dst));
   }
 }
-BENCHMARK(BM_Serve)->DenseRange(2, 10, 2);
+BENCHMARK(BM_Serve)->DenseRange(2, 10, 2)->Arg(16)->Arg(32);
 
 void BM_StaticDistance(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
